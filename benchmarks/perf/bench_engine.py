@@ -6,19 +6,13 @@ Measures events/second through :mod:`repro.sim.engine` and
 scheduling hot paths without any application logic:
 
 * ``timeout_churn`` -- N processes looping on ``env.timeout``; stresses
-  ``_schedule`` / ``step`` / ``Process._resume``.
+  ``Environment.timeout`` / the drain loop / ``Process._resume``.
 * ``event_pingpong`` -- process pairs waking each other through pending
   events; stresses ``succeed`` + callback dispatch.
 * ``resource_contention`` -- processes cycling acquire/hold/release on a
   shared :class:`Resource`; stresses the waiter heap and request events.
 
-A separate ``wide_timer_churn`` probe (not in the composite) compares the
-default heap queue against ``Environment(queue="calendar")`` and the
-adaptive ``queue="auto"`` default at a 20k pending-timer population --
-the regime where the calendar queue's O(1) buckets overtake heapq's
-C-implemented O(log n) sift.
-
-A ``slo_monitor_churn`` probe (also outside the composite) drives the
+A ``slo_monitor_churn`` probe (outside the composite) drives the
 application completion hook with a deterministic latency pattern, SLO
 monitor attached vs detached, to bound the observer overhead of
 :class:`repro.telemetry.slo.SLOMonitor` -- and to pin that the
@@ -49,7 +43,6 @@ from __future__ import annotations
 
 import gc
 import json
-import subprocess
 import sys
 import tracemalloc
 
@@ -188,79 +181,6 @@ WORKLOADS = {
     "resource_contention": resource_contention,
     "store_handoff": store_handoff,
 }
-
-
-def wide_timer_churn(queue: str, n_procs: int = 20_000, iterations: int = 5):
-    """Timer churn with a *large* pending-event population.
-
-    The four composite workloads keep at most a few hundred events
-    pending, where heapq's C implementation wins outright; the calendar
-    queue's O(1) bucket operations only pay off once the pending
-    population is large enough that O(log n) sift costs dominate --
-    the fleet-scale regime.  This workload measures that crossover.
-    """
-    env = Environment(queue=queue)
-
-    def looper(env: Environment, delay: float) -> object:
-        for _ in range(iterations):
-            yield env.timeout(delay)
-
-    for i in range(n_procs):
-        env.process(looper(env, 0.1 + 0.0001 * i))
-    env.run()
-    return env
-
-
-def _queue_probe_rate(queue: str, n_procs: int) -> float:
-    """One timed ``wide_timer_churn`` run, returning events/sec."""
-    start = time.perf_counter()
-    env = wide_timer_churn(queue, n_procs=n_procs)
-    elapsed = time.perf_counter() - start
-    return env._seq / elapsed
-
-
-def _isolated_rate(queue: str, n_procs: int) -> float:
-    """Run one queue probe in a fresh interpreter and return events/sec.
-
-    Sequential in-process comparisons cross-contaminate: the heap of the
-    run before leaves allocator/GC state that skews the run after by more
-    than the effect being measured (observed ~25% at 20k timers).  Each
-    probe therefore gets its own process; ``--queue-probe`` below is the
-    child entry point.
-    """
-    out = subprocess.run(
-        [sys.executable, __file__, "--queue-probe", queue, str(n_procs)],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return float(out.stdout.strip())
-
-
-def bench_calendar_queue(
-    repeats: int = 3, n_procs: int = 20_000, isolate: bool = False
-) -> dict:
-    """Best-of-``repeats`` heap/calendar/auto comparison at ``n_procs`` timers."""
-    rates = {}
-    for queue in ("heap", "calendar", "auto"):
-        best = 0.0
-        for _ in range(repeats):
-            rate = (
-                _isolated_rate(queue, n_procs)
-                if isolate
-                else _queue_probe_rate(queue, n_procs)
-            )
-            best = max(best, rate)
-        rates[queue] = round(best, 1)
-    return {
-        "workload": "wide_timer_churn",
-        "pending_timers": n_procs,
-        "heap_events_per_sec": rates["heap"],
-        "calendar_events_per_sec": rates["calendar"],
-        "auto_events_per_sec": rates["auto"],
-        "calendar_speedup": round(rates["calendar"] / rates["heap"], 3),
-        "auto_speedup": round(rates["auto"] / rates["heap"], 3),
-    }
 
 
 def _slo_probe(n_requests: int, with_monitor: bool) -> float:
@@ -413,10 +333,6 @@ def run_benchmark(
 
 def main() -> int:
     argv = sys.argv[1:]
-    if argv and argv[0] == "--queue-probe":
-        # Child entry point for _isolated_rate: one run, one number.
-        print(_queue_probe_rate(argv[1], int(argv[2])))
-        return 0
     args = [a for a in argv if a != "--smoke"]
     smoke = "--smoke" in argv
     repeats = int(args[0]) if args else (1 if smoke else 3)
@@ -424,7 +340,6 @@ def main() -> int:
         # CI smoke: execute every benchmark code path on tiny budgets and
         # never write BENCH_engine.json (the numbers are meaningless).
         current = run_benchmark(repeats=repeats, kwargs_by_name=SMOKE_KWARGS)
-        queue_probe = bench_calendar_queue(repeats=repeats, n_procs=200)
         slo_probe = bench_slo_monitor(repeats=repeats, n_requests=2_000)
         allocations = measure_allocations(SMOKE_KWARGS)
         print(
@@ -432,7 +347,6 @@ def main() -> int:
                 {
                     "smoke": True,
                     "composite_events": current["composite"]["events"],
-                    "queue_probe_events": queue_probe["pending_timers"],
                     "slo_probe_completions": slo_probe["completions"],
                     "allocations": allocations,
                 },
@@ -447,15 +361,9 @@ def main() -> int:
         "baseline_events_per_sec": RECORDED_BASELINE,
         "baseline_bytes_per_event": RECORDED_ALLOC_BASELINE,
         "current": current,
-        # Not part of the composite: the queue comparison and the
-        # allocation probe are separate experiments (same logical
-        # workloads, different instrumentation), so the composite trend
-        # stays comparable across PRs.  Queue probes run in isolated
-        # child processes -- see _isolated_rate.
-        "calendar_queue": bench_calendar_queue(repeats=repeats, isolate=True),
-        "calendar_queue_wide": bench_calendar_queue(
-            repeats=repeats, n_procs=100_000, isolate=True
-        ),
+        # Not part of the composite: the SLO probe and the allocation
+        # probe are separate experiments (different instrumentation), so
+        # the composite trend stays comparable across PRs.
         "slo_monitor": bench_slo_monitor(repeats=repeats),
         "allocations": measure_allocations(),
         "speedup_vs_baseline": {

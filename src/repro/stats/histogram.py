@@ -9,7 +9,9 @@ deterministic binning -- ``bins`` log-spaced buckets over
 ``[min_value, max_value)`` plus underflow/overflow -- so any two
 histograms built with the same parameters are mergeable, byte-identical
 for identical inputs, and O(bins) in memory no matter how many samples
-they absorb.
+they absorb.  A histogram is built with :meth:`FixedHistogram.from_samples`
+or filled with :meth:`FixedHistogram.record`, and shards are pooled with
+:meth:`FixedHistogram.merge`.
 
 Error bounds (documented in docs/results_provenance.md):
 
@@ -184,16 +186,6 @@ class FixedHistogram:
             self._min = value
         if value > self._max:
             self._max = value
-
-    def add(self, value: float, count: int = 1) -> None:
-        """Alias of :meth:`record`.
-
-        Duck-compatible with
-        :meth:`repro.stats.distributions.EmpiricalDistribution.add`, so a
-        histogram can stand in wherever a distribution is accumulated
-        one observation at a time (e.g. a hub's ``latency_store="fixed"``).
-        """
-        self.record(value, count)
 
     def merge(self, other: "FixedHistogram") -> "FixedHistogram":
         """A new histogram pooling both (requires identical bucketing)."""

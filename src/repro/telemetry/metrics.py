@@ -15,22 +15,14 @@ Queries aggregate over window ranges, mirroring the PromQL-style queries
 Ursa's controllers issue (latency percentile over the last N minutes,
 request rate, mean CPU utilisation).
 
-Two hot-path affordances (see docs/performance.md):
-
-* **Interned series handles.**  :meth:`MetricsHub.latency_handle` /
-  :meth:`MetricsHub.counter_handle` resolve the name/label lookup and
-  registry check once and return a small bound writer
-  (:class:`LatencyHandle` / :class:`CounterHandle`); per-observation
-  writes through a handle touch only the per-window dict.  Handles and
-  the string-keyed write methods share the same underlying series, so
-  queries see both.
-* **Fixed-histogram latency store.**  ``latency_store="fixed"`` makes
-  latency series accumulate into bounded
-  :class:`~repro.stats.histogram.FixedHistogram` buckets instead of
-  sample-keeping :class:`~repro.stats.distributions.EmpiricalDistribution`
-  -- O(bins) memory per window regardless of request volume, with the
-  histogram's documented ~0.45% quantile error bound.  The default stays
-  ``"empirical"`` (exact percentiles).
+Hot-path writers use interned series handles (see
+docs/performance.md): :meth:`MetricsHub.latency_handle` /
+:meth:`MetricsHub.counter_handle` resolve the name/label lookup and
+registry check once and return a small bound writer
+(:class:`LatencyHandle` / :class:`CounterHandle`); per-observation
+writes through a handle touch only the per-window dict.  Handles and
+the string-keyed write methods share the same underlying series, so
+queries see both.
 """
 
 from __future__ import annotations
@@ -42,7 +34,6 @@ from math import floor as _floor
 
 from repro.errors import TelemetryError
 from repro.stats.distributions import EmpiricalDistribution
-from repro.stats.histogram import FixedHistogram
 from repro.telemetry.registry import (
     DEFAULT_REGISTRY,
     MetricRegistry,
@@ -52,19 +43,12 @@ from repro.telemetry.registry import (
 __all__ = [
     "CounterHandle",
     "LabelSet",
-    "LatencyDist",
     "LatencyHandle",
     "MetricsHub",
     "labels_key",
 ]
 
 LabelSet = tuple[tuple[str, str], ...]
-
-#: A latency series aggregate: exact samples or a bounded histogram,
-#: depending on the hub's ``latency_store``.  Both answer ``merge`` /
-#: ``percentile`` / ``fraction_above`` / ``count`` with the same duck
-#: interface.
-LatencyDist = EmpiricalDistribution | FixedHistogram
 
 
 class LatencyHandle:
@@ -75,19 +59,17 @@ class LatencyHandle:
     the (first-write) registry check entirely.
     """
 
-    __slots__ = ("_clock", "_window_s", "_series", "_factory")
+    __slots__ = ("_clock", "_window_s", "_series")
 
     def __init__(
         self,
         clock: Callable[[], float],
         window_s: float,
-        series: dict[int, LatencyDist],
-        factory: Callable[[], LatencyDist],
+        series: dict[int, EmpiricalDistribution],
     ) -> None:
         self._clock = clock
         self._window_s = window_s
         self._series = series
-        self._factory = factory
 
     def record(self, value: float) -> None:
         """Record one latency observation (same as hub.record_latency)."""
@@ -96,7 +78,7 @@ class LatencyHandle:
         series = self._series
         dist = series.get(window)
         if dist is None:
-            dist = series[window] = self._factory()
+            dist = series[window] = EmpiricalDistribution()
         dist.add(value)
 
 
@@ -159,24 +141,15 @@ class MetricsHub:
         window_s: float = 60.0,
         registry: MetricRegistry | None = DEFAULT_REGISTRY,
         strict: bool = False,
-        latency_store: str = "empirical",
     ) -> None:
         if window_s <= 0:
             raise TelemetryError(f"window must be > 0, got {window_s}")
-        if latency_store not in ("empirical", "fixed"):
-            raise TelemetryError(
-                f"latency_store must be 'empirical' or 'fixed', got {latency_store!r}"
-            )
         self._clock = clock
         self.window_s = float(window_s)
         self.registry = registry
         self.strict = bool(strict)
-        self.latency_store = latency_store
-        self._latency_factory: Callable[[], LatencyDist] = (
-            EmpiricalDistribution if latency_store == "empirical" else FixedHistogram
-        )
         # metric name -> labels -> window index -> aggregate
-        self._latency: dict[str, dict[LabelSet, dict[int, LatencyDist]]] = {}
+        self._latency: dict[str, dict[LabelSet, dict[int, EmpiricalDistribution]]] = {}
         self._counters: dict[str, dict[LabelSet, dict[int, float]]] = {}
         self._gauges: dict[str, dict[LabelSet, dict[int, list[float]]]] = {}
 
@@ -222,7 +195,7 @@ class MetricsHub:
         series = self._series("latency", self._latency, name, labels_key(labels))
         dist = series.get(window)
         if dist is None:
-            dist = series[window] = self._latency_factory()
+            dist = series[window] = EmpiricalDistribution()
         dist.add(value)
 
     def inc_counter(
@@ -265,7 +238,7 @@ class MetricsHub:
         :meth:`record_latency` and the query methods use.
         """
         series = self._series("latency", self._latency, name, labels_key(labels))
-        return LatencyHandle(self._clock, self.window_s, series, self._latency_factory)
+        return LatencyHandle(self._clock, self.window_s, series)
 
     def counter_handle(
         self,
@@ -290,10 +263,10 @@ class MetricsHub:
         t0: float,
         t1: float,
         labels: Mapping[str, str] | LabelSet | None = None,
-    ) -> LatencyDist:
+    ) -> EmpiricalDistribution:
         """Pooled latency distribution for ``name`` over ``[t0, t1)``."""
         series = self._latency.get(name, {}).get(labels_key(labels), {})
-        pooled = self._latency_factory()
+        pooled = EmpiricalDistribution()
         for window in self._window_range(t0, t1):
             dist = series.get(window)
             if dist is not None:

@@ -220,6 +220,39 @@ def test_interrupt_finished_process_rejected():
         proc.interrupt()
 
 
+def test_child_can_interrupt_parent_waiting_on_it():
+    env = Environment()
+    log = []
+
+    def child(env, parent):
+        yield env.timeout(1)
+        parent.interrupt(cause="from child")
+        yield env.timeout(1)
+
+    def parent(env):
+        try:
+            yield env.process(child(env, env.active_process))
+        except Interrupt as intr:
+            log.append((env.now, intr.cause))
+
+    env.process(parent(env))
+    env.run()
+    assert log == [(1.0, "from child")]
+
+
+def test_process_cannot_interrupt_itself():
+    env = Environment()
+
+    def selfish(env):
+        yield env.timeout(1)
+        env.active_process.interrupt()
+        yield env.timeout(1)
+
+    env.process(selfish(env))
+    with pytest.raises(SimulationError, match="cannot interrupt itself"):
+        env.run()
+
+
 def test_interrupted_process_can_continue():
     env = Environment()
     log = []

@@ -170,26 +170,3 @@ def test_labels_accept_canonical_tuples(hub, clock):
     handle.inc()
     assert hub.counter_total("requests_total", 0, 60, {"service": "post"}) == 3
 
-
-def test_fixed_latency_store(clock):
-    from repro.stats.histogram import FixedHistogram
-
-    hub = MetricsHub(clock, window_s=60.0, registry=None, latency_store="fixed")
-    labels = {"service": "post"}
-    clock.now = 10.0
-    hub.record_latency("service_latency", 0.010, labels)
-    handle = hub.latency_handle("service_latency", labels)
-    handle.record(0.020)
-    clock.now = 70.0
-    handle.record(0.030)
-    pooled = hub.latency_distribution("service_latency", 0, 120, labels)
-    assert isinstance(pooled, FixedHistogram)
-    assert pooled.count == 3
-    assert hub.latency_percentile(
-        "service_latency", 50, 0, 120, labels
-    ) == pytest.approx(0.020, rel=0.15)
-
-
-def test_invalid_latency_store(clock):
-    with pytest.raises(TelemetryError):
-        MetricsHub(clock, latency_store="ring-buffer")

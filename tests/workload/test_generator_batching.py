@@ -47,8 +47,8 @@ class RecordingApp:
         return None, done
 
 
-def _run(pattern, batch_candidates, until=200.0, queue="heap", **gen_kwargs):
-    env = Environment(queue=queue)
+def _run(pattern, batch_candidates, until=200.0, **gen_kwargs):
+    env = Environment()
     app = RecordingApp(env, complete_after=gen_kwargs.pop("complete_after", None))
     generator = LoadGenerator(
         app,
@@ -74,14 +74,6 @@ def test_batched_arrivals_bit_identical_to_per_candidate(pattern):
     assert batched == legacy  # exact float equality, same order
     assert gen_b.generated == gen_l.generated
     assert batched  # non-trivial run
-
-
-def test_batched_arrivals_identical_on_calendar_queue():
-    pattern = ConstantLoad(30.0)
-    heap, _ = _run(pattern, batch_candidates=256, queue="heap")
-    calendar, _ = _run(pattern, batch_candidates=256, queue="calendar")
-    legacy, _ = _run(pattern, batch_candidates=1, queue="calendar")
-    assert heap == calendar == legacy
 
 
 def test_shedding_matches_under_max_outstanding():
