@@ -8,8 +8,7 @@ method -- directly or through a module-level string constant (the
 ``_METRIC = "request_latency"`` idiom) -- is checked against
 :data:`~repro.telemetry.registry.DEFAULT_REGISTRY` (name known, kind
 matches the method, label keys declared).  Names built dynamically are
-left to the runtime check, which every hub in the tree now runs in
-strict mode.
+left to the runtime check, which raises on every hub in the tree.
 
 TEL002 is the same contract for alert series: any string literal passed
 as the ``name`` of an :class:`~repro.telemetry.slo.Alert` construction

@@ -96,7 +96,7 @@ def train_firm_agents(
     provisioning = provisioning_for(spec, mix, rps)
     env = Environment()
     cluster = Cluster(env, nodes=[Node(f"firm-{i}", 96, 256) for i in range(8)])
-    hub = MetricsHub(lambda: env.now, window_s=window_s, strict=True)
+    hub = MetricsHub(lambda: env.now, window_s=window_s)
     app = Application(
         spec,
         env=env,

@@ -97,7 +97,7 @@ class SinanDataCollector:
         provisioning = provisioning_for(spec, mix, rps)
         env = Environment()
         cluster = Cluster(env, nodes=[Node(f"col-{i}", 96, 256) for i in range(8)])
-        hub = MetricsHub(lambda: env.now, window_s=self.window_s, strict=True)
+        hub = MetricsHub(lambda: env.now, window_s=self.window_s)
         app = Application(
             spec,
             env=env,

@@ -145,7 +145,7 @@ class BackpressureProfiler:
             env, nodes=[Node("prof-0", 64, 256), Node("prof-1", 64, 256)]
         )
         salt = (zlib.crc32(service_name.encode()) + cpu_limit * 7919) % 2**31
-        hub = MetricsHub(lambda: env.now, window_s=self.window_s, strict=True)
+        hub = MetricsHub(lambda: env.now, window_s=self.window_s)
         app = build_profiling_harness(
             env=env,
             cluster=cluster,

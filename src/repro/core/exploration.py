@@ -255,7 +255,7 @@ class ExplorationController:
         cluster = self.cluster_factory(env)
         # The telemetry hub's aggregation window matches the sampling
         # window so per-sample latency distributions and rates are exact.
-        hub = MetricsHub(lambda: env.now, window_s=self.window_s, strict=True)
+        hub = MetricsHub(lambda: env.now, window_s=self.window_s)
         app = Application(
             spec,
             env=env,

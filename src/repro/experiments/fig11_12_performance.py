@@ -64,7 +64,7 @@ def _pattern_for(load_kind: str, rps: float, duration_s: float):
         return ConstantLoad(rps)
     if load_kind == "dynamic":
         # Diurnal ramp peaking at 1.6x base mid-run (the paper's diurnal
-        # pattern; bursts are exercised by run_burst below).
+        # pattern; dynamic load has no burst component).
         return DiurnalLoad(low=rps * 0.7, high=rps * 1.6, period_s=duration_s)
     if load_kind == "skewed":
         return ConstantLoad(rps)

@@ -27,8 +27,6 @@ once per grid.  Workers are forked (where the platform supports it)
 *after* any ``prewarm`` callable runs in the parent, so expensive shared
 state -- app topologies, cached exploration artefacts -- is inherited
 copy-on-write instead of being re-imported and re-unpickled per plan.
-Plans are shipped to workers in chunks (several plans per IPC message)
-to cut round-trips on large grids; results still come back per plan.
 
 Determinism contract: parallelism only changes *where* a run executes,
 never *what* it computes.  Each plan's seed is fixed up front by
@@ -154,17 +152,6 @@ def _execute(plan: RunPlan) -> Any:
     return run_guarded(plan.fn, plan.kwargs, label=plan.label)
 
 
-def _execute_chunk(chunk: Sequence[RunPlan]) -> list[Any]:
-    """Worker entry: run several plans in one IPC round trip.
-
-    Plans within a chunk run sequentially in the worker; each still gets
-    its own sanitizer guard.  The first plan exception propagates (the
-    chunk's remaining plans are skipped -- the caller is about to raise
-    and discard the grid anyway).
-    """
-    return [_execute(plan) for plan in chunk]
-
-
 #: The process-wide worker pool, created by the first pooled
 #: :func:`run_many` (or explicitly by :func:`warm_pool`) and reused by
 #: every later grid in this process.
@@ -172,10 +159,6 @@ _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 _pool_grids = 0
 _atexit_registered = False
-
-#: Chunk-count multiplier per worker: enough chunks for load balancing
-#: across workers, few enough to amortize the per-message IPC cost.
-_CHUNKS_PER_WORKER = 4
 
 
 def warm_pool(
@@ -246,13 +229,12 @@ def run_many(
     jobs: int | None = None,
     on_complete: Callable[[RunPlan, Any], None] | None = None,
     prewarm: Callable[[], Any] | None = None,
-    chunk_size: int | None = None,
 ) -> list[Any]:
     """Execute ``plans`` and return their results in plan order.
 
     ``jobs=None`` uses :func:`default_jobs`; ``jobs=1`` runs sequentially
     in-process.  Pooled runs reuse the process-wide pool created by the
-    first pooled call (see :func:`warm_pool`); at most ``jobs`` chunks
+    first pooled call (see :func:`warm_pool`); at most ``jobs`` plans
     are in flight at once even when the shared pool is larger, so a
     ``jobs=2`` grid never runs 4-wide just because an earlier grid asked
     for 4 workers.  Results come back in the order plans were given
@@ -261,16 +243,14 @@ def run_many(
 
     ``prewarm`` (optional) is called in the parent before any plan runs
     -- before workers fork, when this call creates the pool -- so shared
-    artefacts are built once instead of once per worker.  ``chunk_size``
-    overrides how many plans ride in one worker message (default: grid
-    size split ~``_CHUNKS_PER_WORKER`` ways per worker).
+    artefacts are built once instead of once per worker.
 
     ``on_complete(plan, result)`` is invoked in the *parent* process as
     each result lands (progress reporting, incremental persistence).  In
     pooled mode it fires in completion order -- which may differ from
     plan order -- so callbacks must not assume ordering; the returned
     list is the ordering contract.  A callback or plan exception
-    propagates, cancelling any chunks that have not started yet.
+    propagates, cancelling any plans that have not started yet.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -291,32 +271,27 @@ def run_many(
     global _pool_grids
     warm_pool(jobs, prewarm=prewarm)
     _pool_grids += 1
-    if chunk_size is None:
-        chunk_size = max(1, len(plans) // (jobs * _CHUNKS_PER_WORKER))
-    chunks = [plans[i : i + chunk_size] for i in range(0, len(plans), chunk_size)]
 
-    # Sliding-window submission: at most ``jobs`` chunks in flight.
-    chunk_results: list[list[Any] | None] = [None] * len(chunks)
+    # Sliding-window submission: at most ``jobs`` plans in flight.
+    results: list[Any] = [None] * len(plans)
     in_flight: dict[Any, int] = {}
-    next_chunk = 0
+    next_plan = 0
     try:
-        while next_chunk < len(chunks) or in_flight:
-            while next_chunk < len(chunks) and len(in_flight) < jobs:
-                future = _pool.submit(_execute_chunk, chunks[next_chunk])
-                in_flight[future] = next_chunk
-                next_chunk += 1
+        while next_plan < len(plans) or in_flight:
+            while next_plan < len(plans) and len(in_flight) < jobs:
+                future = _pool.submit(_execute, plans[next_plan])
+                in_flight[future] = next_plan
+                next_plan += 1
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
                 index = in_flight.pop(future)
-                results_for_chunk = future.result()
-                chunk_results[index] = results_for_chunk
+                results[index] = future.result()
                 if on_complete is not None:
-                    for plan, result in zip(chunks[index], results_for_chunk):
-                        on_complete(plan, result)
+                    on_complete(plans[index], results[index])
     except BaseException:
         for future in in_flight:
             future.cancel()
         raise
-    # Flattened in submission order == plan order; completion order is
-    # irrelevant to the merged output.
-    return [result for chunk in chunk_results for result in chunk]
+    # Stored by plan index, so completion order is irrelevant to the
+    # merged output.
+    return results

@@ -173,23 +173,11 @@ class TracingOptions:
     via :meth:`build_tracer`.
     """
 
-    #: Sample every n-th request of each class (int) or per-class mapping.
-    sample_every_n: int | Mapping[str, int] = 100
-    #: Restrict tracing to these request classes (``None`` = all).
-    classes: tuple[str, ...] | None = None
-    #: Stop collecting after this many traces (memory bound).
-    max_traces: int | None = None
-    #: Verify per request that the critical path sums to the e2e latency.
-    validate: bool = True
+    #: Sample every n-th request of each class.
+    sample_every_n: int = 100
 
     def build_tracer(self, hub=None) -> Tracer:
-        return Tracer(
-            sample_every_n=self.sample_every_n,
-            classes=self.classes,
-            max_traces=self.max_traces,
-            hub=hub,
-            validate=self.validate,
-        )
+        return Tracer(sample_every_n=self.sample_every_n, hub=hub)
 
 
 @dataclass(frozen=True)
@@ -198,30 +186,21 @@ class SLOOptions:
 
     The live :class:`~repro.telemetry.slo.SLOMonitor` is built inside the
     worker via :meth:`build_monitor`; specs come from the application
-    spec's per-class SLAs (a p99 SLA yields a 1 % error budget) unless
-    ``objective`` overrides the target fraction for every class.
+    spec's per-class SLAs (a p99 SLA yields a 1 % error budget).
     """
 
     #: Rolling-window lengths and bucketing (simulated seconds).
     fast_window_s: float = 60.0
     slow_window_s: float = 300.0
     bucket_s: float = 5.0
-    #: Multi-window burn thresholds (fire when both windows >= fire;
-    #: resolve when both <= resolve).
-    burn_threshold: float = 4.0
-    resolve_threshold: float = 2.0
-    #: Override the per-class objective (``None`` = SLA percentile / 100).
-    objective: float | None = None
 
     def build_monitor(self, spec: AppSpec, clock, hub=None) -> SLOMonitor:
         return SLOMonitor(
-            slo_specs_for(spec, objective=self.objective),
+            slo_specs_for(spec),
             clock=clock,
             fast_window_s=self.fast_window_s,
             slow_window_s=self.slow_window_s,
             bucket_s=self.bucket_s,
-            burn_threshold=self.burn_threshold,
-            resolve_threshold=self.resolve_threshold,
             hub=hub,
         )
 

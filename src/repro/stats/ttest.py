@@ -13,8 +13,7 @@ Ursa uses Welch's unequal-variances t-test in two places (paper §III and
 The implementation computes the Welch statistic and Welch-Satterthwaite
 degrees of freedom directly and evaluates p-values with the regularised
 incomplete beta function (via :func:`scipy.special.betainc`, the only scipy
-dependency).  A pure-Python fallback for the beta function keeps the module
-usable without scipy.
+dependency).
 """
 
 from __future__ import annotations
@@ -23,76 +22,9 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from scipy.special import betainc
+
 __all__ = ["TTestResult", "welch_t_test", "means_differ", "mean_exceeds"]
-
-try:  # pragma: no cover - exercised implicitly
-    from scipy.special import betainc as _betainc
-
-    def _reg_inc_beta(a: float, b: float, x: float) -> float:
-        return float(_betainc(a, b, x))
-
-except ImportError:  # pragma: no cover - scipy is an install dependency
-
-    def _reg_inc_beta(a: float, b: float, x: float) -> float:
-        return _betainc_cf(a, b, x)
-
-
-def _betainc_cf(a: float, b: float, x: float) -> float:
-    """Regularised incomplete beta via Lentz's continued fraction.
-
-    Reference implementation (Numerical Recipes §6.4); used as fallback and
-    cross-checked against scipy in the test suite.
-    """
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(1.0 - x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    tiny = 1e-30
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 200):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-12:
-            break
-    return h
 
 
 def _student_t_sf(t: float, df: float) -> float:
@@ -102,7 +34,7 @@ def _student_t_sf(t: float, df: float) -> float:
     if math.isinf(t):
         return 0.0 if t > 0 else 1.0
     x = df / (df + t * t)
-    p = 0.5 * _reg_inc_beta(df / 2.0, 0.5, x)
+    p = 0.5 * float(betainc(df / 2.0, 0.5, x))
     return p if t >= 0 else 1.0 - p
 
 

@@ -1,17 +1,16 @@
-"""Prometheus/Jaeger-like telemetry: metrics, tracing, and exporters.
+"""Prometheus/Jaeger-like telemetry: metrics and tracing.
 
-Three layers:
+Two layers:
 
 * :class:`~repro.telemetry.metrics.MetricsHub` -- windowed aggregate
   metrics (the Prometheus substitute).  Every metric name is declared in
   :data:`~repro.telemetry.registry.DEFAULT_REGISTRY` with its kind and
-  expected labels; the hub warns (or raises, ``strict=True``) on
-  unregistered writes and the ursalint rule ``TEL001`` checks literals at
-  lint time.
+  expected labels; the hub raises
+  :class:`~repro.errors.TelemetryError` on unregistered writes and the
+  ursalint rule ``TEL001`` checks literals at lint time.
 * :mod:`~repro.telemetry.tracing` -- per-request span trees plus the
   critical-path analyzer attributing end-to-end latency to
   (service, phase) pairs (the Jaeger substitute).
-* :mod:`~repro.telemetry.export` -- CSV/JSON dumps for offline plotting.
 
 See ``docs/observability.md`` for the span model, critical-path
 semantics, and the digest workflow.
@@ -23,7 +22,6 @@ from repro.telemetry.audit import (
     render_audit,
     verdicts_payload,
 )
-from repro.telemetry.histogram import LatencyHistogram
 from repro.telemetry.metrics import LabelSet, MetricsHub, labels_key
 from repro.telemetry.registry import (
     ALERT_REGISTRY,
@@ -32,7 +30,6 @@ from repro.telemetry.registry import (
     AlertSpec,
     MetricRegistry,
     MetricSpec,
-    UnregisteredMetricWarning,
 )
 from repro.telemetry.slo import (
     Alert,
@@ -54,7 +51,6 @@ from repro.telemetry.tracing import (
     traces_to_chrome,
     traces_to_jsonl,
     write_chrome_trace,
-    write_jsonl,
 )
 
 __all__ = [
@@ -66,7 +62,6 @@ __all__ = [
     "CriticalPathSummary",
     "DEFAULT_REGISTRY",
     "LabelSet",
-    "LatencyHistogram",
     "MetricRegistry",
     "MetricSpec",
     "MetricsHub",
@@ -76,7 +71,6 @@ __all__ = [
     "Span",
     "Trace",
     "Tracer",
-    "UnregisteredMetricWarning",
     "alerts_digest",
     "alerts_from_jsonl",
     "alerts_to_jsonl",
@@ -90,5 +84,4 @@ __all__ = [
     "traces_to_jsonl",
     "verdicts_payload",
     "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -28,17 +28,12 @@ queries see both.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Callable, Mapping
 from math import floor as _floor
 
 from repro.errors import TelemetryError
 from repro.stats.distributions import EmpiricalDistribution
-from repro.telemetry.registry import (
-    DEFAULT_REGISTRY,
-    MetricRegistry,
-    UnregisteredMetricWarning,
-)
+from repro.telemetry.registry import DEFAULT_REGISTRY, MetricRegistry
 
 __all__ = [
     "CounterHandle",
@@ -127,12 +122,11 @@ class MetricsHub:
 
     Writes are validated against a
     :class:`~repro.telemetry.registry.MetricRegistry`: an undeclared name,
-    a kind mismatch, or an undeclared label key warns
-    (:class:`~repro.telemetry.registry.UnregisteredMetricWarning`) by
-    default and raises :class:`~repro.errors.TelemetryError` when
-    ``strict=True``.  Validation happens only when a new series is
-    created, so the per-observation hot path pays nothing.  Pass
-    ``registry=None`` to disable checking (ad-hoc hubs in tests).
+    a kind mismatch, or an undeclared label key raises
+    :class:`~repro.errors.TelemetryError`.  Validation happens only when
+    a new series is created, so the per-observation hot path pays
+    nothing.  Pass ``registry=None`` to disable checking (ad-hoc hubs in
+    tests).
     """
 
     def __init__(
@@ -140,14 +134,12 @@ class MetricsHub:
         clock,
         window_s: float = 60.0,
         registry: MetricRegistry | None = DEFAULT_REGISTRY,
-        strict: bool = False,
     ) -> None:
         if window_s <= 0:
             raise TelemetryError(f"window must be > 0, got {window_s}")
         self._clock = clock
         self.window_s = float(window_s)
         self.registry = registry
-        self.strict = bool(strict)
         # metric name -> labels -> window index -> aggregate
         self._latency: dict[str, dict[LabelSet, dict[int, EmpiricalDistribution]]] = {}
         self._counters: dict[str, dict[LabelSet, dict[int, float]]] = {}
@@ -158,11 +150,8 @@ class MetricsHub:
         if self.registry is None:
             return
         problem = self.registry.check(name, kind, (k for k, _ in labels))
-        if problem is None:
-            return
-        if self.strict:
+        if problem is not None:
             raise TelemetryError(problem)
-        warnings.warn(problem, UnregisteredMetricWarning, stacklevel=3)
 
     # -- writes -----------------------------------------------------------
     def _window(self, at: float | None = None) -> int:

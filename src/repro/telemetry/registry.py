@@ -5,8 +5,9 @@ Metric names used to be free-form strings passed to
 parallel series that every query missed (the failure mode the ROADMAP
 flagged).  This module declares the canonical names, their kind, and
 their expected label keys; the hub checks writes against the registry
-(warn by default, raise in strict mode), and the ursalint rule ``TEL001``
-checks string literals at lint time so typos never reach a run.
+(an undeclared write raises :class:`~repro.errors.TelemetryError`), and
+the ursalint rule ``TEL001`` checks string literals at lint time so typos
+never reach a run.
 
 Adding a metric is a one-line :data:`DEFAULT_REGISTRY` entry; ad-hoc hubs
 (unit tests, scratch scripts) can pass ``registry=None`` to opt out or
@@ -25,12 +26,7 @@ __all__ = [
     "DEFAULT_REGISTRY",
     "MetricRegistry",
     "MetricSpec",
-    "UnregisteredMetricWarning",
 ]
-
-
-class UnregisteredMetricWarning(UserWarning):
-    """A metric write used a name or shape the registry does not know."""
 
 
 #: Valid metric kinds (the three aggregation families of the hub).

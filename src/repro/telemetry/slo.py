@@ -70,6 +70,13 @@ __all__ = [
 ALERT_BURN_RATE = "slo-burn-rate"
 ALERT_BUDGET_EXHAUSTED = "slo-budget-exhausted"
 
+#: Multi-window burn rule: fire when both windows burn at >= this rate...
+BURN_FIRE_RATE = 4.0
+#: ...and resolve once both are back at <= this one (hysteresis).
+BURN_RESOLVE_RATE = 2.0
+#: An exhausted-budget alert resolves once consumption drops below this.
+BUDGET_RESOLVE_FRACTION = 0.9
+
 _STATES = ("fire", "resolve")
 
 
@@ -103,26 +110,19 @@ class SLOSpec:
         return 1.0 - self.objective
 
     @classmethod
-    def from_sla(
-        cls, request_class: str, sla, objective: float | None = None
-    ) -> "SLOSpec":
+    def from_sla(cls, request_class: str, sla) -> "SLOSpec":
         """Derive the SLO from an :class:`~repro.apps.topology.SlaSpec`."""
         return cls(
             request_class=request_class,
             target_s=sla.target_s,
-            objective=(
-                objective if objective is not None else sla.percentile / 100.0
-            ),
+            objective=sla.percentile / 100.0,
         )
 
 
-def slo_specs_for(
-    spec: "AppSpec", objective: float | None = None
-) -> tuple[SLOSpec, ...]:
+def slo_specs_for(spec: "AppSpec") -> tuple[SLOSpec, ...]:
     """One :class:`SLOSpec` per request class of an application spec."""
     return tuple(
-        SLOSpec.from_sla(rc.name, rc.sla, objective=objective)
-        for rc in spec.request_classes
+        SLOSpec.from_sla(rc.name, rc.sla) for rc in spec.request_classes
     )
 
 
@@ -315,9 +315,6 @@ class SLOMonitor:
         fast_window_s: float = 60.0,
         slow_window_s: float = 300.0,
         bucket_s: float = 5.0,
-        burn_threshold: float = 4.0,
-        resolve_threshold: float = 2.0,
-        budget_resolve: float = 0.9,
         hub: "MetricsHub | None" = None,
     ) -> None:
         if bucket_s <= 0:
@@ -327,18 +324,10 @@ class SLOMonitor:
                 "windows must satisfy bucket_s <= fast_window_s <= "
                 f"slow_window_s, got {bucket_s}/{fast_window_s}/{slow_window_s}"
             )
-        if resolve_threshold > burn_threshold:
-            raise TelemetryError(
-                "resolve_threshold must not exceed burn_threshold "
-                f"({resolve_threshold} > {burn_threshold})"
-            )
         self.clock = clock
         self.bucket_s = float(bucket_s)
         self.fast_window_s = float(fast_window_s)
         self.slow_window_s = float(slow_window_s)
-        self.burn_threshold = float(burn_threshold)
-        self.resolve_threshold = float(resolve_threshold)
-        self.budget_resolve = float(budget_resolve)
         self.hub = hub
         fast_span = max(1, round(fast_window_s / bucket_s))
         slow_span = max(fast_span, round(slow_window_s / bucket_s))
@@ -413,13 +402,13 @@ class SLOMonitor:
         consumed = state.budget_consumed()
 
         if not state.burn_active:
-            if fast >= self.burn_threshold and slow >= self.burn_threshold:
+            if fast >= BURN_FIRE_RATE and slow >= BURN_FIRE_RATE:
                 state.burn_active = True
                 self._emit(
                     ALERT_BURN_RATE, request_class, "fire",
                     now, fast, slow, consumed,
                 )
-        elif fast <= self.resolve_threshold and slow <= self.resolve_threshold:
+        elif fast <= BURN_RESOLVE_RATE and slow <= BURN_RESOLVE_RATE:
             state.burn_active = False
             self._emit(
                 ALERT_BURN_RATE, request_class, "resolve",
@@ -433,7 +422,7 @@ class SLOMonitor:
                     ALERT_BUDGET_EXHAUSTED, request_class, "fire",
                     now, fast, slow, consumed,
                 )
-        elif consumed < self.budget_resolve:
+        elif consumed < BUDGET_RESOLVE_FRACTION:
             state.budget_active = False
             self._emit(
                 ALERT_BUDGET_EXHAUSTED, request_class, "resolve",

@@ -34,8 +34,8 @@ of end-to-end latency to a ``(service, phase)`` pair: time inside a
 after a span's own activity (waiting for MQ / event-driven subtrees) is
 attributed to the child that finished *last* (the one actually gating
 completion).  The segment durations sum to the request's end-to-end
-latency to float precision; :class:`Tracer` can verify this per request
-(``validate=True``).
+latency to float precision; :class:`Tracer` verifies this for every
+finished request.
 
 :class:`CriticalPathSummary` aggregates attributions per request class
 (optionally per completion window), so experiments can print
@@ -55,11 +55,9 @@ Sampling
 ========
 
 Tracing costs memory per sampled request, so :class:`Tracer` takes
-``sample_every_n`` -- an integer (sample every n-th request of each
-class) or a per-class mapping; classes absent from an explicit
-``classes`` filter are never traced.  Sampling is a deterministic
-per-class counter, never randomness: the same seed traces the same
-requests regardless of job count.
+``sample_every_n`` (sample every n-th request of each class).  Sampling
+is a deterministic per-class counter, never randomness: the same seed
+traces the same requests regardless of job count.
 """
 
 from __future__ import annotations
@@ -88,7 +86,6 @@ __all__ = [
     "traces_to_chrome",
     "traces_to_jsonl",
     "write_chrome_trace",
-    "write_jsonl",
 ]
 
 #: Span phases (the breakdown axis of the attribution).
@@ -446,57 +443,31 @@ class CriticalPathSummary:
 class Tracer:
     """Decides which requests to trace and collects finished traces.
 
-    ``sample_every_n`` -- an int (every n-th request of each class) or a
-    per-class mapping (classes absent from the mapping fall back to
-    ``default_every_n``).  ``classes`` restricts tracing to the given
-    request classes.  Sampling is a deterministic per-class counter: the
-    first request of a class is always traced, then every n-th after it.
+    ``sample_every_n`` -- sample every n-th request of each class.
+    Sampling is a deterministic per-class counter: the first request of a
+    class is always traced, then every n-th after it.
 
-    ``validate=True`` recomputes each finished trace's critical path and
-    raises :class:`~repro.errors.TelemetryError` if the attributed
+    Every finished trace's critical path is recomputed, and
+    :class:`~repro.errors.TelemetryError` is raised if the attributed
     durations do not sum to the end-to-end latency within ``1e-6`` -- the
     executable form of the exactness contract.
     """
 
     def __init__(
-        self,
-        sample_every_n: int | Mapping[str, int] = 1,
-        classes: Iterable[str] | None = None,
-        default_every_n: int = 1,
-        max_traces: int | None = None,
-        hub: "MetricsHub | None" = None,
-        validate: bool = False,
+        self, sample_every_n: int = 1, hub: "MetricsHub | None" = None
     ) -> None:
-        if isinstance(sample_every_n, int):
-            if sample_every_n < 1:
-                raise TelemetryError(
-                    f"sample_every_n must be >= 1, got {sample_every_n}"
-                )
-            self._every: dict[str, int] = {}
-            self._default_every = sample_every_n
-        else:
-            self._every = dict(sample_every_n)
-            for cls, n in self._every.items():
-                if n < 1:
-                    raise TelemetryError(
-                        f"sample_every_n[{cls!r}] must be >= 1, got {n}"
-                    )
-            if default_every_n < 1:
-                raise TelemetryError(
-                    f"default_every_n must be >= 1, got {default_every_n}"
-                )
-            self._default_every = default_every_n
-        self.classes = frozenset(classes) if classes is not None else None
-        self.max_traces = max_traces
+        if sample_every_n < 1:
+            raise TelemetryError(
+                f"sample_every_n must be >= 1, got {sample_every_n}"
+            )
+        self._every = sample_every_n
         self.hub = hub
-        self.validate = bool(validate)
         self._counters: dict[str, int] = {}
         #: Per-class interned counter writers, so a sampled request does
         #: not rebuild the labels dict / redo the series lookup.
         self._sampled_handles: dict[str, "CounterHandle"] = {}
         self._next_trace_id = 0
         self.finished: list[Trace] = []
-        self.dropped = 0
 
     def begin(self, request: "Request", service: str, mode: str) -> Span | None:
         """Sampling decision for one submitted request.
@@ -506,18 +477,13 @@ class Tracer:
         bookkeeping).
         """
         cls = request.request_class
-        if self.classes is not None and cls not in self.classes:
-            return None
         seen = self._counters.get(cls, 0)
         self._counters[cls] = seen + 1
-        if seen % self._every.get(cls, self._default_every):
+        if seen % self._every:
             return None
-        if self.max_traces is not None and len(self.finished) >= self.max_traces:
-            self.dropped += 1
-            return None
-        # Tracer-local id, not ``request.request_id``: the tracer may
-        # sample only a subset of classes, and dense ids keep dumps
-        # stable when the sampling configuration changes.
+        # Tracer-local id, not ``request.request_id``: the tracer samples
+        # a subset of requests, and dense ids keep dumps stable when the
+        # sampling rate changes.
         trace = Trace(self._next_trace_id, cls, request.arrival_time)
         self._next_trace_id += 1
         if self.hub is not None:
@@ -532,14 +498,13 @@ class Tracer:
     def finish(self, trace: Trace, completion: float) -> None:
         """Record a trace whose request tree has completed."""
         trace.completion = completion
-        if self.validate:
-            attributed = sum(seg.duration for seg in critical_path(trace))
-            if abs(attributed - trace.latency) > 1e-6:
-                raise TelemetryError(
-                    f"critical path of request {trace.request_id} "
-                    f"({trace.request_class}) sums to {attributed!r}, "
-                    f"end-to-end latency is {trace.latency!r}"
-                )
+        attributed = sum(seg.duration for seg in critical_path(trace))
+        if abs(attributed - trace.latency) > 1e-6:
+            raise TelemetryError(
+                f"critical path of request {trace.request_id} "
+                f"({trace.request_class}) sums to {attributed!r}, "
+                f"end-to-end latency is {trace.latency!r}"
+            )
         self.finished.append(trace)
 
     def summary(self, window_s: float | None = None) -> CriticalPathSummary:
@@ -620,15 +585,6 @@ def traces_from_jsonl(text: str) -> list[Trace]:
         for line in text.splitlines()
         if line.strip()
     ]
-
-
-def write_jsonl(traces: Iterable[Trace], path: str | Path) -> int:
-    """Write :func:`traces_to_jsonl` output to ``path``; returns #traces."""
-    text = traces_to_jsonl(traces)
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, encoding="utf-8")
-    return 0 if not text else text.count("\n")
 
 
 def traces_to_chrome(traces: Iterable[Trace]) -> dict:

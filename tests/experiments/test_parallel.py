@@ -236,18 +236,6 @@ def test_prewarm_runs_once_in_parent(cold_pool):
     assert calls == [os.getpid()] * 2
 
 
-def test_chunked_submission_preserves_plan_order(cold_pool):
-    plans = [
-        RunPlan(cheap_cell, {"app": "a", "load": "l", "seed": s}, label=f"s{s}")
-        for s in range(7)
-    ]
-    expected = [cheap_cell("a", "l", s) for s in range(7)]
-    # Chunk sizes that divide unevenly, exceed the grid, or degenerate to
-    # one plan per message all preserve plan order.
-    for chunk_size in (1, 3, 99):
-        assert run_many(plans, jobs=2, chunk_size=chunk_size) == expected
-
-
 def test_broken_pool_recovers_on_next_grid(cold_pool):
     # SIGKILLed workers poison a ProcessPoolExecutor permanently; the
     # next warm_pool must detect the carcass and replace it instead of
@@ -269,7 +257,7 @@ def test_on_complete_exception_leaves_pool_usable(cold_pool):
         raise RuntimeError("callback boom")
 
     with pytest.raises(RuntimeError, match="callback boom"):
-        run_many(plans, jobs=2, chunk_size=1, on_complete=boom)
+        run_many(plans, jobs=2, on_complete=boom)
     # The cancelled grid left no debris: the same pool serves the next one.
     assert cheap_grid(23, jobs=2) == cheap_grid(23, jobs=1)
 

@@ -32,11 +32,7 @@ def traced_run(seed: int, tracing: bool = True):
             seed=seed,
             duration_s=50.0,
             measure_from_s=15.0,
-            tracing=(
-                TracingOptions(sample_every_n=3, validate=True)
-                if tracing
-                else None
-            ),
+            tracing=TracingOptions(sample_every_n=3) if tracing else None,
             digest=True,
         ),
     )

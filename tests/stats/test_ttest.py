@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats.ttest import (
-    _betainc_cf,
     _student_t_sf,
     mean_exceeds,
     means_differ,
@@ -81,15 +80,6 @@ def test_bad_alpha_rejected():
     result = welch_t_test([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         result.rejects_at(0)
-
-
-def test_betainc_fallback_matches_scipy():
-    from scipy.special import betainc
-
-    for a, b, x in [(0.5, 0.5, 0.3), (2.0, 3.0, 0.7), (10.0, 0.5, 0.95)]:
-        assert _betainc_cf(a, b, x) == pytest.approx(float(betainc(a, b, x)), abs=1e-9)
-    assert _betainc_cf(1.0, 1.0, 0.0) == 0.0
-    assert _betainc_cf(1.0, 1.0, 1.0) == 1.0
 
 
 def test_student_sf_matches_scipy():

@@ -151,11 +151,11 @@ def test_counter_handle_rejects_negative(hub):
 def test_handle_creation_runs_registry_check(clock):
     from repro.telemetry.registry import DEFAULT_REGISTRY
 
-    strict = MetricsHub(clock, registry=DEFAULT_REGISTRY, strict=True)
+    checked = MetricsHub(clock, registry=DEFAULT_REGISTRY)
     with pytest.raises(TelemetryError):
-        strict.counter_handle("definitely_not_a_registered_metric")
+        checked.counter_handle("definitely_not_a_registered_metric")
     with pytest.raises(TelemetryError):
-        strict.latency_handle("definitely_not_a_registered_metric")
+        checked.latency_handle("definitely_not_a_registered_metric")
 
 
 def test_labels_accept_canonical_tuples(hub, clock):

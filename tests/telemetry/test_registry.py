@@ -4,13 +4,14 @@ import warnings
 
 import pytest
 
+from repro.apps.topology import Application
 from repro.errors import TelemetryError
+from repro.experiments.artifacts import app_spec
 from repro.telemetry.metrics import MetricsHub
 from repro.telemetry.registry import (
     DEFAULT_REGISTRY,
     MetricRegistry,
     MetricSpec,
-    UnregisteredMetricWarning,
 )
 
 
@@ -81,45 +82,44 @@ def test_default_registry_has_core_metrics():
 # -- hub integration --------------------------------------------------------
 
 
-def test_hub_warns_on_unregistered_name():
+def test_hub_raises_on_unregistered_name():
     hub = MetricsHub(FakeClock())
-    with pytest.warns(UnregisteredMetricWarning, match="not declared"):
-        hub.inc_counter("no_such_metric")
-
-
-def test_hub_warns_on_kind_mismatch():
-    hub = MetricsHub(FakeClock())
-    with pytest.warns(UnregisteredMetricWarning, match="declared as a counter"):
-        hub.record_latency("requests_total", 1.0)
-
-
-def test_hub_warns_on_undeclared_label_key():
-    hub = MetricsHub(FakeClock())
-    with pytest.warns(UnregisteredMetricWarning, match="undeclared label keys"):
-        hub.observe_gauge("cpu_utilization", 0.5, {"zone": "a"})
-
-
-def test_hub_strict_raises():
-    hub = MetricsHub(FakeClock(), strict=True)
     with pytest.raises(TelemetryError, match="not declared"):
         hub.inc_counter("no_such_metric")
 
 
+def test_hub_raises_on_kind_mismatch():
+    hub = MetricsHub(FakeClock())
+    with pytest.raises(TelemetryError, match="declared as a counter"):
+        hub.record_latency("requests_total", 1.0)
+
+
+def test_hub_raises_on_undeclared_label_key():
+    hub = MetricsHub(FakeClock())
+    with pytest.raises(TelemetryError, match="undeclared label keys"):
+        hub.observe_gauge("cpu_utilization", 0.5, {"zone": "a"})
+
+
+def test_application_default_hub_raises_on_unregistered_write():
+    app = Application(app_spec("social-network"))
+    with pytest.raises(TelemetryError, match="not declared"):
+        app.hub.inc_counter("no_such_metric")
+
+
 def test_hub_registry_none_disables_checking():
     hub = MetricsHub(FakeClock(), registry=None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        hub.inc_counter("anything_goes", labels={"x": "y"})
+    hub.inc_counter("anything_goes", labels={"x": "y"})
 
 
 def test_hub_checks_only_on_new_series():
     hub = MetricsHub(FakeClock())
-    with pytest.warns(UnregisteredMetricWarning):
-        hub.inc_counter("no_such_metric")
-    # Same series again: no second warning (check runs at creation only).
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        hub.inc_counter("no_such_metric")
+    hub.inc_counter("requests_total", labels={"service": "s"})
+    # An empty registry would reject any new series; the existing one is
+    # not re-checked (validation runs at series creation only).
+    hub.registry = MetricRegistry()
+    hub.inc_counter("requests_total", labels={"service": "s"})
+    with pytest.raises(TelemetryError, match="not declared"):
+        hub.inc_counter("requests_total", labels={"service": "t"})
 
 
 def test_hub_registered_writes_are_silent():

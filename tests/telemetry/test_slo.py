@@ -16,6 +16,7 @@ from repro.api import RunOptions, SLOOptions, run_deployment
 from repro.telemetry.slo import (
     ALERT_BUDGET_EXHAUSTED,
     ALERT_BURN_RATE,
+    BURN_FIRE_RATE,
     Alert,
     SLOMonitor,
     SLOSpec,
@@ -43,8 +44,6 @@ def make_monitor(clock, **overrides):
         fast_window_s=10.0,
         slow_window_s=30.0,
         bucket_s=1.0,
-        burn_threshold=4.0,
-        resolve_threshold=2.0,
     )
     kwargs.update(overrides)
     return SLOMonitor(
@@ -91,8 +90,6 @@ def test_monitor_rejects_bad_windows_and_duplicates():
         make_monitor(clock, fast_window_s=0.5)  # < bucket_s
     with pytest.raises(TelemetryError):
         make_monitor(clock, slow_window_s=5.0)  # < fast_window_s
-    with pytest.raises(TelemetryError):
-        make_monitor(clock, resolve_threshold=8.0)  # > burn_threshold
     with pytest.raises(TelemetryError):
         SLOMonitor(
             [SLOSpec("read", 0.1), SLOSpec("read", 0.2)], clock
@@ -213,8 +210,8 @@ def test_multi_window_rule_needs_both_windows_burning():
     for _ in range(5):
         monitor.observe("read", 1.0)  # fast burn spikes, slow stays low
     fast, slow = monitor.burn_rates("read")
-    assert fast >= monitor.burn_threshold
-    assert slow < monitor.burn_threshold
+    assert fast >= BURN_FIRE_RATE
+    assert slow < BURN_FIRE_RATE
     # The blip is filtered: no burn-rate page (the cumulative budget
     # alert is separate accounting and may legitimately fire).
     assert ("read", ALERT_BURN_RATE) not in monitor.active_alerts()
