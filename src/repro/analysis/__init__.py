@@ -33,7 +33,9 @@ Rules are selected per package by :mod:`repro.analysis.policy`;
 intentional violations carry ``# ursalint: disable=RULE -- reason``
 comments, and deliberate slot handoffs carry checked
 ``# ursalint: transfers=<receiver>`` annotations.  The matching
-*runtime* check is :mod:`repro.analysis.sanitizer` (``REPRO_SANITIZE=1``).
+*runtime* check is :mod:`repro.experiments.sanitizer` (``REPRO_SANITIZE=1``),
+which lives next to the ``run_many`` it guards so running experiments
+never imports the linter.
 Full rule documentation lives in ``docs/static_analysis.md``.
 """
 

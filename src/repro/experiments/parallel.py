@@ -38,7 +38,7 @@ execution -- no pool, no pickling -- which keeps single-core containers
 and debuggers (breakpoints do not survive fork) on the simple path.
 
 With ``REPRO_SANITIZE=1`` every plan -- pooled or sequential -- runs
-under the :mod:`repro.analysis.sanitizer` guard, which raises if the
+under the :mod:`repro.experiments.sanitizer` guard, which raises if the
 plan mutated any watched module-level global (the runtime counterpart
 of the PAR002 lint rule).
 """
@@ -52,7 +52,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.analysis.sanitizer import run_guarded
+from repro.experiments.sanitizer import run_guarded
 from repro.sim.random import RandomStreams
 
 __all__ = [

@@ -41,10 +41,12 @@ runs keep a few dozen future events pending, where heapq's C sift is
 hard to beat (docs/performance.md).
 
 :meth:`Environment.run` drains the schedule with one inlined loop
-(:meth:`Environment._drain`) that serves all three ``until`` forms, or,
-when a trace hook is installed or ``step`` is overridden, with a loop
-over :meth:`Environment.step`.  ``tests/sim/test_drain_equivalence.py``
-pins that both loops produce identical runs.
+(:meth:`Environment._drain`) that serves all three ``until`` forms and
+calls the trace hook, if one is installed, exactly as
+:meth:`Environment.step` does.  Only an overridden ``step`` falls back
+to a loop over :meth:`Environment.step`.
+``tests/sim/test_drain_equivalence.py`` pins that both loops produce
+identical runs, traced or not.
 
 Timeouts -- by far the most frequently constructed event -- are pooled:
 after a timeout's callbacks run, the drain loop recycles the object
@@ -458,10 +460,10 @@ class Environment:
         self._active_process: Process | None = None
         #: Optional event-trace hook: called as ``trace(when, priority,
         #: seq, event)`` for every event popped off the schedule, *before*
-        #: its callbacks run.  ``None`` (the default) keeps the inlined
-        #: drain loop in :meth:`run` -- tracing off costs nothing on the
-        #: hot path.  See :mod:`repro.sim.trace` for ready-made hooks
-        #: (event recorders, run digests).
+        #: its callbacks run.  ``None`` (the default) costs one local
+        #: ``is not None`` test per event in the drain loop.  See
+        #: :mod:`repro.sim.trace` for ready-made hooks (event recorders,
+        #: run digests).
         self._trace = trace
         #: Freelist of recycled Timeout objects (see :meth:`timeout`).
         self._pool: list[Timeout] = []
@@ -667,8 +669,8 @@ class Environment:
         triggers (no process can fire it any more); that is reported as a
         :class:`SimulationError` rather than returning silently.
 
-        Drains with the inlined :meth:`_drain` loop, or with the
-        :meth:`step` loop when a trace hook is installed or ``step`` is
+        Drains with the inlined :meth:`_drain` loop, which also serves
+        the trace hook, or with the :meth:`step` loop when ``step`` is
         overridden.  Both pop the same ``(time, priority, seq)`` order.
         """
         stop: Event | None = None
@@ -681,7 +683,7 @@ class Environment:
                 raise SimulationError(
                     f"run(until={horizon}) is in the past (now={self._now})"
                 )
-        if type(self).step is Environment.step and self._trace is None:
+        if type(self).step is Environment.step:
             self._drain(stop, horizon)
         else:
             self._step_drain(stop, horizon)
@@ -704,9 +706,12 @@ class Environment:
         Returns once the schedule is empty, the next event lies past
         ``horizon``, or ``stop`` has been processed.  Now-bucket entries
         are at ``now <= horizon``, so only a heap pop checks the horizon.
+        The trace hook, if any, sees each entry as :meth:`step` shows it
+        (now-bucket entries as ``(now, 1, seq)``).
         """
         if stop is not None and stop._state == _PROCESSED:
             return
+        trace = self._trace
         queue = self._queue
         fseq = self._fifo_seq
         fseq_pop = fseq.popleft
@@ -723,19 +728,23 @@ class Environment:
                     if head[0] == now and (
                         head[1] == 0 or (head[1] == 1 and head[2] < fseq[0])
                     ):
-                        _w, _p, _s, event = _heappop(queue)
+                        _w, priority, seq, event = _heappop(queue)
                         head = None  # drop the tuple ref for the recycle guard
                     else:
-                        fseq_pop()
+                        priority = 1
+                        seq = fseq_pop()
                         event = fev_pop()
                 else:
-                    fseq_pop()
+                    priority = 1
+                    seq = fseq_pop()
                     event = fev_pop()
             elif queue and queue[0][0] <= horizon:
-                when, _p, _s, event = _heappop(queue)
+                when, priority, seq, event = _heappop(queue)
                 self._now = now = when
             else:
                 return
+            if trace is not None:
+                trace(now, priority, seq, event)
             callbacks = event.callbacks
             event.callbacks = None
             event._state = _PROCESSED
@@ -763,7 +772,7 @@ class Environment:
                 return
 
     def _step_drain(self, stop: Event | None, horizon: float) -> None:
-        """Drain via :meth:`step` (trace hook installed or ``step`` overridden)."""
+        """Drain via :meth:`step` (``step`` overridden)."""
         step = self.step
         while stop is None or stop._state != _PROCESSED:
             if not (self._fifo_seq or self._queue) or self.peek() > horizon:

@@ -12,8 +12,8 @@ Ursa uses Welch's unequal-variances t-test in two places (paper §III and
 
 The implementation computes the Welch statistic and Welch-Satterthwaite
 degrees of freedom directly and evaluates p-values with the regularised
-incomplete beta function (via :func:`scipy.special.betainc`, the only scipy
-dependency).
+incomplete beta function, itself written from scratch (:func:`_betainc`, a
+Lentz continued fraction) so the package needs no special-function library.
 """
 
 from __future__ import annotations
@@ -22,9 +22,60 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from scipy.special import betainc
-
 __all__ = ["TTestResult", "welch_t_test", "means_differ", "mean_exceeds"]
+
+_BETACF_EPS = 1e-15
+_BETACF_TINY = 1e-300
+_BETACF_MAX_ITER = 10_000
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta, by modified Lentz.
+
+    Converges quickly for ``x < (a + 1) / (a + b + 2)``; raises
+    :class:`ArithmeticError` rather than return an unconverged value.
+    """
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (d if abs(d) > _BETACF_TINY else _BETACF_TINY)
+    h = d
+    for m in range(1, _BETACF_MAX_ITER + 1):
+        m2 = 2 * m
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _BETACF_TINY else _BETACF_TINY)
+            c = 1.0 + aa / c
+            c = c if abs(c) > _BETACF_TINY else _BETACF_TINY
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) <= _BETACF_EPS:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
+    )
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularised incomplete beta function I_x(a, b) for a, b > 0."""
+    if math.isnan(x):
+        return math.nan
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log1p(-x)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _betacf(a, b, x) / a
+    # Symmetry I_x(a, b) = 1 - I_{1-x}(b, a) keeps the fraction in its
+    # fast-converging region.
+    return 1.0 - math.exp(log_front) * _betacf(b, a, 1.0 - x) / b
 
 
 def _student_t_sf(t: float, df: float) -> float:
@@ -34,7 +85,7 @@ def _student_t_sf(t: float, df: float) -> float:
     if math.isinf(t):
         return 0.0 if t > 0 else 1.0
     x = df / (df + t * t)
-    p = 0.5 * float(betainc(df / 2.0, 0.5, x))
+    p = 0.5 * _betainc(df / 2.0, 0.5, x)
     return p if t >= 0 else 1.0 - p
 
 

@@ -7,8 +7,8 @@ the process boundary; the rest pin the snapshot/diff machinery.
 
 import pytest
 
-from repro.analysis import sanitizer
-from repro.analysis.sanitizer import SanitizerError, diff, enabled, snapshot
+from repro.experiments import sanitizer
+from repro.experiments.sanitizer import SanitizerError, diff, enabled, snapshot
 from repro.experiments.parallel import RunPlan, run_many, shutdown_pool
 
 from tests.analysis import _sanitizer_target as target

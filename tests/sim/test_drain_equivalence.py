@@ -1,9 +1,10 @@
 """Drain equivalence: the inlined loop and the ``step()`` loop agree.
 
 :meth:`Environment.run` drains the schedule with the inlined
-``_drain`` loop, and falls back to a loop over :meth:`Environment.step`
-when a trace hook is installed or ``step`` is overridden.  Both must pop
-the exact same ``(time, priority, seq)`` order.  This file is the
+``_drain`` loop, which also serves the trace hook, and falls back to a
+loop over :meth:`Environment.step` when ``step`` is overridden.  Both
+must pop the exact same ``(time, priority, seq)`` order and hand the
+trace hook the same entries.  This file is the
 executable form of that promise: randomized workloads mixing zero-delay
 triggers, far-future timeouts, priority interrupts, resource contention
 and abandoned (interrupt-detached) timeouts run through both loops, for
@@ -17,14 +18,14 @@ import pytest
 from repro.sim.engine import Environment, Event, Interrupt
 from repro.sim.random import RandomStreams
 from repro.sim.resources import Resource
-from repro.sim.trace import RunDigest
+from repro.sim.trace import EventTraceRecorder, RunDigest
 
 
 class SteppingEnvironment(Environment):
     """Overrides ``step`` so :meth:`run` takes the ``step()`` loop."""
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, trace=None) -> None:
+        super().__init__(trace=trace)
         self.steps = 0
 
     def step(self) -> None:
@@ -141,6 +142,16 @@ def test_inlined_and_step_drains_are_identical(seed, until):
         # Stopped at the interrupter's finish, with events still pending.
         assert result == "interrupter done"
         assert now <= next_time < float("inf")
+
+
+@pytest.mark.parametrize("until", ["none", "time", "event"])
+@pytest.mark.parametrize("seed", [0, 1234])
+def test_both_loops_feed_the_trace_hook_identically(seed, until):
+    inlined, stepped = EventTraceRecorder(), EventTraceRecorder()
+    inlined_run = _run(Environment(trace=inlined), seed, until)
+    assert inlined_run == _run(SteppingEnvironment(trace=stepped), seed, until)
+    assert len(inlined) > 0
+    assert inlined.entries == stepped.entries
 
 
 @pytest.mark.parametrize("make", [Environment, SteppingEnvironment])

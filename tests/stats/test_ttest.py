@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.stats import ttest
 from repro.stats.ttest import (
+    _betainc,
     _student_t_sf,
     mean_exceeds,
     means_differ,
@@ -87,6 +90,42 @@ def test_student_sf_matches_scipy():
         assert _student_t_sf(t, df) == pytest.approx(
             scipy.stats.t.sf(t, df), abs=1e-9
         )
+
+
+def test_student_sf_matches_betainc_over_grid():
+    """The from-scratch incomplete beta against scipy's, over the df/t
+    range Welch tests can produce (df log-spaced, both tails)."""
+    worst = 0.0
+    for df in np.logspace(np.log10(0.5), 5, 60):
+        for t in np.linspace(-60.0, 60.0, 121):
+            x = df / (df + t * t)
+            ref = 0.5 * scipy.special.betainc(df / 2.0, 0.5, x)
+            ref = ref if t >= 0 else 1.0 - ref
+            worst = max(worst, abs(_student_t_sf(float(t), float(df)) - ref))
+    assert worst <= 1e-9
+
+
+def test_betainc_edges():
+    for a, b in [(0.25, 0.5), (3.0, 0.5), (5e4, 0.5)]:
+        assert _betainc(a, b, 0.0) == 0.0
+        assert _betainc(a, b, 1.0) == 1.0
+    # Both sides of the symmetry crossover x = (a + 1) / (a + b + 2).
+    for x in (0.1, 0.7, 0.75, 0.8, 0.99):
+        assert _betainc(2.0, 0.5, x) == pytest.approx(
+            scipy.special.betainc(2.0, 0.5, x), abs=1e-12
+        )
+    assert _student_t_sf(0.0, 7.0) == 0.5
+    assert _student_t_sf(float("inf"), 7.0) == 0.0
+    assert _student_t_sf(float("-inf"), 7.0) == 1.0
+    for df in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            _student_t_sf(1.0, df)
+
+
+def test_betainc_raises_instead_of_returning_unconverged(monkeypatch):
+    monkeypatch.setattr(ttest, "_BETACF_MAX_ITER", 1)
+    with pytest.raises(ArithmeticError):
+        _betainc(5e4, 0.5, 0.9999)
 
 
 @given(
