@@ -19,6 +19,16 @@ assumption of the performance model.  Because services are explored
 independently, the wall-clock exploration time of an application is the
 *maximum* over its services, while the sample budget is the sum
 (Table V's accounting).
+
+Digests follow the same independence.  With ``digest=True`` every
+service's exploration runs under its own
+:class:`~repro.sim.trace.RunDigest`, stored on
+:attr:`ServiceProfile.trace_digest`; the application's
+:attr:`ExplorationResult.trace_digest` is
+:func:`~repro.sim.trace.combine_digests` over those per-service values.
+It is therefore the same whether the services were explored one after
+another (:meth:`ExplorationController.explore_app`) or one per pool
+worker (:func:`repro.experiments.artifacts.explore_services`).
 """
 
 from __future__ import annotations
@@ -31,8 +41,9 @@ from repro.apps.topology import Application, AppSpec
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.errors import ExplorationError
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 from repro.sim.random import RandomStreams
+from repro.sim.trace import RunDigest, combine_digests
 from repro.telemetry.metrics import MetricsHub
 from repro.stats.distributions import DEFAULT_PERCENTILE_GRID
 from repro.workload.generator import LoadGenerator
@@ -78,6 +89,9 @@ class ServiceProfile:
     samples_collected: int
     profiling_time_s: float
     terminated_by: str  # "sla" | "backpressure" | "min_replicas"
+    #: Hex event-trace digest of this service's exploration environment
+    #: (``explore_service(..., digest=True)``); ``None`` when untraced.
+    trace_digest: str | None = None
 
     def __post_init__(self) -> None:
         if not self.options:
@@ -93,11 +107,12 @@ class ExplorationResult:
 
     app_name: str
     profiles: dict[str, ServiceProfile]
-    #: Hex checksum of the engine event trace covering every exploration
-    #: environment (set by callers that pass ``trace=`` a
-    #: :class:`~repro.sim.trace.RunDigest`); ``None`` for untraced runs
-    #: and results saved before tracing existed.
-    trace_digest: str | None = None
+    #: :func:`~repro.sim.trace.combine_digests` over the per-service
+    #: :attr:`ServiceProfile.trace_digest` values (one ``"<service>:<hex>"``
+    #: line each, in service-name order), so it does not depend on where or
+    #: in which order the services were explored.  ``None`` unless every
+    #: service carries a digest.
+    trace_digest: str | None = field(init=False)
     #: Sum of samples over all services (Table V "Samples").
     total_samples: int = field(init=False)
     #: Max profiling time over services -- they are explored independently
@@ -108,6 +123,12 @@ class ExplorationResult:
         self.total_samples = sum(p.samples_collected for p in self.profiles.values())
         self.exploration_time_s = max(
             (p.profiling_time_s for p in self.profiles.values()), default=0.0
+        )
+        digests = {name: p.trace_digest for name, p in self.profiles.items()}
+        self.trace_digest = (
+            combine_digests(digests)
+            if digests and None not in digests.values()
+            else None
         )
 
 
@@ -207,14 +228,14 @@ class ExplorationController:
         backpressure_thresholds: Mapping[str, float],
         services: Sequence[str] | None = None,
         seed_salt: int = 0,
-        trace: Callable[[float, int, int, Event], None] | None = None,
+        digest: bool = False,
     ) -> ExplorationResult:
         """Explore every service (or the given subset) of ``spec``.
 
-        ``trace`` is an engine event-trace hook installed on every
-        per-service exploration environment; one
-        :class:`~repro.sim.trace.RunDigest` therefore fingerprints the
-        whole Algorithm-1 run (its hex digest lands on
+        Services are explored one after another; each is independent of
+        the others (salt ``seed_salt * 1000 + k`` for the ``k``-th), so
+        running them elsewhere with the same salts gives the same result.
+        ``digest=True`` digests each service separately (see
         :attr:`ExplorationResult.trace_digest`).
         """
         names = list(services) if services is not None else [
@@ -229,12 +250,9 @@ class ExplorationController:
                 rps,
                 backpressure_thresholds.get(name, 1.0),
                 seed_salt=seed_salt * 1000 + k,
-                trace=trace,
+                digest=digest,
             )
-        digest = trace.hexdigest() if hasattr(trace, "hexdigest") else None
-        return ExplorationResult(
-            app_name=spec.name, profiles=profiles, trace_digest=digest
-        )
+        return ExplorationResult(app_name=spec.name, profiles=profiles)
 
     def explore_service(
         self,
@@ -244,14 +262,19 @@ class ExplorationController:
         rps: float,
         backpressure_threshold: float = 1.0,
         seed_salt: int = 0,
-        trace: Callable[[float, int, int, Event], None] | None = None,
+        digest: bool = False,
     ) -> ServiceProfile:
-        """Algorithm 1 for one service on a fresh deployment."""
+        """Algorithm 1 for one service on a fresh deployment.
+
+        ``digest=True`` fingerprints the run's event trace into
+        :attr:`ServiceProfile.trace_digest`.
+        """
         service_spec = spec.service(service_name)
         provisioning = provisioning_for(spec, mix, rps)
         initial = provisioning[service_name]
 
-        env = Environment(trace=trace)
+        run_digest = RunDigest() if digest else None
+        env = Environment(trace=run_digest)
         cluster = self.cluster_factory(env)
         # The telemetry hub's aggregation window matches the sampling
         # window so per-sample latency distributions and rates are exact.
@@ -416,6 +439,7 @@ class ExplorationController:
             samples_collected=samples,
             profiling_time_s=env.now - t_start,
             terminated_by=terminated_by,
+            trace_digest=run_digest.hexdigest() if run_digest else None,
         )
 
 
@@ -431,7 +455,6 @@ def save_exploration(result: ExplorationResult, path) -> None:
 
     payload = {
         "app_name": result.app_name,
-        "trace_digest": result.trace_digest,
         "profiles": {
             name: {
                 "service": p.service,
@@ -439,6 +462,7 @@ def save_exploration(result: ExplorationResult, path) -> None:
                 "samples_collected": p.samples_collected,
                 "profiling_time_s": p.profiling_time_s,
                 "terminated_by": p.terminated_by,
+                "trace_digest": p.trace_digest,
                 "options": [
                     {
                         "replicas": o.replicas,
@@ -487,9 +511,7 @@ def load_exploration(path) -> ExplorationResult:
             samples_collected=int(p["samples_collected"]),
             profiling_time_s=float(p["profiling_time_s"]),
             terminated_by=str(p["terminated_by"]),
+            # Absent from files written before per-service digests.
+            trace_digest=p.get("trace_digest"),
         )
-    return ExplorationResult(
-        app_name=payload["app_name"],
-        profiles=profiles,
-        trace_digest=payload.get("trace_digest"),
-    )
+    return ExplorationResult(app_name=payload["app_name"], profiles=profiles)

@@ -4,9 +4,11 @@ Runs a single paper experiment and prints its rendered tables/series --
 convenient for exploring results without pytest.  Expensive shared
 artefacts are cached exactly as in the benchmarks (``.repro_cache/``).
 
-Grid-style experiments (``fig11-12``, ``fig13``, ``fig14``, ``table05``)
-fan their independent runs out across ``--jobs`` worker processes via
-:mod:`repro.experiments.parallel`; output is identical for any job count.
+Grid-style experiments (``fig04``, ``fig11-12``, ``fig13``, ``fig14``,
+``table05``, ``fleet``) fan their independent runs out across ``--jobs``
+worker processes via :mod:`repro.experiments.parallel`; output is
+identical for any job count.  ``fig04`` and ``table05`` fan out one plan
+per profiled service (``table05`` only when it has artefacts to build).
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def _run(
             run_threshold_profiling,
         )
 
-        curves = run_threshold_profiling()
+        curves = run_threshold_profiling(jobs=jobs, on_complete=on_complete)
         return curves.render(), experiment_meta(curves), {}, None, None
     if name == "table05":
         from repro.experiments.table05_exploration import (
@@ -352,19 +354,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--dump-traces must be >= 1, got {args.dump_traces}")
     apps = args.apps.split(",") if args.apps else None
     on_complete = _ProgressReporter() if args.progress else None
-    if args.experiment in (
-        "table05",
-        "fig11-12",
-        "fig13",
-        "fig14",
-        "fleet",
-        "summary",
-    ):
+    if args.experiment in ("fig11-12", "fig13", "fig14", "fleet", "summary"):
         from repro.experiments.parallel import default_jobs, warm_pool
 
         # One worker pool per CLI invocation: warmed here, reused by
         # every grid the experiment fans out (see repro.experiments
-        # .parallel; workers fork after imports are done).
+        # .parallel; workers fork after imports are done).  fig04 and
+        # table05 leave it to their first pooled plan, so a warm table05
+        # cache never starts one.
         if (args.jobs or default_jobs()) > 1:
             warm_pool(args.jobs)
     text, meta, trace_sources, report, html = _run(

@@ -7,6 +7,11 @@ mean +- std, tested-service p99, and CPU utilisation per CPU limit, plus
 the recorded threshold.  Paper values: 46.2 % (post) and 60.0 %
 (timeline-read); the reproduction should land in the same 40-70 % band,
 with the proxy latency having risen >5x under significant backpressure.
+
+Each service is profiled by its own :class:`RunPlan` (every measurement
+environment forks its streams from a salt of the service name and CPU
+limit), so ``--jobs`` changes where the ramps run, never their curves
+or digests.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.backpressure import BackpressureProfile, BackpressureProfiler
+from repro.experiments.parallel import RunPlan, run_many
 from repro.experiments.report import render_table
 from repro.experiments.runner import scale_profile
 from repro.experiments.store import RunMeta
@@ -71,26 +77,61 @@ class ThresholdCurves:
         return "\n\n".join(blocks)
 
 
-def run_threshold_profiling(
-    max_cpu_limit: int = 8, seed: int = FIG4_SEED, digest: bool = True
-) -> ThresholdCurves:
+def _profile_service(
+    name: str, max_cpu_limit: int, seed: int, digest: bool
+) -> tuple[BackpressureProfile, str | None]:
+    """One service's full CPU-limit ramp (a :class:`RunPlan`).
+
+    One digest spans the whole ramp: every per-limit environment feeds
+    the same hook.
+    """
     profile = scale_profile()
     profiler = BackpressureProfiler(
         RandomStreams(seed),
         window_s=profile.bp_window_s,
         samples_per_limit=profile.bp_samples_per_limit,
     )
+    run_digest = RunDigest() if digest else None
+    result = profiler.profile(
+        name,
+        PROFILED_SERVICES[name],
+        max_cpu_limit=max_cpu_limit,
+        trace=run_digest,
+    )
+    return result, run_digest.hexdigest() if run_digest is not None else None
+
+
+def run_threshold_profiling(
+    max_cpu_limit: int = 8,
+    seed: int = FIG4_SEED,
+    digest: bool = True,
+    jobs: int | None = None,
+    on_complete=None,
+) -> ThresholdCurves:
+    """Profile every service in :data:`PROFILED_SERVICES`, one plan each
+    on ``jobs`` workers (:func:`~repro.experiments.parallel.run_many`
+    conventions)."""
+    plans = [
+        RunPlan(
+            _profile_service,
+            {
+                "name": name,
+                "max_cpu_limit": max_cpu_limit,
+                "seed": seed,
+                "digest": digest,
+            },
+            label=f"fig04:{name}",
+        )
+        for name in PROFILED_SERVICES
+    ]
     results: dict[str, BackpressureProfile] = {}
     digests: dict[str, str] = {}
-    for name, work in PROFILED_SERVICES.items():
-        # One digest per service spans its whole CPU-limit ramp (every
-        # per-limit environment feeds the same hook).
-        run_digest = RunDigest() if digest else None
-        results[name] = profiler.profile(
-            name, work, max_cpu_limit=max_cpu_limit, trace=run_digest
-        )
-        if run_digest is not None:
-            digests[name] = run_digest.hexdigest()
+    for name, (profile, hexdigest) in zip(
+        PROFILED_SERVICES, run_many(plans, jobs=jobs, on_complete=on_complete)
+    ):
+        results[name] = profile
+        if hexdigest is not None:
+            digests[name] = hexdigest
     return ThresholdCurves(profiles=results, digests=digests)
 
 

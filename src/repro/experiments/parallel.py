@@ -37,6 +37,17 @@ order, and worker processes import the same code the parent would run.
 execution -- no pool, no pickling -- which keeps single-core containers
 and debuggers (breakpoints do not survive fork) on the simple path.
 
+Fan-out is one level deep: a plan that itself calls :func:`run_many`
+(e.g. a cold artifact build inside a grid worker) runs its sub-plans
+in-process.  The worker's copy of the parent's pool, inherited through
+fork, is not its own to submit to, and nested pools would only
+oversubscribe the CPUs the outer pool already keeps busy.
+
+A failed pooled grid leaves no work behind: :func:`run_many` waits for
+the plans still in flight and shuts the pool down before it raises, so
+no executor thread touches module state afterwards and the next grid
+starts on a fresh pool.
+
 With ``REPRO_SANITIZE=1`` every plan -- pooled or sequential -- runs
 under the :mod:`repro.experiments.sanitizer` guard, which raises if the
 plan mutated any watched module-level global (the runtime counterpart
@@ -152,13 +163,31 @@ def _execute(plan: RunPlan) -> Any:
     return run_guarded(plan.fn, plan.kwargs, label=plan.label)
 
 
+def _in_worker() -> bool:
+    """True inside a process started by :mod:`multiprocessing` -- i.e. a
+    pool worker, which must not fan out again."""
+    return multiprocessing.parent_process() is not None
+
+
 #: The process-wide worker pool, created by the first pooled
 #: :func:`run_many` (or explicitly by :func:`warm_pool`) and reused by
 #: every later grid in this process.
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 _pool_grids = 0
-_atexit_registered = False
+
+
+def _set_pool(pool: ProcessPoolExecutor | None, workers: int) -> None:
+    """The one place the pool globals are rebound (grid count reset).
+
+    Static reachability sees this from worker entry points (a cold
+    artifact build in a grid worker calls :func:`run_many`), but a worker
+    never gets here: :func:`run_many` runs in-process inside one.  No
+    result depends on the pool either way.
+    """
+    global _pool, _pool_workers, _pool_grids
+    # ursalint: disable=PAR002 -- parent-only pool bookkeeping (see docstring)
+    _pool, _pool_workers, _pool_grids = pool, workers, 0
 
 
 def warm_pool(
@@ -174,44 +203,36 @@ def warm_pool(
     replaced.  Workers use the ``fork`` start method where available so
     inheritance is memory-sharing, not pickling.
     """
-    global _pool, _pool_workers, _atexit_registered
     if jobs is None:
         jobs = default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if prewarm is not None:
         prewarm()
-    if _pool is not None and getattr(_pool, "_broken", False):
-        # A crashed worker poisons a ProcessPoolExecutor permanently;
-        # replace it so one bad grid cannot break every later grid.
-        _pool.shutdown(wait=False)
-        _pool = None
-    if _pool is not None and _pool_workers >= jobs:
+    # A crashed worker poisons a ProcessPoolExecutor permanently; replace
+    # it so one bad grid cannot break every later grid.
+    broken = _pool is not None and getattr(_pool, "_broken", False)
+    if _pool is not None and _pool_workers >= jobs and not broken:
         return
-    if _pool is not None:
-        _pool.shutdown(wait=True)
-        _pool = None
+    shutdown_pool()
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    _pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
-    _pool_workers = jobs
-    if not _atexit_registered:
-        atexit.register(shutdown_pool)
-        _atexit_registered = True
+    _set_pool(ProcessPoolExecutor(max_workers=jobs, mp_context=context), jobs)
 
 
 def shutdown_pool() -> None:
     """Drain and discard the shared pool (no-op when none exists).
 
-    Registered via :mod:`atexit` on first creation; tests call it
-    directly to return to a cold-pool state.
+    Waits for running plans and joins the executor's threads.  Runs at
+    interpreter exit; tests call it directly to return to a cold-pool
+    state.
     """
-    global _pool, _pool_workers, _pool_grids
     if _pool is not None:
         _pool.shutdown(wait=True)
-        _pool = None
-        _pool_workers = 0
-        _pool_grids = 0
+        _set_pool(None, 0)
+
+
+atexit.register(shutdown_pool)
 
 
 def pool_stats() -> dict[str, Any]:
@@ -233,13 +254,14 @@ def run_many(
     """Execute ``plans`` and return their results in plan order.
 
     ``jobs=None`` uses :func:`default_jobs`; ``jobs=1`` runs sequentially
-    in-process.  Pooled runs reuse the process-wide pool created by the
-    first pooled call (see :func:`warm_pool`); at most ``jobs`` plans
-    are in flight at once even when the shared pool is larger, so a
-    ``jobs=2`` grid never runs 4-wide just because an earlier grid asked
-    for 4 workers.  Results come back in the order plans were given
-    regardless of completion order, which is what makes parallel output
-    byte-identical to sequential.
+    in-process, and so does any call made inside a pool worker.  Pooled
+    runs reuse the process-wide pool created by the first pooled call
+    (see :func:`warm_pool`); at most ``jobs`` plans are in flight at once
+    even when the shared pool is larger, so a ``jobs=2`` grid never runs
+    4-wide just because an earlier grid asked for 4 workers.  Results
+    come back in the order plans were given regardless of completion
+    order, which is what makes parallel output byte-identical to
+    sequential.
 
     ``prewarm`` (optional) is called in the parent before any plan runs
     -- before workers fork, when this call creates the pool -- so shared
@@ -250,14 +272,16 @@ def run_many(
     pooled mode it fires in completion order -- which may differ from
     plan order -- so callbacks must not assume ordering; the returned
     list is the ordering contract.  A callback or plan exception
-    propagates, cancelling any plans that have not started yet.
+    propagates once the plans already in flight have finished; plans not
+    yet submitted never start, and the pool is shut down (the next
+    pooled call creates a fresh one).
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     plans = list(plans)
     if jobs is None:
         jobs = default_jobs()
-    if jobs == 1 or len(plans) <= 1:
+    if jobs == 1 or len(plans) <= 1 or _in_worker():
         if prewarm is not None:
             prewarm()
         results = []
@@ -270,7 +294,7 @@ def run_many(
 
     global _pool_grids
     warm_pool(jobs, prewarm=prewarm)
-    _pool_grids += 1
+    _pool_grids += 1  # ursalint: disable=PAR002 -- parent-only, see _set_pool
 
     # Sliding-window submission: at most ``jobs`` plans in flight.
     results: list[Any] = [None] * len(plans)
@@ -289,8 +313,10 @@ def run_many(
                 if on_complete is not None:
                     on_complete(plans[index], results[index])
     except BaseException:
-        for future in in_flight:
-            future.cancel()
+        # Nothing beyond the window was submitted, so shutting down waits
+        # for exactly the in-flight plans and then joins the executor's
+        # management thread: no future or thread outlives the raise.
+        shutdown_pool()
         raise
     # Stored by plan index, so completion order is irrelevant to the
     # merged output.

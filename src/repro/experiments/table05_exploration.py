@@ -3,19 +3,21 @@
 Ursa's numbers are *measured*: Algorithm 1 runs per service, samples are
 summed over services, and the reported exploration time is the longest
 single-service profiling time (services profile independently / in
-parallel).  Sinan and Firm are accounted at the paper-prescribed training
-budget -- 10,000 samples at the shared once-per-minute sampling frequency
-(166.7 h) -- since that is what those systems *require* per their own
-papers; the actually-simulated training for the performance experiments
-uses a smaller budget (see EXPERIMENTS.md).
+parallel).  A cold run builds them that way too: each app's backpressure
+profiling and exploration fan out one plan per service over the worker
+pool, so its wall time follows the slowest service rather than the sum.
+Sinan and Firm are accounted at the paper-prescribed training budget --
+10,000 samples at the shared once-per-minute sampling frequency (166.7 h)
+-- since that is what those systems *require* per their own papers; the
+actually-simulated training for the performance experiments uses a
+smaller budget (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.experiments import artifacts
-from repro.experiments.parallel import RunPlan, run_many
 from repro.experiments.report import render_table
 from repro.experiments.runner import scale_profile
 from repro.experiments.store import RunMeta
@@ -42,8 +44,8 @@ class ExplorationOverheadRow:
     ursa_time_h: float
     ml_samples: int
     ml_time_h: float
-    #: Engine event-trace digest of the Algorithm-1 run that built the
-    #: app's profiles (empty for artefacts cached before tracing existed).
+    #: Combined per-service event-trace digest of the Algorithm-1 runs that
+    #: built the app's profiles (empty when the artefact has none).
     trace_digest: str = ""
 
     @property
@@ -86,18 +88,18 @@ class Table05:
         )
 
 
-def _explore_app(app_name: str) -> ExplorationOverheadRow:
+def _row(app_name: str, jobs: int | None, on_complete) -> ExplorationOverheadRow:
     """One table row; runs (or loads the cached) Algorithm 1 for one app."""
-    exploration = artifacts.exploration_result(app_name)
+    exploration = artifacts.exploration_result(
+        app_name, jobs=jobs, on_complete=on_complete
+    )
     return ExplorationOverheadRow(
         app=app_name,
         ursa_samples=exploration.total_samples,
         ursa_time_h=exploration.exploration_time_s / 3600.0,
         ml_samples=ML_PRESCRIBED_SAMPLES,
         ml_time_h=ML_PRESCRIBED_SAMPLES * ML_SAMPLE_PERIOD_S / 3600.0,
-        # getattr: pickled artefacts from before the digest field existed
-        # deserialise without it.
-        trace_digest=getattr(exploration, "trace_digest", None) or "",
+        trace_digest=exploration.trace_digest or "",
     )
 
 
@@ -106,25 +108,32 @@ def run_table05(
     jobs: int | None = None,
     on_complete=None,
 ) -> Table05:
-    """Per-app explorations fan out: each worker profiles one app.
+    """One row per app, built app by app in this process.
 
-    Exploration is deterministic given the app spec, so cold-cache
-    parallel runs produce the same rows a sequential run would; warm
-    caches make the fan-out trivial either way.
+    A cold artifact build fans out inside each app -- one plan per
+    service on ``jobs`` workers -- so there is one level of fan-out and
+    ``on_complete`` fires once per service plan, labelled
+    ``table05:<app>/<service>``.  Every service's run is fixed by its
+    salt, so rows and digests are the same at every job count; a warm
+    cache starts no pool at all.
     """
-    plans = [
-        RunPlan(_explore_app, {"app_name": a}, label=f"table05:{a}") for a in apps
-    ]
-    return Table05(rows=run_many(plans, jobs=jobs, on_complete=on_complete))
+    progress = (
+        None
+        if on_complete is None
+        else lambda plan, result: on_complete(
+            replace(plan, label=f"table05:{plan.label}"), result
+        )
+    )
+    return Table05(rows=[_row(app, jobs, progress) for app in apps])
 
 
 def experiment_meta(table: Table05) -> RunMeta:
     """Provenance sidecar for Table V.
 
-    The exploration controller installs an event-trace hook on every
-    per-service environment and the resulting digest rides inside the
-    cached artefact, so even warm-cache runs pin the engine-level
-    fingerprint of the Algorithm-1 run that built each app's profiles.
+    Every service's exploration environment is digested and the app's
+    combined digest rides inside the cached artefact, so even warm-cache
+    runs pin the engine-level fingerprint of the Algorithm-1 runs that
+    built each app's profiles.
     """
     return RunMeta(
         experiment="table05",

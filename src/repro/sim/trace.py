@@ -14,6 +14,10 @@ two standard hooks built on it:
   (or archive a fingerprint next to their ``results/`` artifacts) at
   O(1) memory.
 
+:func:`combine_digests` folds the digests of independent runs (e.g. one
+per explored service) into one fingerprint that does not depend on the
+order the runs executed in.
+
 Both hooks observe only what the scheduler already computed -- they never
 touch simulation state, so a traced run produces exactly the timings an
 untraced run would.
@@ -42,10 +46,11 @@ import hashlib
 import struct
 from array import array
 from pathlib import Path
+from typing import Mapping
 
 from repro.sim.engine import Event
 
-__all__ = ["EventTraceRecorder", "RunDigest", "write_digest"]
+__all__ = ["EventTraceRecorder", "RunDigest", "combine_digests", "write_digest"]
 
 _PACK = struct.Struct("<dqq").pack
 
@@ -150,6 +155,21 @@ class RunDigest:
         """Hex checksum of the trace so far (does not finalise the hook)."""
         self._flush()
         return self._hash.copy().hexdigest()
+
+
+def combine_digests(digests: Mapping[str, str]) -> str:
+    """One BLAKE2b-128 hex digest over named per-run digests.
+
+    Hashes the lines ``"<name>:<hex>\\n"`` in name order, so the result
+    depends only on the ``(name, digest)`` pairs -- not on the order the
+    runs executed or were listed in.  Independent runs can therefore be
+    digested wherever they execute (in-process or in pool workers) and
+    still combine to the same fingerprint.
+    """
+    combined = hashlib.blake2b(digest_size=16)
+    for name in sorted(digests):
+        combined.update(f"{name}:{digests[name]}\n".encode("utf-8"))
+    return combined.hexdigest()
 
 
 def write_digest(digest: "RunDigest | str", path: str | Path) -> str:

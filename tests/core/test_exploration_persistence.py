@@ -7,6 +7,7 @@ from repro.core.exploration import (
     load_exploration,
     save_exploration,
 )
+from repro.sim.trace import combine_digests
 
 GRID_LEN = 8
 
@@ -53,12 +54,22 @@ def test_round_trip(tmp_path):
         assert a.utilization == b.utilization
 
 
+def traced():
+    result = synthetic()
+    profile = result.profiles["svc"]
+    profile.trace_digest = "ab" * 16
+    # The app digest is derived from the per-service ones at construction.
+    return ExplorationResult(result.app_name, {"svc": profile})
+
+
 def test_trace_digest_round_trips(tmp_path):
     path = tmp_path / "exploration.json"
-    traced = synthetic()
-    traced.trace_digest = "ab" * 16
-    save_exploration(traced, path)
-    assert load_exploration(path).trace_digest == "ab" * 16
+    original = traced()
+    assert original.trace_digest == combine_digests({"svc": "ab" * 16})
+    save_exploration(original, path)
+    loaded = load_exploration(path)
+    assert loaded.profiles["svc"].trace_digest == "ab" * 16
+    assert loaded.trace_digest == original.trace_digest
     # Untraced results stay untraced through the round trip.
     save_exploration(synthetic(), path)
     assert load_exploration(path).trace_digest is None
@@ -68,9 +79,12 @@ def test_legacy_payload_without_digest_loads(tmp_path):
     import json
 
     path = tmp_path / "exploration.json"
-    save_exploration(synthetic(), path)
+    save_exploration(traced(), path)
     payload = json.loads(path.read_text())
-    del payload["trace_digest"]  # files written before tracing existed
+    # Files written before per-service digests carry at most one
+    # app-level digest, which the per-service scheme cannot reproduce.
+    del payload["profiles"]["svc"]["trace_digest"]
+    payload["trace_digest"] = "cd" * 16
     path.write_text(json.dumps(payload))
     assert load_exploration(path).trace_digest is None
 

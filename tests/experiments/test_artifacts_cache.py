@@ -68,8 +68,8 @@ def test_corrupt_entry_is_a_miss(monkeypatch, tmp_path):
 def test_concurrent_misses_build_once(monkeypatch, tmp_path):
     """Four processes racing on one cold key perform exactly one build.
 
-    Without the per-key lock each racer pays the full build (cold-cache
-    ``table05``-style fan-outs cost N explorations instead of one).
+    Without the per-key lock each racer pays the full build (N grid
+    workers missing one cold artefact cost N explorations instead of one).
     """
     monkeypatch.setattr(artifacts, "cache_dir", lambda: tmp_path)
     builds_dir = tmp_path / "build-markers"
@@ -110,3 +110,21 @@ def test_distinct_keys_do_not_share_a_lock(monkeypatch, tmp_path):
     path_a = tmp_path / f"a-{artifacts.scale_profile().name}.pkl"
     with artifacts._key_lock(path_a):
         assert artifacts._cached("b", lambda: "built-b") == "built-b"
+
+
+def test_exploration_key_ignores_pre_per_service_digest_pickles(monkeypatch, tmp_path):
+    """A pickle under the old key carries the old chained digest; it must
+    be rebuilt, not re-published into Table V's sidecar."""
+    monkeypatch.setattr(artifacts, "cache_dir", lambda: tmp_path)
+    monkeypatch.setenv("REPRO_SCALE", "quick")
+    stale = tmp_path / "exploration-video-pipeline-default-quick.pkl"
+    stale.write_bytes(pickle.dumps("stale chained-digest artefact"))
+    monkeypatch.setattr(
+        artifacts, "backpressure_thresholds", lambda app_name, **_: {}
+    )
+    monkeypatch.setattr(
+        artifacts, "explore_services", lambda *args, **kwargs: "rebuilt"
+    )
+    assert artifacts.exploration_result("video-pipeline") == "rebuilt"
+    assert (tmp_path / "exploration-v2-video-pipeline-default-quick.pkl").exists()
+    assert pickle.loads(stale.read_bytes()) == "stale chained-digest artefact"

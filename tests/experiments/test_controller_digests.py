@@ -2,9 +2,11 @@
 
 The backpressure profiler and the exploration controller build their
 environments internally, so their experiments used to be content-hash
-only.  Both now accept a ``trace=`` hook that is installed on every
-internal environment; these tests pin the threading, the determinism of
-the resulting digests, and the sidecar wiring.
+only.  The profiler accepts a ``trace=`` hook installed on every
+measurement environment; the exploration controller digests each
+service's environment on request (``digest=True``).  These tests pin the
+threading, the determinism of the resulting digests, and the sidecar
+wiring.
 """
 
 from repro.core.backpressure import BackpressureProfile, BackpressureProfiler, ProfilePoint
@@ -14,7 +16,7 @@ from repro.experiments.fig04_thresholds import experiment_meta as fig04_meta
 from repro.experiments.table05_exploration import ExplorationOverheadRow, Table05
 from repro.experiments.table05_exploration import experiment_meta as table05_meta
 from repro.sim.random import LogNormal, RandomStreams
-from repro.sim.trace import RunDigest
+from repro.sim.trace import RunDigest, combine_digests
 from repro.workload.mixes import RequestMix
 
 from tests.core.test_exploration import tiny_spec
@@ -55,7 +57,7 @@ def test_profiler_measurements_are_digest_deterministic():
     assert digests[0] == digests[1]
 
 
-def _explore(trace):
+def _explore(digest):
     controller = ExplorationController(
         RandomStreams(7),
         window_s=10.0,
@@ -65,17 +67,22 @@ def _explore(trace):
         min_window_samples=20,
     )
     return controller.explore_app(
-        tiny_spec(), RequestMix({"req": 1.0}), 60.0, {"work": 0.65}, trace=trace
+        tiny_spec(), RequestMix({"req": 1.0}), 60.0, {"work": 0.65}, digest=digest
     )
 
 
 def test_exploration_digest_is_deterministic_and_optional():
-    traced_a = _explore(RunDigest())
-    traced_b = _explore(RunDigest())
-    plain = _explore(None)
+    traced_a = _explore(True)
+    traced_b = _explore(True)
+    plain = _explore(False)
     assert traced_a.trace_digest is not None
     assert traced_a.trace_digest == traced_b.trace_digest
     assert plain.trace_digest is None
+    assert all(p.trace_digest is None for p in plain.profiles.values())
+    # One digest per service; the app digest is their combination.
+    per_service = {n: p.trace_digest for n, p in traced_a.profiles.items()}
+    assert len(set(per_service.values())) == len(per_service)
+    assert traced_a.trace_digest == combine_digests(per_service)
     # Tracing observes scheduling, never steers it: same profiles.
     assert traced_a.total_samples == plain.total_samples
     assert {n: p.samples_collected for n, p in traced_a.profiles.items()} == {

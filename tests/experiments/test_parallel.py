@@ -9,8 +9,13 @@ milliseconds.
 
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.experiments.parallel import (
     RunPlan,
@@ -258,8 +263,69 @@ def test_on_complete_exception_leaves_pool_usable(cold_pool):
 
     with pytest.raises(RuntimeError, match="callback boom"):
         run_many(plans, jobs=2, on_complete=boom)
-    # The cancelled grid left no debris: the same pool serves the next one.
+    # The failed grid left no debris, and the next one gets a fresh pool.
     assert cheap_grid(23, jobs=2) == cheap_grid(23, jobs=1)
+
+
+def test_failed_grid_leaves_no_pool_behind(cold_pool):
+    # A plan failure must not leave in-flight futures, or an executor
+    # thread still updating the pool, behind the raise: with
+    # REPRO_SANITIZE=1 a later sequential plan would see that as drift.
+    plans = [RunPlan(cheap_cell, {"app": "a", "load": "l", "seed": 0}),
+             RunPlan(failing_cell)]
+    with pytest.raises(RuntimeError, match="boom in worker"):
+        run_many(plans, jobs=2)
+    assert pool_stats() == {"alive": False, "workers": 0, "grids_served": 0}
+
+
+#: A pooled grid whose plans each run a pooled grid of their own.  Run as
+#: a script: the outer grid must start from a process that is not itself
+#: a pool worker.
+NESTED_GRID = """
+import os
+from repro.experiments.parallel import RunPlan, run_many
+
+def inner(k):
+    return os.getpid()
+
+def outer(k):
+    return os.getpid(), run_many([RunPlan(inner, {"k": i}) for i in range(3)], jobs=2)
+
+if __name__ == "__main__":
+    for pid, inner_pids in run_many([RunPlan(outer, {"k": k}) for k in range(2)], jobs=2):
+        assert pid != os.getpid(), "outer plans ran in the parent"
+        assert inner_pids == [pid] * 3, "inner plans left their worker"
+    print("ok")
+"""
+
+
+def test_nested_run_many_runs_in_process_inside_a_worker(tmp_path):
+    # A worker inherits the parent's pool object through fork; submitting
+    # to that copy hangs forever.  The nested grid must run in-process.
+    script = tmp_path / "nested_grid.py"
+    script.write_text(NESTED_GRID)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    # Own session, so a hang can be killed with its pool workers.
+    proc = subprocess.Popen(
+        [sys.executable, str(script)],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("nested run_many hung")
+    assert proc.returncode == 0, err
+    assert out.strip() == "ok"
 
 
 # -- default_jobs ----------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
-from repro.sim.trace import EventTraceRecorder, RunDigest, write_digest
+from repro.sim.trace import EventTraceRecorder, RunDigest, combine_digests, write_digest
 
 
 def _workload(env: Environment, seed: int) -> None:
@@ -144,3 +144,28 @@ def test_trace_hook_with_until(until):
     env.process(proc(env))
     env.run(until=until)
     assert len(recorder) > 0
+
+
+def test_combine_digests_is_order_invariant():
+    parts = {"front": "aa" * 16, "work": "bb" * 16, "db": "cc" * 16}
+    combined = combine_digests(parts)
+    assert len(combined) == 32 and int(combined, 16) >= 0
+    assert combine_digests(dict(reversed(list(parts.items())))) == combined
+    assert combine_digests(dict(sorted(parts.items()))) == combined
+
+
+def test_combine_digests_binds_names_to_digests():
+    parts = {"front": "aa" * 16, "work": "bb" * 16}
+    combined = combine_digests(parts)
+    # Swapping which service produced which digest, changing one digest,
+    # or dropping a service all change the combined value.
+    assert combine_digests({"front": "bb" * 16, "work": "aa" * 16}) != combined
+    assert combine_digests({"front": "aa" * 16, "work": "bc" * 16}) != combined
+    assert combine_digests({"front": "aa" * 16}) != combined
+
+
+def test_combine_digests_hashes_service_lines():
+    import hashlib
+
+    expected = hashlib.blake2b(b"a:01\nb:02\n", digest_size=16).hexdigest()
+    assert combine_digests({"b": "02", "a": "01"}) == expected
