@@ -9,6 +9,7 @@ See :mod:`repro.fleet.spec` for the data model, :mod:`repro.fleet
 from repro.fleet.allocator import (
     ALLOCATORS,
     CellSignal,
+    check_budgets,
     greedy_rebalance,
     static_equal,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "FleetPlan",
     "FleetResult",
     "FleetSpec",
+    "check_budgets",
     "default_fleet",
     "experiment_meta",
     "fleet_report",

@@ -36,6 +36,7 @@ from repro.fleet.spec import FleetSpec
 __all__ = [
     "ALLOCATORS",
     "CellSignal",
+    "check_budgets",
     "greedy_rebalance",
     "static_equal",
 ]
@@ -137,8 +138,43 @@ def greedy_rebalance(
             break
         budgets[donor] -= 1
         budgets[receiver] += 1
-    assert sum(budgets.values()) == spec.total_nodes
     return budgets
+
+
+def check_budgets(
+    spec: FleetSpec, allocator: str, budgets: Mapping[str, int]
+) -> dict[str, int]:
+    """Return ``budgets`` as a dict if they are a valid split of the fleet.
+
+    Every cell gets a budget and no unknown cell does, each budget meets
+    ``min_nodes_per_cell``, and the budgets sum to ``total_nodes``.
+    Raises :class:`ConfigurationError` naming ``allocator`` otherwise.
+    """
+    names = {cell.name for cell in spec.cells}
+    missing = sorted(names - set(budgets))
+    unknown = sorted(set(budgets) - names)
+    if missing or unknown:
+        raise ConfigurationError(
+            f"allocator {allocator!r} budgets cells {sorted(budgets)}; "
+            f"missing {missing}, unknown {unknown}"
+        )
+    low = {
+        name: nodes
+        for name, nodes in sorted(budgets.items())
+        if nodes < spec.min_nodes_per_cell
+    }
+    if low:
+        raise ConfigurationError(
+            f"allocator {allocator!r} budgets {low} are below the "
+            f"min_nodes_per_cell={spec.min_nodes_per_cell} floor"
+        )
+    total = sum(budgets.values())
+    if total != spec.total_nodes:
+        raise ConfigurationError(
+            f"allocator {allocator!r} budgets sum to {total} nodes, "
+            f"not the fleet's total_nodes={spec.total_nodes}"
+        )
+    return dict(budgets)
 
 
 #: Allocator registry: name -> (spec, signals) -> budgets.  ``static``

@@ -10,7 +10,9 @@ A fleet run is two epochs, each one :func:`repro.experiments.parallel
 2. **Main** -- every registered allocator's budget assignment runs at
    full fleet durations, so the pinned dashboard compares the greedy
    headroom-stealer against static-equal on the *same* workloads at the
-   *same* total node count.
+   *same* total node count.  A cell run is a pure function of its cell
+   and node count, so each distinct ``(cell, nodes)`` pair runs once and
+   every allocator that budgets the cell that way shares the result.
 
 Everything between the epochs is pure arithmetic on plain data, so a
 fleet run is as deterministic as its cells: same spec + options =>
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import TelemetryError
 from repro.experiments import artifacts
 
 # Fleet cells reuse the Fig. 11/12 workload shapes verbatim so a cell is
@@ -42,7 +45,12 @@ from repro.experiments.runner import (
     run_deployment,
 )
 from repro.experiments.store import RunMeta, merged_digest
-from repro.fleet.allocator import ALLOCATORS, CellSignal, static_equal
+from repro.fleet.allocator import (
+    ALLOCATORS,
+    CellSignal,
+    check_budgets,
+    static_equal,
+)
 from repro.fleet.spec import CellSpec, FleetSpec, default_fleet
 from repro.telemetry.slo import alerts_digest, budget_pressure
 
@@ -133,29 +141,35 @@ class FleetPlan:
 
     def main_plans(
         self, budgets_by_allocator: dict[str, dict[str, int]]
-    ) -> list[RunPlan]:
-        """One flat plan list covering every allocator's assignment.
+    ) -> dict[tuple[str, int], RunPlan]:
+        """One plan per distinct ``(cell, nodes)`` across all allocators.
 
-        A cell whose budget agrees across allocators still runs once per
-        allocator -- with *identical* plan kwargs, which is exactly what
-        the allocator-purity tests pin (identical budgets => identical
-        run digests).
+        Keys appear in ``(allocator, cell)`` order of first appearance.
+        A cell's plan kwargs depend only on the cell and its node count,
+        so allocators that agree on a cell's budget share one run; the
+        label names every allocator it serves
+        (``fleet:greedy+static:<cell>``).
         """
-        return [
-            RunPlan(
+        served: dict[tuple[str, int], list[str]] = {}
+        for allocator, budgets in sorted(budgets_by_allocator.items()):
+            for cell in self.spec.sorted_cells():
+                key = (cell.name, budgets[cell.name])
+                served.setdefault(key, []).append(allocator)
+        cells = {cell.name: cell for cell in self.spec.cells}
+        return {
+            (name, nodes): RunPlan(
                 _run_fleet_cell,
                 {
-                    "app_name": cell.app_name,
-                    "load_kind": cell.load_kind,
+                    "app_name": cells[name].app_name,
+                    "load_kind": cells[name].load_kind,
                     "options": self.cell_options(
-                        self.options, cell, budgets[cell.name]
+                        self.options, cells[name], nodes
                     ),
                 },
-                label=f"fleet:{allocator}:{cell.name}",
+                label=f"fleet:{'+'.join(allocators)}:{name}",
             )
-            for allocator, budgets in sorted(budgets_by_allocator.items())
-            for cell in self.spec.sorted_cells()
-        ]
+            for (name, nodes), allocators in served.items()
+        }
 
 
 def plan_fleet(spec: FleetSpec, options: RunOptions) -> FleetPlan:
@@ -182,7 +196,8 @@ class FleetOutcome:
 
     allocator: str
     budgets: dict[str, int]
-    #: Cell name -> that cell's main-epoch run.
+    #: Cell name -> that cell's main-epoch run; the same object as in
+    #: any other outcome that gave the cell the same node budget.
     results: dict[str, DeploymentResult] = field(repr=False)
 
     def completed_requests(self) -> int:
@@ -249,10 +264,12 @@ def _probe_signals(
     signals = {}
     for cell in spec.sorted_cells():
         result = probe[cell.name]
-        if result.slo is not None:
-            pressure = budget_pressure(result.slo.budget_report)
-        else:  # SLO monitor forced on by plan_fleet; belt and braces.
-            pressure = round(result.windowed_violation_rate * 100.0, 9)
+        if result.slo is None:
+            raise TelemetryError(
+                f"probe run of cell {cell.name!r} has no SLO report; "
+                "the allocators need its error-budget pressure"
+            )
+        pressure = budget_pressure(result.slo.budget_report)
         budget_cpus = budgets[cell.name] * spec.node_cpus
         signals[cell.name] = CellSignal(
             pressure=pressure,
@@ -273,8 +290,11 @@ def run_fleet(
 
     ``options`` defaults to digested runs at the ``fleet`` scale profile
     (shorter per-cell durations than ``quick``; artefact caches are
-    shared with quick runs).  ``on_complete`` fires per finished cell
-    run, across both epochs, for progress reporting.
+    shared with quick runs).  Every allocator's budgets are checked
+    (:func:`~repro.fleet.allocator.check_budgets`) before the main epoch
+    starts.  ``on_complete`` fires per executed cell run, across both
+    epochs, for progress reporting: N probe runs plus one main run per
+    distinct ``(cell, nodes)`` pair.
     """
     spec = spec if spec is not None else default_fleet()
     options = (
@@ -298,23 +318,29 @@ def run_fleet(
     )
     signals = _probe_signals(spec, static, probe)
     budgets_by_allocator = {
-        name: allocate(spec, signals)
+        name: check_budgets(spec, name, allocate(spec, signals))
         for name, allocate in sorted(ALLOCATORS.items())
     }
-    main = run_many(
-        plan.main_plans(budgets_by_allocator),
-        jobs=jobs,
-        on_complete=on_complete,
-        prewarm=lambda: _prewarm(spec),
-    )
-    outcomes = {}
-    offset = 0
-    for allocator, budgets in sorted(budgets_by_allocator.items()):
-        results = dict(zip(names, main[offset : offset + len(names)]))
-        offset += len(names)
-        outcomes[allocator] = FleetOutcome(
-            allocator=allocator, budgets=budgets, results=results
+    main_plans = plan.main_plans(budgets_by_allocator)
+    main = dict(
+        zip(
+            main_plans,
+            run_many(
+                list(main_plans.values()),
+                jobs=jobs,
+                on_complete=on_complete,
+                prewarm=lambda: _prewarm(spec),
+            ),
         )
+    )
+    outcomes = {
+        allocator: FleetOutcome(
+            allocator=allocator,
+            budgets=budgets,
+            results={name: main[name, budgets[name]] for name in names},
+        )
+        for allocator, budgets in sorted(budgets_by_allocator.items())
+    }
     return FleetResult(
         spec=spec, plan=plan, probe=probe, signals=signals, outcomes=outcomes
     )

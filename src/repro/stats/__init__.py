@@ -6,14 +6,6 @@ from repro.stats.distributions import (
     percentile,
 )
 from repro.stats.histogram import FixedHistogram
-from repro.stats.queueing import (
-    erlang_c,
-    mm1_response_percentile,
-    mmc_mean_response,
-    mmc_mean_wait,
-    mmc_utilization,
-    servers_for_target_wait,
-)
 from repro.stats.ttest import TTestResult, mean_exceeds, means_differ, welch_t_test
 
 __all__ = [
@@ -25,10 +17,4 @@ __all__ = [
     "means_differ",
     "percentile",
     "welch_t_test",
-    "erlang_c",
-    "mm1_response_percentile",
-    "mmc_mean_response",
-    "mmc_mean_wait",
-    "mmc_utilization",
-    "servers_for_target_wait",
 ]

@@ -8,6 +8,7 @@ from repro.fleet import (
     CellSignal,
     CellSpec,
     FleetSpec,
+    check_budgets,
     default_fleet,
     greedy_rebalance,
     static_equal,
@@ -133,3 +134,45 @@ def test_fleet_spec_validation():
         FleetSpec(
             cells=(cells[0],), total_nodes=1, min_nodes_per_cell=2
         )
+
+
+def _off_by_one(spec, signals):
+    """A deliberately wrong allocator: one node more than the fleet has."""
+    budgets = static_equal(spec)
+    budgets["cell0"] += 1
+    return budgets
+
+
+def test_check_budgets_accepts_every_registered_allocator():
+    spec = _spec(n_cells=4, total_nodes=16)
+    signals = {
+        "cell0": _signal(25.0, util=0.9, capped=7),
+        "cell1": _signal(0.1, util=0.3),
+        "cell2": _signal(0.0, util=0.3),
+        "cell3": _signal(0.2, util=0.3),
+    }
+    for name, allocate in sorted(ALLOCATORS.items()):
+        budgets = allocate(spec, signals)
+        assert check_budgets(spec, name, budgets) == budgets
+
+
+def test_check_budgets_rejects_a_wrong_total():
+    spec = _spec(n_cells=4, total_nodes=16)
+    with pytest.raises(ConfigurationError, match="'off-by-one'.*sum to 17"):
+        check_budgets(spec, "off-by-one", _off_by_one(spec, {}))
+
+
+def test_check_budgets_rejects_missing_and_unknown_cells():
+    spec = _spec(n_cells=3, total_nodes=9)
+    missing = {"cell0": 5, "cell1": 4}
+    with pytest.raises(ConfigurationError, match=r"'broken'.*missing \['cell2'\]"):
+        check_budgets(spec, "broken", missing)
+    unknown = {"cell0": 3, "cell1": 2, "cell2": 2, "ghost": 2}
+    with pytest.raises(ConfigurationError, match=r"unknown \['ghost'\]"):
+        check_budgets(spec, "broken", unknown)
+
+
+def test_check_budgets_rejects_a_cell_below_the_floor():
+    spec = _spec(n_cells=3, total_nodes=9, min_nodes=2)
+    with pytest.raises(ConfigurationError, match="'broken'.*floor"):
+        check_budgets(spec, "broken", {"cell0": 6, "cell1": 2, "cell2": 1})

@@ -8,7 +8,7 @@ from repro.errors import ConfigurationError
 from repro.net.messages import Call
 from repro.services.spec import ServiceSpec
 from repro.sim import Environment, Exponential, RandomStreams
-from repro.stats.queueing import (
+from tests.stats.queueing_oracle import (
     erlang_c,
     mm1_response_percentile,
     mmc_mean_response,
