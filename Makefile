@@ -74,8 +74,9 @@ fleet:
 fleet-smoke:
 	PYTHONPATH=src python -m repro fleet --smoke --save
 
+# Every registered experiment's committed output, in paper order.
 results:
-	@ls -1 results/ 2>/dev/null || echo "run 'make bench' first"
+	PYTHONPATH=src python -m repro summary
 
 # Verify every committed result still matches its provenance sidecar
 # (digest self-checksum + rendered-text hash; docs/results_provenance.md).

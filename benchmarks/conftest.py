@@ -1,42 +1,22 @@
-"""Shared benchmark fixtures.
+"""Shared benchmark helper.
 
-Each benchmark regenerates one paper table/figure, runs it exactly once
+Each benchmark regenerates one paper table/figure through its
+:mod:`repro.experiments.registry` record, runs it exactly once
 (``benchmark.pedantic`` with one round -- the simulations are long), and
-writes the rendered output to ``results/`` for EXPERIMENTS.md.  When the
-experiment module provides a provenance :class:`~repro.experiments.store.RunMeta`,
-the write goes through :func:`repro.experiments.store.save_result`, which
-persists a ``results/<name>.meta.json`` sidecar and *fails* if a recorded
-deterministic run no longer reproduces (set ``REPRO_RESULTS_UPDATE=1`` to
-accept an intentional change).
+saves it exactly as ``python -m repro <name> --save`` does: the results
+store writes ``results/<stem>.txt`` plus a ``.meta.json`` provenance
+sidecar and *fails* if a recorded deterministic run no longer reproduces
+(set ``REPRO_RESULTS_UPDATE=1`` to accept an intentional change).
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.experiments import store
+from repro.experiments import registry
 
 
-@pytest.fixture
-def save_result():
-    """Callable writing a rendered experiment block to results/<name>.txt.
-
-    With ``meta`` the block is persisted via the results store (digest
-    comparison + sidecar); without, it is a plain text write.
-    """
-
-    def save(name: str, text: str, meta: store.RunMeta | None = None) -> None:
-        if meta is not None:
-            path = store.save_result(name, text, meta)
-        else:
-            store.results_dir().mkdir(exist_ok=True)
-            path = store.results_dir() / f"{name}.txt"
-            path.write_text(text + "\n")
-        print(f"\n{text}\n[saved to {path}]")
-
-    return save
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+def run_and_save(benchmark, name: str):
+    """Run experiment ``name`` once, save its outcome, return its result."""
+    outcome = benchmark.pedantic(registry.get(name).run, rounds=1, iterations=1)
+    path = registry.save(outcome)
+    print(f"\n{outcome.text}\n[saved to {path}]")
+    return outcome.result

@@ -16,22 +16,14 @@ The sweep itself lives in :mod:`repro.experiments.ablations` so its
 variants can fan out across processes.
 """
 
-from conftest import run_once
+from conftest import run_and_save
 
 from repro.experiments import artifacts
-from repro.api import run_backpressure_ablation
-from repro.experiments.ablations import (
-    ABLATION_APP,
-    BP_SERVICE,
-    backpressure_meta,
-)
+from repro.experiments.ablations import ABLATION_APP, BP_SERVICE
 
 
-def test_ablation_backpressure(benchmark, save_result):
-    table, enforced, disabled = run_once(benchmark, run_backpressure_ablation)
-    save_result(
-        "ablation_backpressure", table, backpressure_meta(enforced, disabled)
-    )
+def test_ablation_backpressure(benchmark):
+    enforced, disabled = run_and_save(benchmark, "ablation-backpressure")
     max_util_enforced = max(o.utilization for o in enforced.options)
     max_util_disabled = max(o.utilization for o in disabled.options)
     # The enforced variant never records options in the backpressure zone.

@@ -11,15 +11,11 @@ The sweep itself lives in :mod:`repro.experiments.ablations` so its
 cells can fan out across processes.
 """
 
-from conftest import run_once
-
-from repro.api import run_grid_ablation
-from repro.experiments.ablations import grid_meta
+from conftest import run_and_save
 
 
-def test_ablation_grid(benchmark, save_result):
-    table, objectives = run_once(benchmark, run_grid_ablation)
-    save_result("ablation_grid", table, grid_meta(objectives))
+def test_ablation_grid(benchmark):
+    (objectives,) = run_and_save(benchmark, "ablation-grid")
     # A finer grid's feasible splits are a superset of a coarser grid's,
     # so the optimum can only improve (or stay) as the grid refines.
     if objectives["coarse-2"] != float("inf"):

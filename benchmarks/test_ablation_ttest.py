@@ -15,15 +15,11 @@ The sweep itself lives in :mod:`repro.experiments.ablations` so its
 variants can fan out across processes.
 """
 
-from conftest import run_once
-
-from repro.api import run_ttest_ablation
-from repro.experiments.ablations import ttest_meta
+from conftest import run_and_save
 
 
-def test_ablation_ttest(benchmark, save_result):
-    table, with_ttest, naive = run_once(benchmark, run_ttest_ablation)
-    save_result("ablation_ttest", table, ttest_meta(with_ttest, naive))
+def test_ablation_ttest(benchmark):
+    with_ttest, naive = run_and_save(benchmark, "ablation-ttest")
     # The naive variant cannot scale in (every comparison "exceeds"), so
     # it allocates at least as many CPUs for the same workload.
     assert naive["cpus"] >= with_ttest["cpus"] - 0.5

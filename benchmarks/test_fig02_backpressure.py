@@ -5,22 +5,14 @@ pronounced at tier 4 and negligible above tier 3; event-driven RPC the
 same but weaker; MQ shows none.
 """
 
-from conftest import run_once
+from conftest import run_and_save
 
-from repro.api import run_all_chains
-from repro.experiments.fig02_backpressure import (
-    backpressure_factor,
-    experiment_meta,
-    render_report,
-)
+from repro.experiments.fig02_backpressure import backpressure_factor
 from repro.net.messages import CallMode
 
 
-def test_fig02_backpressure(benchmark, save_result):
-    heatmaps = run_once(benchmark, run_all_chains)
-    save_result(
-        "fig02_backpressure", render_report(heatmaps), experiment_meta(heatmaps)
-    )
+def test_fig02_backpressure(benchmark):
+    heatmaps = run_and_save(benchmark, "fig02")
 
     rpc = heatmaps[CallMode.RPC]
     event = heatmaps[CallMode.EVENT]

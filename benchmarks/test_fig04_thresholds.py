@@ -5,15 +5,11 @@ utilisation band (paper: 46.2 % and 60.0 %); proxy latency before
 convergence is several times its converged value.
 """
 
-from conftest import run_once
-
-from repro.api import run_threshold_profiling
-from repro.experiments.fig04_thresholds import experiment_meta
+from conftest import run_and_save
 
 
-def test_fig04_thresholds(benchmark, save_result):
-    curves = run_once(benchmark, run_threshold_profiling)
-    save_result("fig04_thresholds", curves.render(), experiment_meta(curves))
+def test_fig04_thresholds(benchmark):
+    curves = run_and_save(benchmark, "fig04")
     for name, profile in curves.profiles.items():
         assert 0.30 <= profile.threshold_utilization <= 0.80, name
         converged = profile.points[-1].proxy_p99_mean

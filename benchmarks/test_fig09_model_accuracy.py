@@ -6,29 +6,11 @@ estimated/measured ratios near 1 (paper: 0.97-1.05).
 
 import math
 
-from conftest import run_once
-
-from repro.api import RunOptions, run_model_accuracy
-from repro.experiments.fig09_10_model_accuracy import (
-    FIG9_10_SEED,
-    FIG9_CLASSES,
-    experiment_meta,
-)
+from conftest import run_and_save
 
 
-def test_fig09_model_accuracy(benchmark, save_result):
-    result = run_once(
-        benchmark,
-        run_model_accuracy,
-        "social-network",
-        FIG9_CLASSES,
-        options=RunOptions(seed=FIG9_10_SEED, digest=True),
-    )
-    save_result(
-        "fig09_model_accuracy",
-        result.render(),
-        experiment_meta(result, "fig09_model_accuracy"),
-    )
+def test_fig09_model_accuracy(benchmark):
+    result = run_and_save(benchmark, "fig09")
     ratios = {}
     for name, series in result.series.items():
         if len(series.points) >= 3:

@@ -6,28 +6,11 @@ mean ratios 0.96 and 1.00, at the p50/p99 SLA percentiles respectively).
 
 import math
 
-from conftest import run_once
-
-from repro.api import RunOptions, run_model_accuracy
-from repro.experiments.fig09_10_model_accuracy import (
-    FIG9_10_SEED,
-    experiment_meta,
-)
+from conftest import run_and_save
 
 
-def test_fig10_model_accuracy(benchmark, save_result):
-    result = run_once(
-        benchmark,
-        run_model_accuracy,
-        "video-pipeline",
-        ("high-priority", "low-priority"),
-        options=RunOptions(seed=FIG9_10_SEED, digest=True),
-    )
-    save_result(
-        "fig10_model_accuracy",
-        result.render(),
-        experiment_meta(result, "fig10_model_accuracy"),
-    )
+def test_fig10_model_accuracy(benchmark):
+    result = run_and_save(benchmark, "fig10")
     for name, series in result.series.items():
         if len(series.points) < 3:
             continue

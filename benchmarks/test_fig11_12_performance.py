@@ -9,38 +9,15 @@ comparative shapes:
 * Auto-b keeps violations near Ursa's but burns substantially more CPU;
 * under skewed load Ursa stays low-violation (it recomputes thresholds
   for the new mix) even if it spends some extra CPU.
-
-Set ``REPRO_APPS`` (comma-separated) to restrict the grid.
 """
 
-import os
 import statistics
 
-from conftest import run_once
-
-from repro.api import run_performance_grid
-from repro.experiments.fig11_12_performance import experiment_meta
-
-DEFAULT_APPS = (
-    "social-network",
-    "vanilla-social-network",
-    "media-service",
-    "video-pipeline",
-)
+from conftest import run_and_save
 
 
-def _apps() -> tuple[str, ...]:
-    override = os.environ.get("REPRO_APPS")
-    if override:
-        return tuple(a.strip() for a in override.split(",") if a.strip())
-    return DEFAULT_APPS
-
-
-def test_fig11_12_performance(benchmark, save_result):
-    apps = _apps()
-    grid = run_once(benchmark, run_performance_grid, apps)
-    text = grid.violation_table() + "\n\n" + grid.cpu_table()
-    save_result("fig11_12_performance", text, experiment_meta(grid))
+def test_fig11_12_performance(benchmark):
+    grid = run_and_save(benchmark, "fig11-12")
 
     def cells(manager, metric):
         return [

@@ -6,15 +6,11 @@ service's load over the diurnal cycle for the services that need to scale
 must add and remove replicas).
 """
 
-from conftest import run_once
-
-from repro.api import run_diurnal_trace
-from repro.experiments.fig13_diurnal import experiment_meta
+from conftest import run_and_save
 
 
-def test_fig13_diurnal(benchmark, save_result):
-    trace = run_once(benchmark, run_diurnal_trace)
-    save_result("fig13_diurnal", trace.render(), experiment_meta(trace))
+def test_fig13_diurnal(benchmark):
+    trace = run_and_save(benchmark, "fig13")
     assert trace.traces, "no services traced"
     correlations = {
         name: t.correlation()

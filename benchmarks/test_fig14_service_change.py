@@ -6,15 +6,11 @@ after recalculation the updated deployment keeps the object-detect SLA
 (violation rate at or below the original's few-percent level).
 """
 
-from conftest import run_once
-
-from repro.api import run_service_change
-from repro.experiments.fig14_service_change import experiment_meta
+from conftest import run_and_save
 
 
-def test_fig14_service_change(benchmark, save_result):
-    result = run_once(benchmark, run_service_change)
-    save_result("fig14_service_change", result.render(), experiment_meta(result))
+def test_fig14_service_change(benchmark):
+    result = run_and_save(benchmark, "fig14")
     # Partial exploration is small: one service's worth of samples.
     assert result.partial_samples <= 200
     assert result.partial_time_s <= 3 * 3600

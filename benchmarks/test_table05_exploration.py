@@ -6,15 +6,11 @@ budget.  At the quick scale profile the measured reductions are of the
 same order, not identical.
 """
 
-from conftest import run_once
-
-from repro.api import run_table05
-from repro.experiments.table05_exploration import experiment_meta
+from conftest import run_and_save
 
 
-def test_table05_exploration(benchmark, save_result):
-    table = run_once(benchmark, run_table05)
-    save_result("table05_exploration", table.render(), experiment_meta(table))
+def test_table05_exploration(benchmark):
+    table = run_and_save(benchmark, "table05")
     for row in table.rows:
         # Ursa collects hundreds, not thousands, of samples.
         assert row.ursa_samples < 2000, row.app

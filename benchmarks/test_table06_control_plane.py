@@ -7,15 +7,11 @@ Shape targets (absolute numbers are host-dependent):
   within an order of magnitude of a Firm online iteration.
 """
 
-from conftest import run_once
-
-from repro.api import run_table06
-from repro.experiments.table06_control_plane import experiment_meta
+from conftest import run_and_save
 
 
-def test_table06_control_plane(benchmark, save_result):
-    table = run_once(benchmark, run_table06)
-    save_result("table06_control_plane", table.render(), experiment_meta(table))
+def test_table06_control_plane(benchmark):
+    table = run_and_save(benchmark, "table06")
     deploy = table.deploy_ms
     # Ordering shape.
     assert deploy["autoscaling"] <= deploy["ursa"] * 2.0

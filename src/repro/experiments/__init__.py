@@ -10,6 +10,10 @@ Modules:
 * :mod:`repro.experiments.fig13_diurnal` -- Fig. 13 traces.
 * :mod:`repro.experiments.table06_control_plane` -- Table VI latencies.
 * :mod:`repro.experiments.fig14_service_change` -- Fig. 14 / §VII-G.
+* :mod:`repro.experiments.registry` -- one record per experiment
+  (CLI name, results stem, summary title, accepted flags, runner), read
+  by the CLI, ``summary`` and ``benchmarks/``.  This package does not
+  import it, so ``import repro.api`` never loads it.
 
 Shared infrastructure: :mod:`repro.experiments.runner` (deployment loop,
 scale profiles), :mod:`repro.experiments.parallel` (process-pool fan-out

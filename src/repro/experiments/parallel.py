@@ -18,7 +18,7 @@ This module provides the fan-out primitive:
   of the job count, so ``--jobs 4`` and ``--jobs 1`` produce identical
   output for the same master seed.
 * :func:`warm_pool` / :func:`shutdown_pool` -- manage the process-wide
-  worker pool explicitly (the CLI warms it once per invocation).
+  worker pool explicitly (the end-to-end benchmark warms it up front).
 
 The pool is *persistent*: the first pooled :func:`run_many` creates it
 and every later grid in the same process reuses the same workers, so

@@ -1,31 +1,18 @@
 """Aggregate the rendered ``results/`` files into one digest.
 
 ``python -m repro summary`` prints every regenerated table/figure in
-paper order with a one-line provenance header -- handy after a full
-benchmark run.
+the registry's paper order with a one-line provenance header -- handy
+after a full benchmark run.  Experiments without a summary title
+(``fleet``, ``summary`` itself) stay out.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-__all__ = ["results_dir", "summarize"]
+from repro.experiments.registry import EXPERIMENTS
 
-#: Paper ordering of the result files.
-ORDER = (
-    ("fig02_backpressure", "Fig. 2 — backpressure propagation"),
-    ("fig04_thresholds", "Fig. 4 — backpressure-free thresholds"),
-    ("table05_exploration", "Table V — exploration overhead"),
-    ("fig09_model_accuracy", "Fig. 9 — model accuracy (social network)"),
-    ("fig10_model_accuracy", "Fig. 10 — model accuracy (video pipeline)"),
-    ("fig11_12_performance", "Figs. 11/12 — violations & CPU"),
-    ("fig13_diurnal", "Fig. 13 — diurnal trace"),
-    ("table06_control_plane", "Table VI — control-plane latency"),
-    ("fig14_service_change", "Fig. 14 — service change"),
-    ("ablation_grid", "Ablation — percentile grid"),
-    ("ablation_backpressure", "Ablation — backpressure stop"),
-    ("ablation_ttest", "Ablation — t-test scaling"),
-)
+__all__ = ["results_dir", "summarize"]
 
 
 def results_dir() -> Path:
@@ -37,7 +24,10 @@ def summarize(directory: Path | None = None) -> str:
     base = directory if directory is not None else results_dir()
     blocks = []
     missing = []
-    for stem, title in ORDER:
+    for experiment in EXPERIMENTS:
+        stem, title = experiment.stem, experiment.title
+        if stem is None or title is None:
+            continue
         path = base / f"{stem}.txt"
         if path.exists():
             rule = "=" * len(title)

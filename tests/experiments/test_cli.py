@@ -1,8 +1,52 @@
-"""Tests for the CLI surface (argument handling; no heavy experiments)."""
+"""Tests for the CLI surface and the experiment registry behind it."""
+
+import dataclasses
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.cli import EXPERIMENTS, _run, main
+from repro.experiments import registry
+from repro.experiments.cli import main
+from repro.experiments.store import RunMeta
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: Every optional flag the registry gates, with a sample argument list.
+FLAG_ARGS = {
+    "--apps": ["--apps", "social-network"],
+    "--jobs": ["--jobs", "2"],
+    "--progress": ["--progress"],
+    "--dump-traces": ["--dump-traces", "3"],
+    "--report": ["--report"],
+    "--cells": ["--cells", "4"],
+    "--smoke": ["--smoke"],
+    "--save": ["--save"],
+}
+
+
+@pytest.fixture
+def canned(monkeypatch, tmp_path):
+    """Swap every runner for a canned outcome; returns the requests seen."""
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    seen = []
+
+    def runner(stem, request):
+        seen.append(request)
+        name = stem or "summary"
+        return registry.Outcome(
+            name, f"canned {name}", RunMeta(experiment=name, scale="quick")
+        )
+
+    monkeypatch.setattr(
+        registry,
+        "EXPERIMENTS",
+        tuple(dataclasses.replace(e, runner=runner) for e in registry.EXPERIMENTS),
+    )
+    return seen
 
 
 def test_unknown_experiment_rejected():
@@ -11,34 +55,91 @@ def test_unknown_experiment_rejected():
 
 
 def test_known_names_listed():
-    assert "fig02" in EXPERIMENTS
-    assert "table06" in EXPERIMENTS
+    names = [e.name for e in registry.EXPERIMENTS]
+    assert len(names) == len(set(names))
+    assert "fig02" in names
+    assert "table06" in names
 
 
 def test_run_rejects_bad_name():
-    with pytest.raises(ValueError):
-        _run("bogus", None, None)
+    with pytest.raises(KeyError):
+        registry.get("bogus")
 
 
-def test_table05_branch_returns_five_values(monkeypatch):
-    # main() unpacks exactly (text, meta, trace_sources, report, html)
-    # from _run; stub out the heavy experiment and pin the table05 arity.
-    import repro.experiments.table05_exploration as t05
+@pytest.mark.parametrize(
+    "experiment", registry.EXPERIMENTS, ids=lambda e: e.name
+)
+def test_registry_matrix(experiment, canned, tmp_path, capsys):
+    args = ["--save"] if experiment.accepts("--save") else []
+    assert main([experiment.name, *args]) == 0
+    assert f"canned {experiment.stem or 'summary'}" in capsys.readouterr().out
+    if args:
+        assert (tmp_path / f"{experiment.stem}.txt").exists()
+        assert (tmp_path / f"{experiment.stem}.meta.json").exists()
+    for flag, flag_args in FLAG_ARGS.items():
+        ran = len(canned)
+        if experiment.accepts(flag):
+            assert main([experiment.name, *flag_args]) == 0, flag
+            assert len(canned) == ran + 1, flag
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                main([experiment.name, *flag_args])
+            assert excinfo.value.code != 0, flag
+            assert len(canned) == ran, flag
 
-    class _Table:
-        def render(self):
-            return "rendered"
 
-    monkeypatch.setattr(
-        t05, "run_table05", lambda jobs=None, on_complete=None: _Table()
+@pytest.mark.parametrize("other", ["--save", "--report"])
+def test_apps_rejected_with_save_or_report(other, canned):
+    # A subset grid has its own seeds, so the store would overwrite the
+    # pinned full grid instead of refusing.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig11-12", "--apps", "social-network", other])
+    assert excinfo.value.code != 0
+    assert canned == []
+
+
+def test_flags_reach_the_runner(canned):
+    main(["fig11-12", "--apps", "social-network,media-service", "--jobs", "3"])
+    main(["fleet", "--smoke"])
+    assert canned[0].apps == ("social-network", "media-service")
+    assert canned[0].jobs == 3
+    assert canned[1].smoke and canned[1].cells is None
+
+
+def test_fig10_save_reproduces_the_pin(tmp_path, monkeypatch):
+    # One real run through the registry's save path.
+    results = tmp_path / "results"
+    shutil.copytree(ROOT / "results", results)
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(results))
+    assert main(["fig10", "--save"]) == 0
+    for name in ("fig10_model_accuracy.txt", "fig10_model_accuracy.meta.json"):
+        assert (results / name).read_bytes() == (ROOT / "results" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        # Listing the registry loads no experiment module...
+        "from repro.experiments.cli import main; "
+        "from repro.experiments.summary import summarize; summarize(); "
+        "print('\\n'.join(m for m in sys.modules "
+        "if m.startswith('repro.experiments.') and m.split('.')[2] not in "
+        "('cli', 'registry', 'summary', 'parallel', 'runner', 'sanitizer')))",
+        # ...and the public API does not load the registry.
+        "import repro.api; print('repro.experiments.registry' in sys.modules or '')",
+    ],
+)
+def test_registry_import_boundaries(probe):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; " + probe],
+        env=env,
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    monkeypatch.setattr(t05, "experiment_meta", lambda table: {"seed": 1})
-    text, meta, trace_sources, report, html = _run("table05", None, None)
-    assert text == "rendered"
-    assert meta == {"seed": 1}
-    assert trace_sources == {}
-    assert report is None
-    assert html is None
+    assert out.stdout.split() == []
 
 
 def test_help_exits_zero(capsys):
