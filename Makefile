@@ -33,22 +33,23 @@ typecheck:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Performance microbenchmarks: engine events/sec and runner parallel
-# speedup -> BENCH_engine.json / BENCH_runner.json (docs/performance.md).
+# Performance benchmarks: engine events/sec -> BENCH_engine.json, and the
+# end-to-end harness (benchmarks/perf/e2e/) at its pinned seeds and bench
+# size -> BENCH_runner.json, its sample file (docs/performance.md).
 perf:
 	PYTHONPATH=src python benchmarks/perf/bench_engine.py
-	PYTHONPATH=src python benchmarks/perf/bench_runner.py
+	python3 benchmarks/perf/e2e/bench_e2e.py --repeats 10 --out BENCH_runner.json
 
-# Perf trend gate: snapshot the committed BENCH numbers, re-run the
-# microbenchmarks, fail on >20% regression (see check_regression.py).
-# Runs under REPRO_SANITIZE=1: the sanitizer's overhead is one module
-# scan per plan, so the numbers stay comparable while every perf run
-# doubles as a shared-state check (docs/performance.md).
+# Perf trend gate: snapshot the committed BENCH numbers and re-record them.
+# The engine metrics fail on a >20% move (check_regression.py); the runner
+# fails on any e2e workload x metric that `bench_e2e.py compare` finds worse
+# than its BENCHMARK.json bound, or too noisy to tell.
 perf-check:
 	rm -rf .bench-baseline && mkdir -p .bench-baseline
 	cp BENCH_engine.json BENCH_runner.json .bench-baseline/
-	REPRO_SANITIZE=1 $(MAKE) perf
+	$(MAKE) perf
 	python benchmarks/perf/check_regression.py --baseline-dir .bench-baseline
+	python3 benchmarks/perf/e2e/bench_e2e.py compare .bench-baseline/BENCH_runner.json BENCH_runner.json
 
 # Paper-length runs (hours).
 bench-full:

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Compare fresh BENCH_*.json results against a recorded snapshot.
+"""Compare a fresh BENCH_engine.json against a recorded snapshot.
 
-The perf trend gate: CI (``.github/workflows/bench.yml``) and ``make
-perf-check`` snapshot the committed ``BENCH_engine.json`` /
-``BENCH_runner.json``, re-run ``make perf`` (which overwrites them), and
-then call this script to compare fresh numbers against the snapshot.  A
-throughput metric that drops -- or a duration metric that grows -- by
-more than the threshold (default 20 %) fails the check.
+The kernel half of the perf trend gate: CI (``.github/workflows/bench.yml``)
+and ``make perf-check`` snapshot the committed ``BENCH_engine.json``,
+re-run ``make perf`` (which overwrites it), and then call this script to
+compare fresh numbers against the snapshot.  A throughput metric that
+drops by more than the threshold (default 20 %) fails the check, and so
+does a fresh number outside its absolute floor or ceiling.  The runner
+half is the end-to-end harness's own ``bench_e2e.py compare`` of the
+re-recorded ``BENCH_runner.json`` against its snapshot.
 
 The tolerance is deliberately loose: shared CI runners jitter by several
 percent run to run; the gate exists to catch step-change regressions
@@ -40,35 +42,17 @@ METRICS = [
     ),
     ("BENCH_engine.json", ("current", "store_handoff", "events_per_sec"), "higher"),
     ("BENCH_engine.json", ("current", "composite", "events_per_sec"), "higher"),
-    (
-        "BENCH_runner.json",
-        ("deployment", "sim_seconds_per_wall_second"),
-        "higher",
-    ),
-    ("BENCH_runner.json", ("grid", "sequential_seconds"), "lower"),
-    ("BENCH_runner.json", ("grid", "speedup"), "higher"),
-    ("BENCH_runner.json", ("grid", "pool_amortized_speedup"), "higher"),
 ]
 
 #: Absolute floors checked against the *fresh* numbers only (no
-#: snapshot needed): (file, metric path, floor, precondition).  The
-#: precondition is ``None`` or ``(path, minimum)`` -- e.g. the 2x
-#: parallel-grid floor only applies when the benchmark machine actually
-#: has >= 4 CPUs; on a 1-CPU container parallelism is structurally pure
-#: overhead (measured 0.83x cold / 0.92x warm under load), so the
-#: unconditional floors only assert that the overhead stays bounded.
+#: snapshot needed): (file, metric path, floor).
 FLOORS = [
-    ("BENCH_runner.json", ("grid", "speedup"), 0.70, None),
-    ("BENCH_runner.json", ("grid", "speedup"), 2.0, (("cpus",), 4)),
-    ("BENCH_runner.json", ("grid", "pool_amortized_speedup"), 0.75, None),
-    ("BENCH_runner.json", ("grid", "pool_amortized_speedup"), 2.0, (("cpus",), 4)),
     # The Timeout freelist must keep absorbing nearly every timeout on
     # the churn workload; a broken recycle guard shows up here first.
     (
         "BENCH_engine.json",
         ("allocations", "timeout_churn", "timeout_reuse_fraction"),
         0.95,
-        None,
     ),
 ]
 
@@ -84,25 +68,21 @@ CEILINGS = [
         "BENCH_engine.json",
         ("allocations", "timeout_churn", "timeout_allocs_per_event"),
         0.01,
-        None,
     ),
     (
         "BENCH_engine.json",
         ("allocations", "timeout_churn", "timeout_alloc_bytes_per_event"),
         2.0,
-        None,
     ),
     (
         "BENCH_engine.json",
         ("allocations", "timeout_churn", "bytes_per_event"),
         2.0,
-        None,
     ),
     (
         "BENCH_engine.json",
         ("allocations", "timeout_churn", "gc_collections"),
         8,
-        None,
     ),
 ]
 
@@ -130,10 +110,9 @@ def check(
 ) -> tuple[list[str], list[str], list[str]]:
     """Returns (report lines, failure lines, skipped-gate lines).
 
-    Skipped gates are reported separately so a run where e.g. the 2x
-    parallel-grid floor was disarmed (a <4-CPU container) cannot be
-    mistaken for one where it passed -- ``main`` prints them in a
-    dedicated summary block.
+    Skipped gates (a missing file or metric) are reported separately so
+    a run that could not check a gate cannot be mistaken for one where
+    it passed -- ``main`` prints them in a dedicated summary block.
     """
     lines: list[str] = []
     failures: list[str] = []
@@ -172,7 +151,7 @@ def check(
         if regressed:
             failures.append(lines[-1])
     for bounds, kind in ((FLOORS, "floor"), (CEILINGS, "ceiling")):
-        for filename, path, bound, precondition in bounds:
+        for filename, path, bound in bounds:
             cur_payload = cache.setdefault(
                 current_dir / filename, _load(current_dir / filename)
             )
@@ -184,16 +163,6 @@ def check(
             if cur is None:
                 skip(f"SKIP  {name} {kind} {bound}  (missing metric)")
                 continue
-            if precondition is not None:
-                gate_path, minimum = precondition
-                gate_value = _lookup(cur_payload, gate_path)
-                if gate_value is None or gate_value < minimum:
-                    gate_name = ".".join(gate_path)
-                    skip(
-                        f"SKIP  {name} {kind} {bound}  "
-                        f"(requires {gate_name} >= {minimum}, have {gate_value})"
-                    )
-                    continue
             failed = cur < bound if kind == "floor" else cur > bound
             status = "FAIL" if failed else "ok"
             lines.append(f"{status:4s}  {name}  current={cur:.3f}  {kind}={bound}")
@@ -208,13 +177,13 @@ def main(argv: list[str] | None = None) -> int:
         "--baseline-dir",
         type=Path,
         required=True,
-        help="directory holding the snapshot BENCH_*.json files",
+        help="directory holding the snapshot BENCH_engine.json",
     )
     parser.add_argument(
         "--current-dir",
         type=Path,
         default=REPO_ROOT,
-        help="directory holding the fresh BENCH_*.json files (default: repo root)",
+        help="directory holding the fresh BENCH_engine.json (default: repo root)",
     )
     parser.add_argument(
         "--threshold",
@@ -230,8 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print("\n".join(lines))
     if skipped:
-        # Disarmed gates are not passes; say so explicitly (a silent skip
-        # of e.g. the 2x multicore floor used to read as "passed").
+        # Unchecked gates are not passes; say so explicitly.
         print(f"\n{len(skipped)} gate(s) skipped, NOT checked:")
         for line in skipped:
             print(f"  {line.removeprefix('SKIP').strip()}")

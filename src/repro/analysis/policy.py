@@ -65,10 +65,10 @@ SIM_PATH_PACKAGES = frozenset(
 #: point of Table VI; runner wall-second reporting is diagnostics only).
 EXPERIMENTS_ALLOWLIST = frozenset({"SIM001"})
 
-#: Rules disabled for the performance microbenchmarks under
-#: ``benchmarks/perf/`` -- they measure real execution speed of the
-#: kernel and runner (BENCH_engine.json / BENCH_runner.json), so
-#: wall-clock timing is their purpose, not an accident.
+#: Rules disabled for the performance benchmarks under
+#: ``benchmarks/perf/`` -- the kernel microbenchmark (BENCH_engine.json)
+#: and the end-to-end harness (BENCH_runner.json) measure real execution
+#: speed, so wall-clock timing is their purpose, not an accident.
 PERF_BENCH_ALLOWLIST = frozenset({"SIM001"})
 
 #: Rules disabled *inside* the ``repro`` package itself: the facade

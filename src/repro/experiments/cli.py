@@ -190,14 +190,15 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     if args.dump_traces is not None and outcome.traces:
+        from repro.experiments import store
         from repro.experiments.traces import dump_slowest_traces
 
+        out_dir = store.results_dir() / "traces"
         paths = dump_slowest_traces(
-            outcome.traces, args.dump_traces, "results/traces", outcome.name
+            outcome.traces, args.dump_traces, out_dir, outcome.name
         )
         print(
-            f"[wrote {len(paths)} trace files under "
-            f"results/traces/{outcome.name}/]",
+            f"[wrote {len(paths)} trace files under {out_dir / outcome.name}/]",
             file=sys.stderr,
         )
     return 0

@@ -174,20 +174,19 @@ def _in_worker() -> bool:
 #: every later grid in this process.
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
-_pool_grids = 0
 
 
 def _set_pool(pool: ProcessPoolExecutor | None, workers: int) -> None:
-    """The one place the pool globals are rebound (grid count reset).
+    """The one place the pool globals are rebound.
 
     Static reachability sees this from worker entry points (a cold
     artifact build in a grid worker calls :func:`run_many`), but a worker
     never gets here: :func:`run_many` runs in-process inside one.  No
     result depends on the pool either way.
     """
-    global _pool, _pool_workers, _pool_grids
+    global _pool, _pool_workers
     # ursalint: disable=PAR002 -- parent-only pool bookkeeping (see docstring)
-    _pool, _pool_workers, _pool_grids = pool, workers, 0
+    _pool, _pool_workers = pool, workers
 
 
 def warm_pool(
@@ -236,13 +235,8 @@ atexit.register(shutdown_pool)
 
 
 def pool_stats() -> dict[str, Any]:
-    """Introspection for tests and benchmarks: is the pool warm, and how
-    many pooled grids has it served since creation?"""
-    return {
-        "alive": _pool is not None,
-        "workers": _pool_workers,
-        "grids_served": _pool_grids,
-    }
+    """Introspection for tests: is the pool warm, and how many workers?"""
+    return {"alive": _pool is not None, "workers": _pool_workers}
 
 
 def run_many(
@@ -292,9 +286,7 @@ def run_many(
             results.append(result)
         return results
 
-    global _pool_grids
     warm_pool(jobs, prewarm=prewarm)
-    _pool_grids += 1  # ursalint: disable=PAR002 -- parent-only, see _set_pool
 
     # Sliding-window submission: at most ``jobs`` plans in flight.
     results: list[Any] = [None] * len(plans)

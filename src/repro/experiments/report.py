@@ -15,8 +15,7 @@ verdicts, and top allocated services -- rendered as terminal text
 (:func:`render_dashboard_html`).  Both renderings are pure functions of
 the results: no wall-clock timestamps, byte-identical for same-seed
 reruns, so the HTML can be pinned by the results store like any other
-artifact.  ``python -m repro.experiments.report --smoke`` exercises the
-whole path on a tiny two-shard run for CI.
+artifact.
 """
 
 from __future__ import annotations
@@ -534,101 +533,3 @@ def render_dashboard_html(dash: RunDashboard) -> str:
         f"<style>{_HTML_STYLE}</style></head>\n"
         f"<body>\n{body}\n</body></html>\n"
     )
-
-
-def _smoke(out_dir: str) -> int:
-    """CI harness: tiny two-shard monitored run -> text + HTML dashboard.
-
-    Runs the same short deployment on two seeds (shards), merges them
-    through :func:`build_dashboard` (exercising the histogram merge and
-    alert-timeline paths), writes ``dashboard.txt``/``dashboard.html``,
-    and self-checks determinism by rendering everything twice.
-    """
-    import os
-
-    from repro.experiments.artifacts import app_spec
-    from repro.experiments.runner import RunOptions, SLOOptions, run_deployment
-    from repro.workload.defaults import default_mix_for
-    from repro.workload.patterns import ConstantLoad
-
-    def attach_noop(app) -> None:
-        """Fixed replicas; the smoke run needs no manager."""
-
-    spec = app_spec("social-network")
-    sla_targets = {rc.name: rc.sla.target_s for rc in spec.request_classes}
-
-    def shard(seed: int):
-        return run_deployment(
-            spec,
-            default_mix_for("social-network"),
-            ConstantLoad(25.0),
-            attach_noop,
-            manager_name="noop",
-            load_name="constant",
-            options=RunOptions(
-                seed=seed,
-                duration_s=50.0,
-                measure_from_s=15.0,
-                slo=SLOOptions(fast_window_s=10.0, slow_window_s=30.0,
-                               bucket_s=2.0),
-                digest=True,
-            ),
-        )
-
-    results = {f"shard-{seed}": shard(seed) for seed in (11, 12)}
-
-    def render() -> tuple[str, str]:
-        dash = build_dashboard(
-            results, sla_targets=sla_targets, title="smoke dashboard"
-        )
-        return render_dashboard_text(dash), render_dashboard_html(dash)
-
-    text, html = render()
-    text2, html2 = render()
-    if text != text2 or html != html2:
-        print("FAIL: dashboard rendering is not deterministic")
-        return 1
-    os.makedirs(out_dir, exist_ok=True)
-    text_path = os.path.join(out_dir, "dashboard.txt")
-    html_path = os.path.join(out_dir, "dashboard.html")
-    with open(text_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    with open(html_path, "w", encoding="utf-8") as fh:
-        fh.write(html)
-    completed = sum(r.completed_requests for r in results.values())
-    monitored = all(r.slo is not None for r in results.values())
-    print(text)
-    print(
-        f"smoke dashboard: {len(results)} shards, {completed} requests, "
-        f"monitored={monitored} -> {text_path}, {html_path}"
-    )
-    return 0
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.experiments.report`` -- the dashboard harness."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.report",
-        description="Deterministic run-dashboard harness.",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the tiny two-shard CI smoke dashboard",
-    )
-    parser.add_argument(
-        "--out",
-        default="results/smoke_dashboard",
-        help="output directory for dashboard.txt / dashboard.html",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        return _smoke(args.out)
-    parser.error("nothing to do: pass --smoke (see python -m repro --report)")
-    return 2  # pragma: no cover
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -54,7 +54,7 @@ def test_facade_rule_policy_scope():
     assert "API002" not in profile_for_path("src/repro/sim/engine.py").rules
     assert "API002" in profile_for_path("tests/experiments/test_x.py").rules
     assert "API002" in profile_for_path("benchmarks/test_fig02.py").rules
-    assert "API002" in profile_for_path("benchmarks/perf/bench_runner.py").rules
+    assert "API002" in profile_for_path("benchmarks/perf/bench_engine.py").rules
     assert "API002" in profile_for_path("examples/cost_efficiency.py").rules
 
 

@@ -106,6 +106,40 @@ def test_flags_reach_the_runner(canned):
     assert canned[1].smoke and canned[1].cells is None
 
 
+def test_dump_traces_go_under_the_results_dir(tmp_path, monkeypatch):
+    # Trace files follow REPRO_RESULTS_DIR like every other output, not
+    # the working directory.
+    from repro.telemetry.tracing import PHASE_SERVICE, Trace, traces_to_jsonl
+
+    trace = Trace(1, "read", arrival=0.0)
+    root = trace.begin_root("frontend", "rpc")
+    root.record(PHASE_SERVICE, 0.0, 0.5)
+    root.response_end = root.end = trace.completion = 0.5
+    results, cwd = tmp_path / "results", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(results))
+    monkeypatch.chdir(cwd)
+
+    def runner(stem, _request):
+        return registry.Outcome(
+            stem,
+            f"canned {stem}",
+            RunMeta(experiment=stem, scale="quick"),
+            traces={"cell": traces_to_jsonl([trace])},
+        )
+
+    monkeypatch.setattr(
+        registry,
+        "EXPERIMENTS",
+        tuple(dataclasses.replace(e, runner=runner) for e in registry.EXPERIMENTS),
+    )
+    assert main(["fig10", "--save", "--dump-traces", "1"]) == 0
+    assert (results / "fig10_model_accuracy.txt").exists()
+    dumped = sorted((results / "traces" / "fig10_model_accuracy").iterdir())
+    assert [p.name for p in dumped] == ["cell.read.r000001.trace.json"]
+    assert list(cwd.iterdir()) == []
+
+
 def test_fig10_save_reproduces_the_pin(tmp_path, monkeypatch):
     # One real run through the registry's save path.
     results = tmp_path / "results"

@@ -2,8 +2,10 @@
 
 Builds dashboards from synthetic :class:`DeploymentResult` shards so the
 histogram merge, alert ordering, and both renderers are pinned without
-paying for deployments; the end-to-end path (real runs, two seeds) is
-exercised by ``repro.experiments.report --smoke`` in CI.
+paying for deployments.  The end-to-end path over real SLO-monitored runs
+is byte-pinned by the CI fleet smoke (``results/fleet/fleet_smoke.txt``
+and ``.html``) and compared across job counts by
+``tests/fleet/test_fleet_determinism.py``.
 """
 
 from repro.experiments.report import (
