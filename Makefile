@@ -43,13 +43,16 @@ perf:
 # Perf trend gate: snapshot the committed BENCH numbers and re-record them.
 # The engine metrics fail on a >20% move (check_regression.py); the runner
 # fails on any e2e workload x metric that `bench_e2e.py compare` finds worse
-# than its BENCHMARK.json bound, or too noisy to tell.
+# than its BENCHMARK.json bound, or too noisy to tell.  Both gates always
+# run; the target fails if either does.
 perf-check:
 	rm -rf .bench-baseline && mkdir -p .bench-baseline
 	cp BENCH_engine.json BENCH_runner.json .bench-baseline/
 	$(MAKE) perf
-	python benchmarks/perf/check_regression.py --baseline-dir .bench-baseline
-	python3 benchmarks/perf/e2e/bench_e2e.py compare .bench-baseline/BENCH_runner.json BENCH_runner.json
+	status=0; \
+	python benchmarks/perf/check_regression.py --baseline-dir .bench-baseline || status=1; \
+	python3 benchmarks/perf/e2e/bench_e2e.py compare .bench-baseline/BENCH_runner.json BENCH_runner.json || status=1; \
+	exit $$status
 
 # Paper-length runs (hours).
 bench-full:

@@ -28,22 +28,12 @@ from repro.core.optimizer import OptimizationEngine, OptimizationOutcome
 from repro.core.overestimation import OverestimationTracker
 from repro.core.resource_controller import ResourceController
 from repro.errors import ConfigurationError
-from repro.telemetry.slo import SLOMonitor
 
 __all__ = ["UrsaManager"]
 
 
 class UrsaManager:
-    """Deploy-time resource management for one application.
-
-    ``slo_monitor`` (optional) subscribes a pure-observer
-    :class:`~repro.telemetry.slo.SLOMonitor` to the application's
-    completions; :meth:`initialize` additionally feeds it the MIP's
-    per-service budgets so it can stream per-hop budget breaches.  The
-    monitor is an observed-violation *signal source* only -- control
-    decisions never read it, so attaching one leaves the simulated
-    timeline (and :class:`~repro.sim.trace.RunDigest`) byte-identical.
-    """
+    """Deploy-time resource management for one application."""
 
     def __init__(
         self,
@@ -54,15 +44,10 @@ class UrsaManager:
         anomaly_check_interval_s: float = 120.0,
         ratio_deviation_threshold: float = 1.0,
         sla_violation_threshold: float = 0.10,
-        slo_monitor: SLOMonitor | None = None,
     ) -> None:
         self.app = app
         self.exploration = exploration
         self.engine = engine if engine is not None else OptimizationEngine()
-        self.slo_monitor = slo_monitor
-        if slo_monitor is not None:
-            slo_monitor.attach(app)
-            slo_monitor.attach_services(app)
         self.overestimation = OverestimationTracker()
         self.outcome: OptimizationOutcome | None = None
         self.controller = ResourceController(
@@ -92,8 +77,6 @@ class UrsaManager:
         self.outcome = outcome
         self.controller.set_thresholds(outcome.thresholds)
         self.detector.set_thresholds(outcome.thresholds)
-        if self.slo_monitor is not None:
-            self.slo_monitor.set_service_budgets(outcome.service_budgets)
         access = {
             rc.name: rc.access_counts() for rc in self.app.spec.request_classes
         }
@@ -160,8 +143,6 @@ class UrsaManager:
         self.outcome = outcome
         self.controller.set_thresholds(outcome.thresholds)
         self.detector.set_thresholds(outcome.thresholds)
-        if self.slo_monitor is not None:
-            self.slo_monitor.set_service_budgets(outcome.service_budgets)
         self.recalculations += 1
 
     # ------------------------------------------------------------------

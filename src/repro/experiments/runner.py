@@ -245,11 +245,6 @@ class SLOArtifacts:
     alerts_jsonl: str = field(repr=False)
     #: Per-class budget accounting at end of run.
     budget_report: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: Per-``service/class`` MIP-budget breach fractions (only when the
-    #: manager fed the monitor optimizer budgets).
-    service_budget_report: dict[str, dict[str, float]] = field(
-        default_factory=dict
-    )
 
 
 @dataclass(frozen=True)
@@ -428,17 +423,7 @@ def run_deployment(
         )
         slo_monitor.attach(app)
     app.env.run(until=10)
-    managed = attach_manager(app)
-    if slo_monitor is not None:
-        # Managers exposing an optimisation outcome (UrsaManager) feed
-        # the monitor the MIP's per-service budgets so per-hop breaches
-        # stream too; baselines without budgets just skip this.
-        budgets = getattr(
-            getattr(managed, "outcome", None), "service_budgets", None
-        )
-        if budgets:
-            slo_monitor.set_service_budgets(budgets)
-            slo_monitor.attach_services(app)
+    attach_manager(app)
     generator = LoadGenerator(
         app,
         pattern=pattern,
@@ -484,7 +469,6 @@ def run_deployment(
             alert_transitions=len(slo_monitor.alerts),
             alerts_jsonl=slo_monitor.alerts_jsonl(),
             budget_report=slo_monitor.budget_report(),
-            service_budget_report=slo_monitor.service_budget_report(),
         )
     return DeploymentResult(
         app_name=spec.name,

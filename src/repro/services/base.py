@@ -125,12 +125,6 @@ class Microservice:
         #: recorder) interned hub handles; see _hot_handles.
         self._hot_handles: dict[str, tuple[CounterHandle, LatencyHandle]] = {}
         self._mq_handles: dict[str, CounterHandle] = {}
-        #: Pure-observer hooks called as ``fn(request, class_name,
-        #: service_latency)`` when a request's service leg completes --
-        #: same contract as Application completion listeners (must not
-        #: schedule engine events).  Empty list costs one truthiness
-        #: check on the hot path.
-        self.completion_listeners: list = []
         self._replicas: dict[str, Replica] = {}
         self._running: list[Replica] = []
         self._rr = 0
@@ -442,11 +436,7 @@ class Microservice:
         if self.network_delay_s > 0:
             # Both network legs (request + response) in one event.
             yield env.timeout(2.0 * self.network_delay_s)
-        service_latency = env.now - t_submit - downstream_wait
-        service_latency_h.record(service_latency)
-        if self.completion_listeners:
-            for listener in self.completion_listeners:
-                listener(request, request.request_class, service_latency)
+        service_latency_h.record(env.now - t_submit - downstream_wait)
         if span is not None:
             span.record(PHASE_SERVICE, mark, env.now)
             mark = env.now

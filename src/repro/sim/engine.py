@@ -17,28 +17,18 @@ fire in scheduling order (a monotonically increasing sequence number breaks
 ties), so runs with the same seed are exactly reproducible.
 
 Performance notes: this kernel is the hot path of every experiment --
-a full-scale deployment run spends nearly all of its wall-clock here --
-so the implementation trades a little prose for speed.  All event classes
-use ``__slots__``; the succeed/schedule path is inlined (one attribute
-chase and one queue append instead of nested method calls); processes
-cache their generator's bound ``send``/``throw`` and their own ``_resume``
-callback instead of recreating bound methods per wait.
+a full-scale deployment run spends nearly all of its wall-clock here.
+All event classes use ``__slots__``; processes cache their generator's
+bound ``send``/``throw`` and their own ``_resume`` callback instead of
+recreating bound methods per wait.
 
-The schedule has two levels.  Events triggered *at the current
-simulation time* with the default priority -- ``succeed``, ``fail``,
-process bootstraps, zero-delay timeouts, roughly half of all events in
-RPC-heavy runs -- land in the "now bucket".  Simulation time never goes
-backwards and the tie-breaking sequence number only grows, so every
-pending now-bucket entry has ``time == now`` and ``priority == 1``; the
-bucket stores just a deque of sequence numbers and a parallel deque of
-events, which saves a 4-tuple allocation per succeed/grant/bootstrap.
-Everything else -- positive-delay timeouts and priority-0 interrupts --
-goes to a binary heap of ``(time, priority, seq, event)`` tuples.  A pop
-takes the smaller of the two fronts, so the global order is exactly
-``(time, priority, seq)``; :meth:`Environment.peek`,
-:meth:`Environment.step` and the trace hook present full entries.  Real
-runs keep a few dozen future events pending, where heapq's C sift is
-hard to beat (docs/performance.md).
+The schedule is one binary heap of ``(time, priority, seq, event)``
+tuples, owned by this module: every trigger -- ``succeed``, ``fail``,
+timeouts, process bootstraps, priority-0 interrupts -- is one
+``heappush``, and every pop is one ``heappop``, so the global order is
+exactly ``(time, priority, seq)``.  Other modules trigger events only
+through the :class:`Event` API.  Real runs keep a few dozen events
+pending, where heapq's C sift is hard to beat (docs/performance.md).
 
 :meth:`Environment.run` drains the schedule with one inlined loop
 (:meth:`Environment._drain`) that serves all three ``until`` forms and
@@ -64,7 +54,6 @@ in ``BENCH_engine.json``; the allocation probe is described in
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Generator, Iterable
 from heapq import heappop as _heappop, heappush as _heappush
 from sys import getrefcount as _getrefcount
@@ -164,12 +153,7 @@ class Event:
         self._state = _TRIGGERED
         env = self.env
         env._seq = seq = env._seq + 1
-        # Triggered at the current time with default priority: the now
-        # bucket stays (time, priority, seq)-sorted by construction, and
-        # time/priority are implied (now, 1), so only seq and the event
-        # itself are stored.
-        env._fseq_app(seq)
-        env._fev_app(self)
+        _heappush(env._queue, (env._now, 1, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -183,8 +167,7 @@ class Event:
         self._state = _TRIGGERED
         env = self.env
         env._seq = seq = env._seq + 1
-        env._fseq_app(seq)
-        env._fev_app(self)
+        _heappush(env._queue, (env._now, 1, seq, self))
         return self
 
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -210,7 +193,7 @@ class Timeout(Event):
     optimization of the factory, not a change in semantics.
     """
 
-    __slots__ = ("delay", "_gen")
+    __slots__ = ("_gen",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -223,21 +206,10 @@ class Timeout(Event):
         self._ok = True
         self._state = _TRIGGERED
         self._defused = False
-        self.delay = delay
         self._gen = 0
         env._timeout_allocs += 1
         env._seq = seq = env._seq + 1
-        now = env._now
-        when = now + delay
-        if when == now:
-            # Fires at the current time (zero delay, or a delay so small
-            # it underflows the float add): now bucket.  Identical global
-            # order either way -- at equal (time, priority) the pop
-            # compares sequence numbers regardless of the structure.
-            env._fseq_app(seq)
-            env._fev_app(self)
-        else:
-            _heappush(env._queue, (when, 1, seq, self))
+        _heappush(env._queue, (env._now + delay, 1, seq, self))
 
 
 class _ConditionValue(dict):
@@ -327,12 +299,8 @@ class Process(Event):
         self._resume_cb = self._resume
         # Bootstrap: resume the process at the current time.
         init = Event(env)
-        init._ok = True
-        init._state = _TRIGGERED
-        env._seq = seq = env._seq + 1
-        env._fseq_app(seq)
-        env._fev_app(init)
         init.callbacks.append(self._resume_cb)
+        init.succeed()
 
     @property
     def is_alive(self) -> bool:
@@ -356,8 +324,7 @@ class Process(Event):
         interrupt_event._defused = True
         interrupt_event._state = _TRIGGERED
         env._seq = seq = env._seq + 1
-        # Priority 0 beats every same-time event: interrupts go to the
-        # heap, never the priority-1 now bucket.
+        # Priority 0 beats every same-time, default-priority event.
         _heappush(env._queue, (env._now, 0, seq, interrupt_event))
         interrupt_event.callbacks.append(self._resume_cb)
 
@@ -419,7 +386,7 @@ class Process(Event):
 
 
 class Environment:
-    """The simulation environment: clock plus a two-level schedule.
+    """The simulation environment: clock plus a one-heap schedule.
 
     Typical use::
 
@@ -427,11 +394,9 @@ class Environment:
         env.process(my_generator(env))
         env.run(until=100.0)
 
-    Pending events live in the now bucket (current-time, default-priority
-    triggers, stored as parallel seq/event deques) or in a binary heap of
-    ``(time, priority, seq, event)`` entries (future timeouts and
-    priority-0 interrupts); see the module docstring.  ``trace`` installs
-    an optional event-trace hook (:mod:`repro.sim.trace`).
+    Pending events live in one binary heap of ``(time, priority, seq,
+    event)`` entries; see the module docstring.  ``trace`` installs an
+    optional event-trace hook (:mod:`repro.sim.trace`).
     """
 
     def __init__(
@@ -440,22 +405,8 @@ class Environment:
         trace: Callable[[float, int, int, Event], None] | None = None,
     ) -> None:
         self._now = float(initial_time)
-        #: Future events (positive-delay timeouts) and priority-0
-        #: interrupts, as a heapq of (time, priority, seq, event).
+        #: Every pending event, as a heapq of (time, priority, seq, event).
         self._queue: list[tuple[float, int, int, Event]] = []
-        #: The "now bucket" as a flat structure of arrays: every pending
-        #: entry provably has ``time == self._now`` and ``priority == 1``
-        #: (time never decreases; only current-time default-priority
-        #: triggers land here), so of the four logical columns only seq
-        #: and the event are stored.  Appending keeps both deques
-        #: (time, priority, seq)-sorted for free because seq increases
-        #: monotonically.
-        self._fifo_seq: deque[int] = deque()
-        self._fifo_ev: deque[Event] = deque()
-        #: Cached bound appends -- the two hottest calls in the kernel
-        #: (every succeed/fail/grant/bootstrap goes through them).
-        self._fseq_app = self._fifo_seq.append
-        self._fev_app = self._fifo_ev.append
         self._seq = 0
         self._active_process: Process | None = None
         #: Optional event-trace hook: called as ``trace(when, priority,
@@ -529,16 +480,9 @@ class Environment:
         timeout._gen += 1
         timeout._state = _TRIGGERED
         timeout._value = value
-        timeout.delay = delay
         self._timeout_reuses += 1
         self._seq = seq = self._seq + 1
-        now = self._now
-        when = now + delay
-        if when == now:
-            self._fseq_app(seq)
-            self._fev_app(timeout)
-        else:
-            _heappush(self._queue, (when, 1, seq, timeout))
+        _heappush(self._queue, (self._now + delay, 1, seq, timeout))
         return timeout
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
@@ -578,13 +522,8 @@ class Environment:
             self._timeout_allocs += 1
         timeout._value = value
         timeout._state = _TRIGGERED
-        timeout.delay = when - now
         self._seq = seq = self._seq + 1
-        if when == now:
-            self._fseq_app(seq)
-            self._fev_app(timeout)
-        else:
-            _heappush(self._queue, (when, 1, seq, timeout))
+        _heappush(self._queue, (when, 1, seq, timeout))
         return timeout
 
     def process(self, generator: Generator) -> Process:
@@ -600,28 +539,8 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling -------------------------------------------------------
-    def _pop_next(self) -> "tuple[float, int, int, Event] | None":
-        """Remove and return the globally smallest entry, or ``None``.
-
-        The now bucket's front is ``(now, 1, seq)``; sequence numbers are
-        unique, so comparing it against a 4-tuple heap entry is always
-        decided by index <= 2.
-        """
-        fseq = self._fifo_seq
-        queue = self._queue
-        if fseq:
-            if not (queue and queue[0] < (self._now, 1, fseq[0])):
-                return (self._now, 1, fseq.popleft(), self._fifo_ev.popleft())
-        elif not queue:
-            return None
-        return _heappop(queue)
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        # Now-bucket entries are at the current time, which lower-bounds
-        # every heap entry.
-        if self._fifo_seq:
-            return self._now
         return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
@@ -631,11 +550,9 @@ class Environment:
         handled (mirroring SimPy's "dead process" detection), so bugs do not
         silently vanish.
         """
-        entry = self._pop_next()
-        if entry is None:
+        if not self._queue:
             raise SimulationError("step() on an empty schedule")
-        when, _priority, _seq, event = entry
-        del entry  # drop the tuple's reference so the recycle guard sees 2
+        when, _priority, _seq, event = _heappop(self._queue)
         self._now = when
         if self._trace is not None:
             self._trace(when, _priority, _seq, event)
@@ -704,47 +621,19 @@ class Environment:
         event (measurable at the millions of events of a deployment run).
 
         Returns once the schedule is empty, the next event lies past
-        ``horizon``, or ``stop`` has been processed.  Now-bucket entries
-        are at ``now <= horizon``, so only a heap pop checks the horizon.
-        The trace hook, if any, sees each entry as :meth:`step` shows it
-        (now-bucket entries as ``(now, 1, seq)``).
+        ``horizon``, or ``stop`` has been processed.  The trace hook, if
+        any, sees each entry as :meth:`step` does.
         """
         if stop is not None and stop._state == _PROCESSED:
             return
         trace = self._trace
         queue = self._queue
-        fseq = self._fifo_seq
-        fseq_pop = fseq.popleft
-        fev_pop = self._fifo_ev.popleft
         pool = self._pool
-        now = self._now
-        while True:
-            if fseq:
-                if queue:
-                    head = queue[0]
-                    # The heap front wins only at the current time with
-                    # a beating priority or an earlier seq (now-bucket
-                    # entries are always (now, 1, seq)).
-                    if head[0] == now and (
-                        head[1] == 0 or (head[1] == 1 and head[2] < fseq[0])
-                    ):
-                        _w, priority, seq, event = _heappop(queue)
-                        head = None  # drop the tuple ref for the recycle guard
-                    else:
-                        priority = 1
-                        seq = fseq_pop()
-                        event = fev_pop()
-                else:
-                    priority = 1
-                    seq = fseq_pop()
-                    event = fev_pop()
-            elif queue and queue[0][0] <= horizon:
-                when, priority, seq, event = _heappop(queue)
-                self._now = now = when
-            else:
-                return
+        while queue and queue[0][0] <= horizon:
+            when, priority, seq, event = _heappop(queue)
+            self._now = when
             if trace is not None:
-                trace(now, priority, seq, event)
+                trace(when, priority, seq, event)
             callbacks = event.callbacks
             event.callbacks = None
             event._state = _PROCESSED
@@ -775,6 +664,6 @@ class Environment:
         """Drain via :meth:`step` (``step`` overridden)."""
         step = self.step
         while stop is None or stop._state != _PROCESSED:
-            if not (self._fifo_seq or self._queue) or self.peek() > horizon:
+            if not self._queue or self.peek() > horizon:
                 return
             step()

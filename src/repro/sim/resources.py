@@ -16,13 +16,11 @@ level, matching the queueing disciplines of the modelled systems (the video
 processing pipeline serves high-priority requests whenever any are
 waiting).
 
-Like the engine, these classes are on the per-event hot path of every
-deployment run: the request/get/put event constructors are inlined (no
-``super().__init__`` chain), the grant/put/get trigger path inlines
-``Event.succeed`` (the events are created here, so the already-triggered
-guard is statically impossible), and everything uses ``__slots__``.
-Scheduling semantics are unchanged and pinned by the same-seed trace
-regression.
+The request/get/put events are plain :class:`~repro.sim.engine.Event`
+subclasses: they are built with ``Event.__init__`` and fire through
+``succeed``, so the engine alone owns the schedule.  Everything uses
+``__slots__``, as these classes sit on the per-event hot path of every
+deployment run.
 """
 
 from __future__ import annotations
@@ -34,9 +32,6 @@ from repro.sim.engine import Environment, Event, SimulationError
 
 __all__ = ["Resource", "Store", "PriorityStore"]
 
-_PENDING = 0
-_TRIGGERED = 1
-
 
 class _Request(Event):
     """Event representing a pending acquire; fires when granted."""
@@ -44,13 +39,7 @@ class _Request(Event):
     __slots__ = ("resource", "priority", "granted", "withdrawn")
 
     def __init__(self, env: Environment, resource: "Resource", priority: int) -> None:
-        # Inlined Event.__init__ -- one of these is created per acquire.
-        self.env = env
-        self.callbacks = []
-        self._value = None
-        self._ok = True
-        self._state = _PENDING
-        self._defused = False
+        Event.__init__(self, env)
         self.resource = resource
         self.priority = priority
         self.granted = False
@@ -102,13 +91,7 @@ class Resource:
         if self._in_use < self._capacity:
             self._in_use += 1
             request.granted = True
-            # Inlined request.succeed(self): grants are the hot path.
-            request._value = self
-            request._state = _TRIGGERED
-            env = self.env
-            env._seq = seq = env._seq + 1
-            env._fseq_app(seq)
-            env._fev_app(request)
+            request.succeed(self)
         else:
             self._seq += 1
             _heappush(self._waiters, (priority, self._seq, request))
@@ -121,12 +104,7 @@ class Resource:
             if request.withdrawn:
                 continue
             request.granted = True
-            request._value = request.resource
-            request._state = _TRIGGERED
-            env = request.env
-            env._seq = seq = env._seq + 1
-            env._fseq_app(seq)
-            env._fev_app(request)
+            request.succeed(request.resource)
             return True
         return False
 
@@ -155,25 +133,12 @@ class Resource:
 class _StoreGet(Event):
     __slots__ = ()
 
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self.callbacks = []
-        self._value = None
-        self._ok = True
-        self._state = _PENDING
-        self._defused = False
-
 
 class _StorePut(Event):
     __slots__ = ("item",)
 
     def __init__(self, env: Environment, item: Any) -> None:
-        self.env = env
-        self.callbacks = []
-        self._value = None
-        self._ok = True
-        self._state = _PENDING
-        self._defused = False
+        Event.__init__(self, env)
         self.item = item
 
 
@@ -226,7 +191,7 @@ class Store:
 
     def cancel_get(self, event: _StoreGet) -> None:
         """Withdraw a pending get (no-op if it already fired)."""
-        if event._state == _PENDING:
+        if not event.triggered:
             try:
                 self._getters.remove(event)
             except ValueError:
@@ -245,9 +210,6 @@ class Store:
         getters = self._getters
         putters = self._putters
         capacity = self.capacity
-        env = self.env
-        fseq_app = env._fseq_app
-        fev_app = env._fev_app
         progressed = True
         while progressed:
             progressed = False
@@ -255,21 +217,11 @@ class Store:
             while putters and (capacity is None or len(items) < capacity):
                 put = putters.pop(0)
                 self._do_put(put.item)
-                # Inlined put.succeed() (events created here are always
-                # still pending; _ok is True from construction).
-                put._state = _TRIGGERED
-                env._seq = seq = env._seq + 1
-                fseq_app(seq)
-                fev_app(put)
+                put.succeed()
                 progressed = True
             # Hand buffered items to waiting getters.
             while getters and items:
-                get = getters.pop(0)
-                get._value = self._do_get()
-                get._state = _TRIGGERED
-                env._seq = seq = env._seq + 1
-                fseq_app(seq)
-                fev_app(get)
+                getters.pop(0).succeed(self._do_get())
                 progressed = True
 
 

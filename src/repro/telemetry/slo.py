@@ -299,13 +299,6 @@ class SLOMonitor:
     ``slo_alert_transitions_total`` counter per transition -- all
     registered series, all written from inside existing completion
     callbacks (never a new engine event).
-
-    With :meth:`set_service_budgets` (class -> service -> budgeted
-    seconds, from the optimizer) plus :meth:`attach_services`, the
-    monitor additionally counts per-(service, class) completions whose
-    *service latency* exceeded the MIP's budget for that hop -- the
-    streaming twin of the span-driven audit in
-    :mod:`repro.telemetry.audit`.
     """
 
     def __init__(
@@ -342,13 +335,6 @@ class SLOMonitor:
             )
         #: Chronological alert transitions (the deterministic timeline).
         self.alerts: list[Alert] = []
-        #: class -> service -> budgeted seconds (set_service_budgets).
-        self._service_budgets: dict[str, dict[str, float]] = {}
-        #: (service, class) -> [within_budget, over_budget, budget_s].
-        #: The budget is snapshotted at observe time (latest wins) so
-        #: end-of-run reporting survives a re-solve that drops the pair
-        #: from :attr:`_service_budgets`.
-        self._service_counts: dict[tuple[str, str], list] = {}
 
     # -- subscription ------------------------------------------------------
     def attach(self, app: "Application") -> None:
@@ -358,26 +344,6 @@ class SLOMonitor:
     def on_completion(self, request, rc, latency: float) -> None:
         """`Application` completion-listener adapter."""
         self.observe(rc.name, latency)
-
-    def set_service_budgets(
-        self, budgets: Mapping[str, Mapping[str, float]]
-    ) -> None:
-        """Install per-(class, service) budgeted seconds from the MIP."""
-        self._service_budgets = {
-            cls: dict(services) for cls, services in budgets.items()
-        }
-
-    def attach_services(self, app: "Application") -> None:
-        """Subscribe to per-service completion hooks of every service."""
-
-        def listener_for(service_name: str):
-            def listener(request, request_class: str, latency: float) -> None:
-                self.observe_service(service_name, request_class, latency)
-
-            return listener
-
-        for name in sorted(app.services):
-            app.services[name].completion_listeners.append(listener_for(name))
 
     # -- observation -------------------------------------------------------
     def observe(self, request_class: str, latency: float) -> None:
@@ -443,22 +409,6 @@ class SLOMonitor:
                 "slo_error_budget_consumed", consumed,
                 {"request": request_class},
             )
-
-    def observe_service(
-        self, service: str, request_class: str, latency: float
-    ) -> None:
-        """Count one per-service completion against its MIP budget."""
-        budget = self._service_budgets.get(request_class, {}).get(service)
-        if budget is None:
-            return
-        counts = self._service_counts.get((service, request_class))
-        if counts is None:
-            counts = self._service_counts[(service, request_class)] = [
-                0, 0, budget,
-            ]
-        else:
-            counts[2] = budget
-        counts[1 if latency > budget else 0] += 1
 
     def _emit(
         self,
@@ -552,22 +502,6 @@ class SLOMonitor:
                 "budget_consumed": round(state.budget_consumed(), 9),
                 "fast_burn": round(fast, 9),
                 "slow_burn": round(slow, 9),
-            }
-        return report
-
-    def service_budget_report(self) -> dict[str, dict[str, float]]:
-        """Per-``service/class`` budget-breach fractions (needs budgets)."""
-        report: dict[str, dict[str, float]] = {}
-        for (service, cls), (within, over, budget_s) in sorted(
-            self._service_counts.items()
-        ):
-            total = within + over
-            report[f"{service}/{cls}"] = {
-                "budget_s": budget_s,
-                "completions": float(total),
-                "over_budget_fraction": (
-                    round(over / total, 9) if total else 0.0
-                ),
             }
         return report
 

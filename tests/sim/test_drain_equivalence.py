@@ -6,18 +6,24 @@ loop over :meth:`Environment.step` when ``step`` is overridden.  Both
 must pop the exact same ``(time, priority, seq)`` order and hand the
 trace hook the same entries.  This file is the
 executable form of that promise: randomized workloads mixing zero-delay
-triggers, far-future timeouts, priority interrupts, resource contention
-and abandoned (interrupt-detached) timeouts run through both loops, for
-each ``until`` form, and the observation log (every process's
-observations, in global order), the final clock and the final sequence
-number must match.
+triggers, far-future timeouts, priority interrupts, resource contention,
+a bounded store's blocked puts and handoffs, and abandoned
+(interrupt-detached) timeouts run through both loops, for each ``until``
+form, and the observation log (every process's observations, in global
+order), the final clock and the final sequence number must match.
+
+The loops agreeing with each other does not show that they agree with
+an earlier kernel, so each ``(seed, until)`` run's :class:`RunDigest` is
+also pinned (``PINNED_DIGESTS``).  The pins were recorded with the
+two-level schedule (a same-time FIFO in front of the heap) that the
+single heap replaced; any change to the pop order moves them.
 """
 
 import pytest
 
 from repro.sim.engine import Environment, Event, Interrupt
 from repro.sim.random import RandomStreams
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, Store
 from repro.sim.trace import EventTraceRecorder, RunDigest
 
 
@@ -44,9 +50,10 @@ def _random_workload(env: Environment, seed: int, log) -> Event:
     """
     streams = RandomStreams(seed)
     resource = Resource(env, capacity=3)
+    store = Store(env, capacity=2)
 
     def burst(env, name, r):
-        # Mixed horizons: zero-delay (now bucket), near and far future.
+        # Mixed horizons: zero-delay (same instant), near and far future.
         for i in range(30):
             roll = r.random()
             if roll < 0.25:
@@ -90,6 +97,27 @@ def _random_workload(env: Environment, seed: int, log) -> Event:
                 log.append((name, env.now, "resumed"))
         return "interrupter done"
 
+    def producer(env, name, r):
+        # Mostly faster than the consumer, so puts block on the full
+        # store; the occasional long pause drains it, so gets block too.
+        for i in range(15):
+            roll = r.random()
+            if roll < 0.3:
+                yield env.timeout(0.0)
+            elif roll < 0.8:
+                yield env.timeout(r.random() * 0.4)
+            else:
+                yield env.timeout(r.random() * 4.0)
+            yield store.put((name, i))
+            log.append((name, env.now, i))
+
+    def consumer(env, name, r):
+        # Gets on an empty store wait for a producer's handoff.
+        for _ in range(30):
+            item = yield store.get()
+            log.append((name, env.now, item))
+            yield env.timeout(r.random() * 0.6)
+
     def standing(event):
         log.append(("standing", env.now, event.value))
 
@@ -99,6 +127,9 @@ def _random_workload(env: Environment, seed: int, log) -> Event:
     for i in range(4):
         name = f"contender-{i}"
         env.process(contender(env, name, streams.stream(name)))
+    for name in ("producer-0", "producer-1"):
+        env.process(producer(env, name, streams.stream(name)))
+    env.process(consumer(env, "consumer", streams.stream("consumer")))
     stop = env.process(
         interrupter(env, "interrupter", victims, streams.stream("interrupter"))
     )
@@ -108,6 +139,24 @@ def _random_workload(env: Environment, seed: int, log) -> Event:
     for k in range(200):
         env.timeout(r.random() * 50.0, value=k).callbacks.append(standing)
     return stop
+
+
+#: ``RunDigest`` hex of each ``(seed, until)`` run of ``_random_workload``,
+#: recorded with the two-level schedule the single heap replaced.
+PINNED_DIGESTS = {
+    (0, "none"): "c5b8db062517e6af936b079082203449",
+    (0, "time"): "80cb943a764509d343cdca71e27ca501",
+    (0, "event"): "378cea7f5279045902e454ff0484d353",
+    (7, "none"): "b13789cdc79e9bea0c02944970e85956",
+    (7, "time"): "893180d517542a574a32c09311b8d2a5",
+    (7, "event"): "1fcccfd1d52a64a5c56bfcea3572dfdc",
+    (1234, "none"): "d8825977c3105308e4d17e43812e6bce",
+    (1234, "time"): "63e5b005d4e1ac4a763c984fce74c8f5",
+    (1234, "event"): "8134a433c13dd8f0acd9e6587aaf39df",
+    (99991, "none"): "4301d4314f55480fad11921592526ffa",
+    (99991, "time"): "fed39eb47668d6dde26c6e3ed7660286",
+    (99991, "event"): "32a46ca339410a36a30f2f6ddc419c69",
+}
 
 
 def _run(env: Environment, seed: int, until: str):
@@ -128,12 +177,17 @@ def test_inlined_and_step_drains_are_identical(seed, until):
     inlined = _run(Environment(), seed, until)
     stepping_env = SteppingEnvironment()
     stepped = _run(stepping_env, seed, until)
-    traced = _run(Environment(trace=RunDigest()), seed, until)
+    digest = RunDigest()
+    traced = _run(Environment(trace=digest), seed, until)
     assert stepping_env.steps > 0
     assert inlined == stepped == traced
+    assert digest.hexdigest() == PINNED_DIGESTS[(seed, until)]
     log, result, now, _seq, next_time = inlined
     names = {name for name, _now, _obs in log}
-    assert {"interrupter", "standing", "sleeper-0", "contender-0"} <= names
+    assert {
+        "interrupter", "standing", "sleeper-0", "contender-0",
+        "producer-0", "consumer",
+    } <= names
     if until == "none":
         assert next_time == float("inf")
     elif until == "time":

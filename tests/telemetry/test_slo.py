@@ -228,58 +228,6 @@ def test_unknown_class_and_unregistered_alert_raise():
         monitor._emit(ALERT_BURN_RATE, "read", "firing", 0.0, 0.0, 0.0, 0.0)
 
 
-def test_service_budget_breach_counting():
-    clock = Clock()
-    monitor = make_monitor(clock)
-    monitor.set_service_budgets({"read": {"db": 0.05, "cache": 0.01}})
-    monitor.observe_service("db", "read", 0.04)  # within
-    monitor.observe_service("db", "read", 0.06)  # over
-    monitor.observe_service("cache", "read", 0.005)  # within
-    monitor.observe_service("frontend", "read", 9.9)  # no budget: ignored
-    report = monitor.service_budget_report()
-    assert report == {
-        "cache/read": {
-            "budget_s": 0.01,
-            "completions": 1.0,
-            "over_budget_fraction": 0.0,
-        },
-        "db/read": {
-            "budget_s": 0.05,
-            "completions": 2.0,
-            "over_budget_fraction": 0.5,
-        },
-    }
-
-
-def test_service_budget_report_survives_resolve_dropping_a_pair():
-    clock = Clock()
-    monitor = make_monitor(clock)
-    monitor.set_service_budgets({"read": {"db": 0.05}})
-    monitor.observe_service("db", "read", 0.06)  # over
-    # A re-solve may drop the (class, service) pair wholesale (the
-    # optimizer skips pairs with no percentile choice); already-counted
-    # completions must still report against the snapshotted budget.
-    monitor.set_service_budgets({})
-    report = monitor.service_budget_report()
-    assert report == {
-        "db/read": {
-            "budget_s": 0.05,
-            "completions": 1.0,
-            "over_budget_fraction": 1.0,
-        },
-    }
-    # New completions for the dropped pair are no longer counted ...
-    monitor.observe_service("db", "read", 0.06)
-    assert monitor.service_budget_report()["db/read"]["completions"] == 1.0
-    # ... and a re-solve that changes the budget updates the snapshot.
-    monitor.set_service_budgets({"read": {"db": 0.1}})
-    monitor.observe_service("db", "read", 0.06)  # within the new budget
-    report = monitor.service_budget_report()["db/read"]
-    assert report["budget_s"] == 0.1
-    assert report["completions"] == 2.0
-    assert report["over_budget_fraction"] == 0.5
-
-
 # -- serialization ---------------------------------------------------------
 
 
