@@ -124,7 +124,6 @@ class Microservice:
         #: request class -> (requests_total counter, service_latency
         #: recorder) interned hub handles; see _hot_handles.
         self._hot_handles: dict[str, tuple[CounterHandle, LatencyHandle]] = {}
-        self._mq_handles: dict[str, CounterHandle] = {}
         self._replicas: dict[str, Replica] = {}
         self._running: list[Replica] = []
         self._rr = 0
@@ -260,12 +259,6 @@ class Microservice:
         self.queue.publish(
             (request, call, done, self.env.now, span), priority=request.priority
         )
-        handle = self._mq_handles.get(request.request_class)
-        if handle is None:
-            handle = self._mq_handles[request.request_class] = self.hub.counter_handle(
-                "mq_published_total", labels=self._label_set(request.request_class)
-            )
-        handle.inc()
         return done
 
     # ------------------------------------------------------------------
@@ -531,7 +524,6 @@ class Microservice:
             if capacity > 0:
                 utilization = min(1.0, delta / (capacity * interval))
                 self.hub.observe_gauge("cpu_utilization", utilization, labels)
-            self.hub.observe_gauge("replicas", float(self.replicas), labels)
             self.hub.observe_gauge(
                 "cpu_allocated", float(self.deployment.allocated_cpus), labels
             )

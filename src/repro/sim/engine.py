@@ -30,13 +30,13 @@ exactly ``(time, priority, seq)``.  Other modules trigger events only
 through the :class:`Event` API.  Real runs keep a few dozen events
 pending, where heapq's C sift is hard to beat (docs/performance.md).
 
-:meth:`Environment.run` drains the schedule with one inlined loop
-(:meth:`Environment._drain`) that serves all three ``until`` forms and
-calls the trace hook, if one is installed, exactly as
-:meth:`Environment.step` does.  Only an overridden ``step`` falls back
-to a loop over :meth:`Environment.step`.
-``tests/sim/test_drain_equivalence.py`` pins that both loops produce
-identical runs, traced or not.
+There is one drain loop, :meth:`Environment._drain`: it serves all
+three ``until`` forms of :meth:`Environment.run`, and
+:meth:`Environment.step` is one iteration of it.  The pop, the trace
+hook, the callbacks, the unhandled-failure raise and the timeout
+recycle therefore exist once.  ``tests/sim/test_drain_equivalence.py``
+pins that ``run()`` and a loop of ``step()`` calls produce identical
+runs, traced or not.
 
 Timeouts -- by far the most frequently constructed event -- are pooled:
 after a timeout's callbacks run, the drain loop recycles the object
@@ -119,7 +119,7 @@ class Event:
         self._ok = True
         self._state = _PENDING
         #: Failure value consumed flag -- an unhandled failed event is an
-        #: error surfaced by :meth:`Environment.step`.
+        #: error raised by the drain loop (:meth:`Environment._drain`).
         self._defused = False
 
     # -- introspection ----------------------------------------------------
@@ -198,14 +198,9 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        # Inlined Event.__init__ plus scheduling: timeouts are by far the
-        # most frequently created event, so the constructor chain matters.
-        self.env = env
-        self.callbacks = []
+        super().__init__(env)
         self._value = value
-        self._ok = True
         self._state = _TRIGGERED
-        self._defused = False
         self._gen = 0
         env._timeout_allocs += 1
         env._seq = seq = env._seq + 1
@@ -455,35 +450,11 @@ class Environment:
         """Create an event firing ``delay`` time units from now.
 
         Hands out a recycled :class:`Timeout` from the environment's
-        freelist when one is available (the drain loops return a timeout
-        to the pool once its callbacks have run and nothing else
-        references it).  Reuse validates the freelist invariants --
-        a recycled handle that was resurrected through a stale reference
-        raises :class:`SimulationError` here rather than corrupting the
-        schedule -- and bumps the object's generation counter.
+        freelist when one is available (see :meth:`_schedule_timeout`).
         """
-        pool = self._pool
-        if not pool:
-            return Timeout(self, delay, value)
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        timeout = pool.pop()
-        if (
-            timeout._state != _PROCESSED
-            or timeout.callbacks is None
-            or timeout.callbacks
-        ):
-            raise SimulationError(
-                "timeout freelist corrupted: a recycled Timeout was mutated "
-                "through a stale handle"
-            )
-        timeout._gen += 1
-        timeout._state = _TRIGGERED
-        timeout._value = value
-        self._timeout_reuses += 1
-        self._seq = seq = self._seq + 1
-        _heappush(self._queue, (self._now + delay, 1, seq, timeout))
-        return timeout
+        return self._schedule_timeout(self._now + delay, value)
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """Create an event firing at absolute simulated time ``when``.
@@ -495,9 +466,20 @@ class Environment:
         precomputed times bit-for-bit.  Pool-backed like
         :meth:`timeout`.
         """
-        now = self._now
-        if when < now:
-            raise SimulationError(f"timeout_at({when}) is in the past (now={now})")
+        if when < self._now:
+            raise SimulationError(f"timeout_at({when}) is in the past (now={self._now})")
+        return self._schedule_timeout(when, value)
+
+    def _schedule_timeout(self, when: float, value: Any) -> Timeout:
+        """Schedule a :class:`Timeout` at ``when``, reusing a pooled one.
+
+        The drain loop returns a timeout to the pool once its callbacks
+        have run and nothing else references it.  Reuse validates the
+        freelist invariants -- a recycled handle that was resurrected
+        through a stale reference raises :class:`SimulationError` here
+        rather than corrupting the schedule -- and bumps the object's
+        generation counter.
+        """
         pool = self._pool
         if pool:
             timeout = pool.pop()
@@ -514,10 +496,7 @@ class Environment:
             self._timeout_reuses += 1
         else:
             timeout = Timeout.__new__(Timeout)
-            timeout.env = self
-            timeout.callbacks = []
-            timeout._ok = True
-            timeout._defused = False
+            Event.__init__(timeout, self)
             timeout._gen = 0
             self._timeout_allocs += 1
         timeout._value = value
@@ -530,10 +509,6 @@ class Environment:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition event firing when any of ``events`` fires."""
-        return AnyOf(self, events)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Condition event firing when all of ``events`` have fired."""
         return AllOf(self, events)
@@ -544,36 +519,16 @@ class Environment:
         return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
-        """Process the next scheduled event.
+        """Process the next scheduled event: one iteration of :meth:`_drain`.
 
         Raises the failure exception of any failed event that no process
         handled (mirroring SimPy's "dead process" detection), so bugs do not
-        silently vanish.
+        silently vanish.  A timeout processed here is never recycled: the
+        loop's reference to it fails the freelist's refcount guard.
         """
         if not self._queue:
             raise SimulationError("step() on an empty schedule")
-        when, _priority, _seq, event = _heappop(self._queue)
-        self._now = when
-        if self._trace is not None:
-            self._trace(when, _priority, _seq, event)
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._state = _PROCESSED
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            exc = event._value
-            raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
-        pool = self._pool
-        if (
-            type(event) is Timeout
-            and len(pool) < _POOL_MAX
-            and _getrefcount(event) == 2
-        ):
-            callbacks.clear()
-            event.callbacks = callbacks
-            event._value = None
-            pool.append(event)
+        self._drain(self._queue[0][3], _INF)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
@@ -586,9 +541,8 @@ class Environment:
         triggers (no process can fire it any more); that is reported as a
         :class:`SimulationError` rather than returning silently.
 
-        Drains with the inlined :meth:`_drain` loop, which also serves
-        the trace hook, or with the :meth:`step` loop when ``step`` is
-        overridden.  Both pop the same ``(time, priority, seq)`` order.
+        All three forms drain through :meth:`_drain`; overriding
+        :meth:`step` does not change how ``run`` drains.
         """
         stop: Event | None = None
         horizon = _INF
@@ -600,10 +554,7 @@ class Environment:
                 raise SimulationError(
                     f"run(until={horizon}) is in the past (now={self._now})"
                 )
-        if type(self).step is Environment.step:
-            self._drain(stop, horizon)
-        else:
-            self._step_drain(stop, horizon)
+        self._drain(stop, horizon)
         if stop is not None:
             if stop._state == _PENDING:
                 raise SimulationError(
@@ -617,12 +568,13 @@ class Environment:
         return None
 
     def _drain(self, stop: Event | None, horizon: float) -> None:
-        """:meth:`step` inlined into one loop, saving a method call per
-        event (measurable at the millions of events of a deployment run).
+        """The kernel's only event loop, behind both :meth:`run` and :meth:`step`.
 
+        Pops entries in ``(time, priority, seq)`` order, hands each to the
+        trace hook if one is installed, runs the event's callbacks, raises
+        an unhandled failure, and recycles a timeout nothing else holds.
         Returns once the schedule is empty, the next event lies past
-        ``horizon``, or ``stop`` has been processed.  The trace hook, if
-        any, sees each entry as :meth:`step` does.
+        ``horizon``, or ``stop`` has been processed.
         """
         if stop is not None and stop._state == _PROCESSED:
             return
@@ -659,11 +611,3 @@ class Environment:
                 pool.append(event)
             if event is stop:
                 return
-
-    def _step_drain(self, stop: Event | None, horizon: float) -> None:
-        """Drain via :meth:`step` (``step`` overridden)."""
-        step = self.step
-        while stop is None or stop._state != _PROCESSED:
-            if not self._queue or self.peek() > horizon:
-                return
-            step()

@@ -150,22 +150,10 @@ DEFAULT_REGISTRY = MetricRegistry(
             "completed requests whose latency exceeded the class SLA target",
         ),
         MetricSpec(
-            "mq_published_total",
-            "counter",
-            ("request", "service"),
-            "messages published to a service's queue",
-        ),
-        MetricSpec(
             "cpu_utilization",
             "gauge",
             ("service",),
             "per-service CPU utilisation in [0, 1]",
-        ),
-        MetricSpec(
-            "replicas",
-            "gauge",
-            ("service",),
-            "per-service running replica count",
         ),
         MetricSpec(
             "cpu_allocated",

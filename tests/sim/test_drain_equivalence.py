@@ -1,22 +1,23 @@
-"""Drain equivalence: the inlined loop and the ``step()`` loop agree.
+"""Drain equivalence: ``run()`` and a loop of ``step()`` calls agree.
 
-:meth:`Environment.run` drains the schedule with the inlined
-``_drain`` loop, which also serves the trace hook, and falls back to a
-loop over :meth:`Environment.step` when ``step`` is overridden.  Both
-must pop the exact same ``(time, priority, seq)`` order and hand the
-trace hook the same entries.  This file is the
-executable form of that promise: randomized workloads mixing zero-delay
-triggers, far-future timeouts, priority interrupts, resource contention,
-a bounded store's blocked puts and handoffs, and abandoned
-(interrupt-detached) timeouts run through both loops, for each ``until``
-form, and the observation log (every process's observations, in global
-order), the final clock and the final sequence number must match.
+:meth:`Environment.run` drains the schedule with the kernel's one loop,
+``_drain``, and :meth:`Environment.step` is one iteration of that loop.
+Driving a run by hand with ``step()`` must therefore pop the exact same
+``(time, priority, seq)`` order and hand the trace hook the same
+entries.  This file is the executable form of that promise: randomized
+workloads mixing zero-delay triggers, far-future timeouts, priority
+interrupts, resource contention, a bounded store's blocked puts and
+handoffs, and abandoned (interrupt-detached) timeouts run through
+``run()`` and through a plain ``step()`` loop, for each ``until`` form,
+and the observation log (every process's observations, in global
+order), the final sequence number and the next pending time must match.
 
-The loops agreeing with each other does not show that they agree with
-an earlier kernel, so each ``(seed, until)`` run's :class:`RunDigest` is
-also pinned (``PINNED_DIGESTS``).  The pins were recorded with the
-two-level schedule (a same-time FIFO in front of the heap) that the
-single heap replaced; any change to the pop order moves them.
+The two drivers agreeing with each other does not show that they agree
+with an earlier kernel, so each ``(seed, until)`` run's
+:class:`RunDigest` is also pinned (``PINNED_DIGESTS``) and checked
+through both drivers.  The pins were recorded with the two-level
+schedule (a same-time FIFO in front of the heap) that the single heap
+replaced; any change to the pop order moves them.
 """
 
 import pytest
@@ -26,17 +27,8 @@ from repro.sim.random import RandomStreams
 from repro.sim.resources import Resource, Store
 from repro.sim.trace import EventTraceRecorder, RunDigest
 
-
-class SteppingEnvironment(Environment):
-    """Overrides ``step`` so :meth:`run` takes the ``step()`` loop."""
-
-    def __init__(self, trace=None) -> None:
-        super().__init__(trace=trace)
-        self.steps = 0
-
-    def step(self) -> None:
-        self.steps += 1
-        super().step()
+#: The ``run(until=...)`` horizon of the ``"time"`` form.
+HORIZON = 20.0
 
 
 def _random_workload(env: Environment, seed: int, log) -> Event:
@@ -165,23 +157,59 @@ def _run(env: Environment, seed: int, until: str):
     if until == "none":
         result = env.run()
     elif until == "time":
-        result = env.run(until=20.0)
+        result = env.run(until=HORIZON)
     else:
         result = env.run(until=stop)
     return log, result, env.now, env._seq, env.peek()
+
+
+def _step_run(env: Environment, seed: int, until: str):
+    """:func:`_run` driven by a plain loop of ``env.step()`` calls.
+
+    Returns :func:`_run`'s tuple and the number of ``step()`` calls.
+    Unlike ``run(until=HORIZON)``, the loop leaves the clock at the last
+    processed event rather than at the horizon.
+    """
+    log: list[tuple] = []
+    stop = _random_workload(env, seed, log)
+    steps = 0
+    if until == "event":
+        while not stop.processed:
+            env.step()
+            steps += 1
+        result = stop.value
+    else:
+        horizon = HORIZON if until == "time" else float("inf")
+        while env.peek() < float("inf") and env.peek() <= horizon:
+            env.step()
+            steps += 1
+        result = None
+    return (log, result, env.now, env._seq, env.peek()), steps
+
+
+def _same_run(ran, stepped, until: str) -> None:
+    log, result, now, seq, next_time = ran
+    assert stepped[:2] == (log, result)
+    assert stepped[3:] == (seq, next_time)
+    if until == "time":
+        assert stepped[2] <= now == HORIZON
+    else:
+        assert stepped[2] == now
 
 
 @pytest.mark.parametrize("until", ["none", "time", "event"])
 @pytest.mark.parametrize("seed", [0, 7, 1234, 99991])
 def test_inlined_and_step_drains_are_identical(seed, until):
     inlined = _run(Environment(), seed, until)
-    stepping_env = SteppingEnvironment()
-    stepped = _run(stepping_env, seed, until)
-    digest = RunDigest()
+    digest, step_digest = RunDigest(), RunDigest()
     traced = _run(Environment(trace=digest), seed, until)
-    assert stepping_env.steps > 0
-    assert inlined == stepped == traced
+    stepped, steps = _step_run(Environment(trace=step_digest), seed, until)
+    assert inlined == traced
+    _same_run(inlined, stepped, until)
+    # Each step() call processes exactly one event.
+    assert steps == step_digest.events == digest.events
     assert digest.hexdigest() == PINNED_DIGESTS[(seed, until)]
+    assert step_digest.hexdigest() == PINNED_DIGESTS[(seed, until)]
     log, result, now, _seq, next_time = inlined
     names = {name for name, _now, _obs in log}
     assert {
@@ -191,7 +219,7 @@ def test_inlined_and_step_drains_are_identical(seed, until):
     if until == "none":
         assert next_time == float("inf")
     elif until == "time":
-        assert now == 20.0 < next_time < float("inf")
+        assert now == HORIZON < next_time < float("inf")
     else:
         # Stopped at the interrupter's finish, with events still pending.
         assert result == "interrupter done"
@@ -202,15 +230,15 @@ def test_inlined_and_step_drains_are_identical(seed, until):
 @pytest.mark.parametrize("seed", [0, 1234])
 def test_both_loops_feed_the_trace_hook_identically(seed, until):
     inlined, stepped = EventTraceRecorder(), EventTraceRecorder()
-    inlined_run = _run(Environment(trace=inlined), seed, until)
-    assert inlined_run == _run(SteppingEnvironment(trace=stepped), seed, until)
-    assert len(inlined) > 0
+    ran = _run(Environment(trace=inlined), seed, until)
+    step_run, steps = _step_run(Environment(trace=stepped), seed, until)
+    _same_run(ran, step_run, until)
+    assert len(inlined) == steps > 0
     assert inlined.entries == stepped.entries
 
 
-@pytest.mark.parametrize("make", [Environment, SteppingEnvironment])
-def test_until_processed_stop_returns_at_once(make):
-    env = make()
+def test_until_processed_stop_returns_at_once():
+    env = Environment()
 
     def ticker(env):
         for _ in range(100):
@@ -226,6 +254,6 @@ def test_until_processed_stop_returns_at_once(make):
 
 
 def test_seeded_run_is_stable():
-    """Same seed, same loop -> identical logs (no hidden state)."""
-    for make in (Environment, SteppingEnvironment):
-        assert _run(make(), 21, "none") == _run(make(), 21, "none")
+    """Same seed, same driver -> identical logs (no hidden state)."""
+    for drive in (_run, _step_run):
+        assert drive(Environment(), 21, "none") == drive(Environment(), 21, "none")

@@ -423,23 +423,30 @@ def test_run_until_past_time_leaves_clock_untouched():
     assert env.now == 7.0
 
 
-def test_run_until_unfired_event_with_subclassed_step():
-    # The never-fires check must hold on the non-inlined drain loop used
-    # by step()-overriding subclasses (e.g. trace recorders) too.
-    class CountingEnvironment(Environment):
-        steps = 0
-
-        def step(self):
-            type(self).steps += 1
-            super().step()
-
-    env = CountingEnvironment()
+def test_timeout_at_fires_at_exactly_when():
+    env = Environment(initial_time=0.1)
+    # Neither fire time survives a now + (when - now) round trip from
+    # the time it is scheduled at, so a delay-based timeout would miss it.
+    whens = [0.41, 0.93]
+    assert 0.1 + (0.41 - 0.1) != 0.41 and 0.41 + (0.93 - 0.41) != 0.93
+    fired = []
 
     def proc(env):
-        yield env.timeout(1)
-        yield env.timeout(1)
+        for when in whens:
+            yield env.timeout_at(when)
+            fired.append(env.now)
 
     env.process(proc(env))
-    with pytest.raises(SimulationError, match="never fired"):
-        env.run(until=env.event())
-    assert CountingEnvironment.steps > 0
+    env.run()
+    assert fired == whens
+
+
+def test_step_on_empty_schedule_rejected():
+    env = Environment()
+    with pytest.raises(SimulationError, match="empty schedule"):
+        env.step()
+    env.timeout(1.0)
+    env.step()
+    assert env.now == 1.0
+    with pytest.raises(SimulationError, match="empty schedule"):
+        env.step()

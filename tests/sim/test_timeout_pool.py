@@ -95,6 +95,51 @@ def test_negative_delay_rejected_on_both_paths():
         env.timeout(-1.0)  # pool-reuse path
 
 
+def test_direct_construction_allocates_and_schedules():
+    env = Environment(initial_time=1.0)
+    with pytest.raises(SimulationError, match="negative timeout delay"):
+        Timeout(env, -1.0)
+    timeout = Timeout(env, 2.5, value="v")
+    assert timeout.triggered and not timeout.processed
+    assert env.timeout_pool_stats()["allocs"] == 1
+    assert env.run(until=timeout) == "v"
+    assert env.now == 3.5
+
+
+def test_timeout_at_in_the_past_rejected_on_both_paths():
+    env = Environment(initial_time=5.0)
+    with pytest.raises(SimulationError, match="in the past"):
+        env.timeout_at(4.0)  # fresh-allocation path
+    assert env.timeout_pool_stats() == {"allocs": 0, "reuses": 0, "pooled": 0}
+    _spin(env, rounds=10)
+    pooled = env.timeout_pool_stats()
+    assert pooled["pooled"] >= 1
+    with pytest.raises(SimulationError, match="in the past"):
+        env.timeout_at(env.now - 0.5)  # pool-reuse path
+    assert env.timeout_pool_stats() == pooled
+
+
+def test_timeout_at_shares_the_freelist_with_timeout():
+    """``timeout_at`` draws from and feeds the same pool and counters."""
+    env = Environment()
+
+    def looper(env):
+        for i in range(20):
+            if i % 2:
+                yield env.timeout(0.1)
+            else:
+                yield env.timeout_at(env.now + 0.1)
+
+    env.process(looper(env))
+    env.run()
+    stats = env.timeout_pool_stats()
+    assert stats["allocs"] <= 2
+    assert stats["allocs"] + stats["reuses"] == 20
+    recycled = env.timeout_at(env.now + 1.0)
+    assert recycled._gen >= 1
+    assert env.timeout_pool_stats()["reuses"] == stats["reuses"] + 1
+
+
 def test_recycled_runs_match_fresh_runs():
     """Pooling is invisible to results: values and times are unchanged."""
     env = Environment()

@@ -112,26 +112,6 @@ def test_write_digest(tmp_path):
     assert (tmp_path / "raw.digest").read_text() == "abc123\n"
 
 
-def test_custom_step_subclass_still_supported():
-    """Subclassing step() remains possible alongside the trace hook."""
-    seen = []
-
-    class CountingEnvironment(Environment):
-        def step(self) -> None:
-            seen.append(self.peek())
-            super().step()
-
-    env = CountingEnvironment()
-
-    def proc(env):
-        yield env.timeout(1.0)
-        yield env.timeout(2.0)
-
-    env.process(proc(env))
-    env.run()
-    assert len(seen) >= 2
-
-
 @pytest.mark.parametrize("until", [5.0, None])
 def test_trace_hook_with_until(until):
     recorder = EventTraceRecorder()

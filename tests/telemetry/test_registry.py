@@ -128,7 +128,7 @@ def test_hub_registered_writes_are_silent():
         warnings.simplefilter("error")
         hub.record_latency("request_latency", 0.1, {"request": "r"})
         hub.inc_counter("requests_total", labels={"request": "r", "service": "s"})
-        hub.observe_gauge("replicas", 2.0, {"service": "s"})
+        hub.observe_gauge("queue_depth", 2.0, {"service": "s"})
 
 
 # -- counter_total partial-bucket accounting --------------------------------
