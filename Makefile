@@ -25,7 +25,7 @@ lint:
 	PYTHONPATH=src python -m repro.analysis src/ benchmarks/ tests/
 
 # Static types for the provenance-critical modules (results store,
-# histogram).  Requires mypy from the dev extras; CI runs this gate.
+# histogram, metrics hub and registry).  Requires mypy from the dev extras; CI runs this gate.
 typecheck:
 	mypy
 

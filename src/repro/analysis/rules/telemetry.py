@@ -1,13 +1,13 @@
 """Telemetry rules: metric writes must match the declared registry.
 
 The :class:`~repro.telemetry.metrics.MetricsHub` validates metric names
-at runtime -- but only when the mistyped write actually executes, which
-for a rarely-taken branch may be never in CI.  TEL001 closes the gap at
-lint time: any *string literal* passed as the metric name to a hub write
-method -- directly or through a module-level string constant (the
-``_METRIC = "request_latency"`` idiom) -- is checked against
+at runtime -- but only when the mistyped handle is actually interned,
+which for a rarely-taken branch may be never in CI.  TEL001 closes the
+gap at lint time: any *string literal* passed as the metric name to a
+hub handle factory -- directly or through a module-level string constant
+(the ``_METRIC = "request_latency"`` idiom) -- is checked against
 :data:`~repro.telemetry.registry.DEFAULT_REGISTRY` (name known, kind
-matches the method, label keys declared).  Names built dynamically are
+matches the factory, label keys declared).  Names built dynamically are
 left to the runtime check, which raises on every hub in the tree.
 
 TEL002 is the same contract for alert series: any string literal passed
@@ -26,25 +26,16 @@ from repro.telemetry.registry import ALERT_REGISTRY, DEFAULT_REGISTRY
 
 __all__ = ["UnregisteredAlertRule", "UnregisteredMetricRule"]
 
-#: Hub write method -> the metric kind it records.  The handle factories
-#: (``latency_handle``/``counter_handle``) intern a series for later
-#: writes; the name they intern is checked exactly like a direct write.
+#: Hub handle factory (the hub's only write API) -> the metric kind its
+#: handle records.
 _METHOD_KIND = {
-    "record_latency": "latency",
-    "inc_counter": "counter",
-    "observe_gauge": "gauge",
     "latency_handle": "latency",
     "counter_handle": "counter",
+    "gauge_handle": "gauge",
 }
 
-#: Position of the ``labels`` argument in each write method's signature.
-_LABELS_ARG_INDEX = {
-    "record_latency": 2,
-    "inc_counter": 2,
-    "observe_gauge": 2,
-    "latency_handle": 1,
-    "counter_handle": 1,
-}
+#: Position of the ``labels`` argument in each factory's signature.
+_LABELS_ARG_INDEX = dict.fromkeys(_METHOD_KIND, 1)
 
 
 def _keyword(node: ast.Call, name: str) -> ast.expr | None:
@@ -66,33 +57,19 @@ def _literal_label_keys(node: ast.expr | None) -> list[str] | None:
     return keys
 
 
-@register
-class UnregisteredMetricRule(Rule):
-    """Flag metric-name literals the telemetry registry does not declare.
+class _NameLiteralRule(Rule):
+    """Shared pre-pass: resolve module-level string constants.
 
-    A typo'd metric name silently creates a parallel series that every
-    query misses -- dashboards and SLA checks read zeros while the data
-    lands next door.  The registry plus this rule make the name itself a
-    checked interface.
+    The common ``_METRIC = "request_latency"`` /
+    ``ALERT_BURN_RATE = "slo-burn-rate"`` indirection stays checkable.
+    Reassigned names are dropped (their value is ambiguous).
     """
-
-    id = "TEL001"
-    title = "unregistered metric name literal"
-    rationale = (
-        "Metric names are declared once in "
-        "repro.telemetry.registry.DEFAULT_REGISTRY; a write using an "
-        "undeclared literal (or the wrong kind/labels) creates a series "
-        "no query reads. Register the metric or fix the typo."
-    )
 
     def __init__(self, ctx) -> None:
         super().__init__(ctx)
         self._module_constants: dict[str, str] = {}
 
     def run(self, tree: ast.Module) -> None:
-        # Pre-pass: module-level string constants, so the common
-        # ``_METRIC = "request_latency"`` indirection stays checkable.
-        # Reassigned names are dropped (their value is ambiguous).
         seen: dict[str, str | None] = {}
         for stmt in tree.body:
             targets: list[ast.expr] = []
@@ -124,6 +101,26 @@ class UnregisteredMetricRule(Rule):
         if isinstance(node, ast.Name):
             return self._module_constants.get(node.id)
         return None
+
+
+@register
+class UnregisteredMetricRule(_NameLiteralRule):
+    """Flag metric-name literals the telemetry registry does not declare.
+
+    A typo'd metric name silently creates a parallel series that every
+    query misses -- dashboards and SLA checks read zeros while the data
+    lands next door.  The registry plus this rule make the name itself a
+    checked interface.
+    """
+
+    id = "TEL001"
+    title = "unregistered metric name literal"
+    rationale = (
+        "Metric names are declared once in "
+        "repro.telemetry.registry.DEFAULT_REGISTRY; a write using an "
+        "undeclared literal (or the wrong kind/labels) creates a series "
+        "no query reads. Register the metric or fix the typo."
+    )
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -177,7 +174,7 @@ _ALERT_CALLABLES = frozenset({"Alert", "_emit"})
 
 
 @register
-class UnregisteredAlertRule(Rule):
+class UnregisteredAlertRule(_NameLiteralRule):
     """Flag alert-name literals the alert registry does not declare.
 
     The SLO monitor raises on an undeclared alert name at emit time, but
@@ -197,44 +194,6 @@ class UnregisteredAlertRule(Rule):
         "dashboard reads, and the monitor would reject it at emit time. "
         "Register the alert or fix the typo."
     )
-
-    def __init__(self, ctx) -> None:
-        super().__init__(ctx)
-        self._module_constants: dict[str, str] = {}
-
-    def run(self, tree: ast.Module) -> None:
-        # Same module-constant pre-pass as TEL001, so the canonical
-        # ``ALERT_BURN_RATE = "slo-burn-rate"`` indirection resolves.
-        seen: dict[str, str | None] = {}
-        for stmt in tree.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                if target.id in seen:
-                    seen[target.id] = None
-                elif isinstance(value, ast.Constant) and isinstance(
-                    value.value, str
-                ):
-                    seen[target.id] = value.value
-                else:
-                    seen[target.id] = None
-        self._module_constants = {
-            name: text for name, text in seen.items() if text is not None
-        }
-        self.visit(tree)
-
-    def _resolve_name(self, node: ast.expr | None) -> str | None:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-        if isinstance(node, ast.Name):
-            return self._module_constants.get(node.id)
-        return None
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func

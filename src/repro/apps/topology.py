@@ -19,7 +19,7 @@ from repro.services.base import Microservice
 from repro.services.spec import ServiceSpec
 from repro.sim.engine import Environment, Event
 from repro.sim.random import RandomStreams
-from repro.telemetry.metrics import MetricsHub
+from repro.telemetry.metrics import CounterHandle, LatencyHandle, MetricsHub
 from repro.telemetry.tracing import Tracer
 
 __all__ = ["SlaSpec", "RequestClass", "AppSpec", "Application"]
@@ -205,7 +205,15 @@ class Application:
         self.request_classes: dict[str, RequestClass] = {
             rc.name: rc for rc in spec.request_classes
         }
-        self._class_label_sets: dict[str, tuple] = {}
+        #: request class -> interned (client_requests_total,
+        #: request_latency) writers.
+        self._class_handles: dict[str, tuple[CounterHandle, LatencyHandle]] = {
+            name: (
+                self.hub.counter_handle("client_requests_total", {"request": name}),
+                self.hub.latency_handle("request_latency", {"request": name}),
+            )
+            for name in self.request_classes
+        }
         #: Per-application request counter: ids are deterministic within
         #: a run and identical at any --jobs count (no process-global
         #: state; see PAR002 in docs/static_analysis.md).
@@ -238,8 +246,8 @@ class Application:
     def submit(self, class_name: str) -> tuple[Request, Event]:
         """Inject one request; returns (request, completion event).
 
-        End-to-end latency and SLA violations are recorded on the hub when
-        the request's call tree completes.
+        End-to-end latency is recorded on the hub when the request's call
+        tree completes.
         """
         rc = self.request_classes.get(class_name)
         if rc is None:
@@ -265,28 +273,23 @@ class Application:
             done = root.publish(request, rc.tree, span=span)
         else:
             _response, done = root.submit(request, rc.tree, span=span)
-        labels = self._class_labels(class_name)
-        self.hub.inc_counter("client_requests_total", labels=labels)
+        requests_total, latency_handle = self._class_handles[class_name]
+        requests_total.inc()
         done._add_callback(
-            lambda _ev: self._on_complete(request, rc, labels, span)
+            lambda _ev: self._on_complete(request, rc, latency_handle, span)
         )
         return request, done
 
-    def _class_labels(self, class_name: str):
-        key = self._class_label_sets.get(class_name)
-        if key is None:
-            key = (("request", class_name),)
-            self._class_label_sets[class_name] = key
-        return key
-
     def _on_complete(
-        self, request: Request, rc: RequestClass, labels, span=None
+        self,
+        request: Request,
+        rc: RequestClass,
+        latency_handle: LatencyHandle,
+        span=None,
     ) -> None:
         request.completion_time = self.env.now
         latency = request.latency
-        self.hub.record_latency("request_latency", latency, labels)
-        if latency > rc.sla.target_s:
-            self.hub.inc_counter("sla_violations_total", labels=labels)
+        latency_handle.record(latency)
         if span is not None:
             self.tracer.finish(span.trace, self.env.now)
         if self._completion_listeners:
@@ -314,14 +317,12 @@ class Application:
     def _cluster_monitor(self, interval: float):
         """Sample cluster-wide allocation gauges (pure observer process)."""
         env = self.env
+        allocated = self.hub.gauge_handle("cluster_allocated_cpus")
+        free = self.hub.gauge_handle("cluster_free_cpus")
         while True:
             yield env.timeout(interval)
-            self.hub.observe_gauge(
-                "cluster_allocated_cpus", float(self.cluster.allocated_cpus())
-            )
-            self.hub.observe_gauge(
-                "cluster_free_cpus", float(self.cluster.free_cpus())
-            )
+            allocated.observe(float(self.cluster.allocated_cpus()))
+            free.observe(float(self.cluster.free_cpus()))
 
     # -- accounting helpers ---------------------------------------------------
     def windowed_violation_rate(

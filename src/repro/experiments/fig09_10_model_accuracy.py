@@ -23,7 +23,6 @@ from repro.experiments.report import render_attribution, render_series
 from repro.experiments.runner import (
     RunOptions,
     TraceArtifacts,
-    TracingOptions,
     make_app,
     scale_profile,
 )
@@ -139,8 +138,6 @@ def run_model_accuracy(
         options.tracing.build_tracer() if options.tracing is not None else None
     )
     app = make_app(spec, seed=options.seed, trace=run_digest, tracer=tracer)
-    if tracer is not None:
-        tracer.hub = app.hub
     app.env.run(until=10)
     manager = UrsaManager(app, exploration)
     class_loads = {c: rps * mix.fraction(c) for c in mix.classes()}

@@ -176,8 +176,8 @@ class TracingOptions:
     #: Sample every n-th request of each class.
     sample_every_n: int = 100
 
-    def build_tracer(self, hub=None) -> Tracer:
-        return Tracer(sample_every_n=self.sample_every_n, hub=hub)
+    def build_tracer(self) -> Tracer:
+        return Tracer(sample_every_n=self.sample_every_n)
 
 
 @dataclass(frozen=True)
@@ -194,14 +194,13 @@ class SLOOptions:
     slow_window_s: float = 300.0
     bucket_s: float = 5.0
 
-    def build_monitor(self, spec: AppSpec, clock, hub=None) -> SLOMonitor:
+    def build_monitor(self, spec: AppSpec, clock) -> SLOMonitor:
         return SLOMonitor(
             slo_specs_for(spec),
             clock=clock,
             fast_window_s=self.fast_window_s,
             slow_window_s=self.slow_window_s,
             bucket_s=self.bucket_s,
-            hub=hub,
         )
 
 
@@ -413,14 +412,10 @@ def run_deployment(
         tracer=tracer,
         cluster_options=options.cluster,
     )
-    if tracer is not None:
-        tracer.hub = app.hub
     slo_monitor = None
     if options.slo is not None:
         env = app.env
-        slo_monitor = options.slo.build_monitor(
-            spec, clock=lambda: env.now, hub=app.hub
-        )
+        slo_monitor = options.slo.build_monitor(spec, clock=lambda: env.now)
         slo_monitor.attach(app)
     app.env.run(until=10)
     attach_manager(app)

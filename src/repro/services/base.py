@@ -120,7 +120,6 @@ class Microservice:
         self.speed_factor = 1.0
         self._cpu_limit_override: int | None = None
         self.queue = MessageQueue(env, spec.name)
-        self._label_sets: dict[str, tuple] = {}
         #: request class -> (requests_total counter, service_latency
         #: recorder) interned hub handles; see _hot_handles.
         self._hot_handles: dict[str, tuple[CounterHandle, LatencyHandle]] = {}
@@ -264,14 +263,6 @@ class Microservice:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _label_set(self, request_class: str):
-        """Cached canonical label tuple for (service, request) metrics."""
-        key = self._label_sets.get(request_class)
-        if key is None:
-            key = (("request", request_class), ("service", self.name))
-            self._label_sets[request_class] = key
-        return key
-
     def _request_handles(
         self, request_class: str
     ) -> tuple[CounterHandle, LatencyHandle]:
@@ -283,7 +274,7 @@ class Microservice:
         """
         handles = self._hot_handles.get(request_class)
         if handles is None:
-            labels = self._label_set(request_class)
+            labels = {"request": request_class, "service": self.name}
             handles = self._hot_handles[request_class] = (
                 self.hub.counter_handle("requests_total", labels=labels),
                 self.hub.latency_handle("service_latency", labels=labels),
@@ -512,8 +503,10 @@ class Microservice:
     def _monitor(self, interval: float):
         env = self.env
         last_busy = 0.0
-        # Pre-canonical label tuple: labels_key passes it through unsorted.
-        labels = (("service", self.name),)
+        labels = {"service": self.name}
+        utilization_gauge = self.hub.gauge_handle("cpu_utilization", labels)
+        allocated_gauge = self.hub.gauge_handle("cpu_allocated", labels)
+        queue_gauge = self.hub.gauge_handle("queue_depth", labels)
         while True:
             yield env.timeout(interval)
             replicas = [r for r in self._replicas.values() if not r.stopping]
@@ -523,8 +516,6 @@ class Microservice:
             last_busy = busy_now
             if capacity > 0:
                 utilization = min(1.0, delta / (capacity * interval))
-                self.hub.observe_gauge("cpu_utilization", utilization, labels)
-            self.hub.observe_gauge(
-                "cpu_allocated", float(self.deployment.allocated_cpus), labels
-            )
-            self.hub.observe_gauge("queue_depth", float(self.queue_depth()), labels)
+                utilization_gauge.observe(utilization)
+            allocated_gauge.observe(float(self.deployment.allocated_cpus))
+            queue_gauge.observe(float(self.queue_depth()))

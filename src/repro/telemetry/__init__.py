@@ -1,16 +1,19 @@
-"""Prometheus/Jaeger-like telemetry: metrics and tracing.
-
-Two layers:
+"""Prometheus/Jaeger-like telemetry: metrics, tracing and SLO monitoring.
 
 * :class:`~repro.telemetry.metrics.MetricsHub` -- windowed aggregate
-  metrics (the Prometheus substitute).  Every metric name is declared in
+  metrics (the Prometheus substitute).  Writers intern one handle per
+  series (``latency_handle`` / ``counter_handle`` / ``gauge_handle``);
+  every metric name is declared in
   :data:`~repro.telemetry.registry.DEFAULT_REGISTRY` with its kind and
-  expected labels; the hub raises
-  :class:`~repro.errors.TelemetryError` on unregistered writes and the
-  ursalint rule ``TEL001`` checks literals at lint time.
+  expected labels, the hub raises :class:`~repro.errors.TelemetryError`
+  when a handle names an undeclared series, and the ursalint rule
+  ``TEL001`` checks literals at lint time.
 * :mod:`~repro.telemetry.tracing` -- per-request span trees plus the
   critical-path analyzer attributing end-to-end latency to
   (service, phase) pairs (the Jaeger substitute).
+* :mod:`~repro.telemetry.slo` and :mod:`~repro.telemetry.audit` -- SLO
+  burn-rate alerting and the span-driven budget audit.  Like the tracer,
+  they keep their results to themselves and write nothing to the hub.
 
 See ``docs/observability.md`` for the span model, critical-path
 semantics, and the digest workflow.
@@ -26,10 +29,10 @@ from repro.telemetry.metrics import LabelSet, MetricsHub, labels_key
 from repro.telemetry.registry import (
     ALERT_REGISTRY,
     DEFAULT_REGISTRY,
-    AlertRegistry,
     AlertSpec,
     MetricRegistry,
     MetricSpec,
+    Registry,
 )
 from repro.telemetry.slo import (
     Alert,
@@ -56,7 +59,6 @@ from repro.telemetry.tracing import (
 __all__ = [
     "ALERT_REGISTRY",
     "Alert",
-    "AlertRegistry",
     "AlertSpec",
     "AuditVerdict",
     "CriticalPathSummary",
@@ -66,6 +68,7 @@ __all__ = [
     "MetricSpec",
     "MetricsHub",
     "PathSegment",
+    "Registry",
     "SLOMonitor",
     "SLOSpec",
     "Span",

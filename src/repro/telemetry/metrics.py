@@ -7,22 +7,21 @@ matching the paper's once-per-minute sampling).  Three metric kinds:
 * **latency** -- per-window empirical latency distributions
   (request/response times keyed by service and request class);
 * **counter** -- monotonically accumulated counts per window (request
-  arrivals, SLA violations);
+  arrivals);
 * **gauge** -- point-in-time samples averaged per window (CPU utilisation,
-  replica counts, queue depths).
+  allocated CPUs, queue depths).
 
 Queries aggregate over window ranges, mirroring the PromQL-style queries
 Ursa's controllers issue (latency percentile over the last N minutes,
 request rate, mean CPU utilisation).
 
-Hot-path writers use interned series handles (see
-docs/performance.md): :meth:`MetricsHub.latency_handle` /
-:meth:`MetricsHub.counter_handle` resolve the name/label lookup and
-registry check once and return a small bound writer
-(:class:`LatencyHandle` / :class:`CounterHandle`); per-observation
-writes through a handle touch only the per-window dict.  Handles and
-the string-keyed write methods share the same underlying series, so
-queries see both.
+Writes go only through interned series handles (see
+docs/performance.md): :meth:`MetricsHub.latency_handle`,
+:meth:`MetricsHub.counter_handle` and :meth:`MetricsHub.gauge_handle`
+canonicalise the labels, run the registry check and resolve the series
+once, and return a small bound writer (:class:`LatencyHandle`,
+:class:`CounterHandle`, :class:`GaugeHandle`); each observation through
+a handle touches only the per-window dict.
 """
 
 from __future__ import annotations
@@ -30,13 +29,15 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping
 from math import floor as _floor
+from typing import Any
 
 from repro.errors import TelemetryError
 from repro.stats.distributions import EmpiricalDistribution
-from repro.telemetry.registry import DEFAULT_REGISTRY, MetricRegistry
+from repro.telemetry.registry import DEFAULT_REGISTRY
 
 __all__ = [
     "CounterHandle",
+    "GaugeHandle",
     "LabelSet",
     "LatencyHandle",
     "MetricsHub",
@@ -44,14 +45,14 @@ __all__ = [
 ]
 
 LabelSet = tuple[tuple[str, str], ...]
+Labels = Mapping[str, str] | LabelSet | None
 
 
-class LatencyHandle:
-    """Interned writer for one (metric, label-set) latency series.
+class _Handle:
+    """Interned writer for one (metric, label-set) series.
 
-    Created by :meth:`MetricsHub.latency_handle`; holds the resolved
-    per-window dict so :meth:`record` skips the name/label lookups and
-    the (first-write) registry check entirely.
+    Holds the clock, the window length and the resolved per-window dict,
+    so a write skips the name/label lookups and the registry check.
     """
 
     __slots__ = ("_clock", "_window_s", "_series")
@@ -60,15 +61,20 @@ class LatencyHandle:
         self,
         clock: Callable[[], float],
         window_s: float,
-        series: dict[int, EmpiricalDistribution],
+        series: dict[int, Any],
     ) -> None:
         self._clock = clock
         self._window_s = window_s
         self._series = series
 
+
+class LatencyHandle(_Handle):
+    """Writer for one latency series (:meth:`MetricsHub.latency_handle`)."""
+
+    __slots__ = ()
+
     def record(self, value: float) -> None:
-        """Record one latency observation (same as hub.record_latency)."""
-        # Same window arithmetic as MetricsHub._window, inlined.
+        """Record one latency observation in the current window."""
         window = int(_floor(self._clock() / self._window_s))
         series = self._series
         dist = series.get(window)
@@ -77,23 +83,13 @@ class LatencyHandle:
         dist.add(value)
 
 
-class CounterHandle:
-    """Interned writer for one (metric, label-set) counter series."""
+class CounterHandle(_Handle):
+    """Writer for one counter series (:meth:`MetricsHub.counter_handle`)."""
 
-    __slots__ = ("_clock", "_window_s", "_series")
-
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        window_s: float,
-        series: dict[int, float],
-    ) -> None:
-        self._clock = clock
-        self._window_s = window_s
-        self._series = series
+    __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
-        """Increment the counter (same as hub.inc_counter)."""
+        """Increment the counter in the current window."""
         if amount < 0:
             raise TelemetryError(f"counter increment must be >= 0, got {amount}")
         window = int(_floor(self._clock() / self._window_s))
@@ -101,17 +97,31 @@ class CounterHandle:
         series[window] = series.get(window, 0.0) + amount
 
 
-def labels_key(labels: Mapping[str, str] | LabelSet | None) -> LabelSet:
-    """Canonical hashable form of a label mapping.
+class GaugeHandle(_Handle):
+    """Writer for one gauge series (:meth:`MetricsHub.gauge_handle`)."""
 
-    Accepts an already-canonical tuple unchanged, so hot paths can
-    precompute their label sets once and skip the sort.
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        """Record one point-in-time sample in the current window."""
+        window = int(_floor(self._clock() / self._window_s))
+        series = self._series
+        samples = series.get(window)
+        if samples is None:
+            samples = series[window] = []
+        samples.append(value)
+
+
+def labels_key(labels: Labels) -> LabelSet:
+    """Canonical hashable form of a label mapping or label tuple.
+
+    Every input is sorted, so a tuple in any key order names the same
+    series as the equivalent dict.
     """
     if not labels:
         return ()
-    if isinstance(labels, tuple):
-        return labels
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+    pairs = labels.items() if isinstance(labels, Mapping) else labels
+    return tuple(sorted((str(k), str(v)) for k, v in pairs))
 
 
 class MetricsHub:
@@ -120,123 +130,61 @@ class MetricsHub:
     The hub needs the current simulation time on every write; callers pass
     a clock function (usually ``lambda: env.now``) at construction.
 
-    Writes are validated against a
-    :class:`~repro.telemetry.registry.MetricRegistry`: an undeclared name,
-    a kind mismatch, or an undeclared label key raises
-    :class:`~repro.errors.TelemetryError`.  Validation happens only when
-    a new series is created, so the per-observation hot path pays
-    nothing.  Pass ``registry=None`` to disable checking (ad-hoc hubs in
-    tests).
+    Every series is validated against
+    :data:`~repro.telemetry.registry.DEFAULT_REGISTRY` when a handle
+    first creates it: an undeclared name, a kind mismatch, or an
+    undeclared label key raises :class:`~repro.errors.TelemetryError`.
+    Writes through a handle pay nothing for the check.
     """
 
-    def __init__(
-        self,
-        clock,
-        window_s: float = 60.0,
-        registry: MetricRegistry | None = DEFAULT_REGISTRY,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float], window_s: float = 60.0) -> None:
         if window_s <= 0:
             raise TelemetryError(f"window must be > 0, got {window_s}")
         self._clock = clock
         self.window_s = float(window_s)
-        self.registry = registry
         # metric name -> labels -> window index -> aggregate
         self._latency: dict[str, dict[LabelSet, dict[int, EmpiricalDistribution]]] = {}
         self._counters: dict[str, dict[LabelSet, dict[int, float]]] = {}
         self._gauges: dict[str, dict[LabelSet, dict[int, list[float]]]] = {}
 
-    def _check(self, kind: str, name: str, labels: LabelSet) -> None:
-        """Validate a new series against the registry (first write only)."""
-        if self.registry is None:
-            return
-        problem = self.registry.check(name, kind, (k for k, _ in labels))
-        if problem is not None:
-            raise TelemetryError(problem)
-
-    # -- writes -----------------------------------------------------------
-    def _window(self, at: float | None = None) -> int:
-        t = self._clock() if at is None else at
-        return int(math.floor(t / self.window_s))
-
-    def _series(self, kind: str, table: dict, name: str, key: LabelSet) -> dict:
+    def _series(
+        self,
+        kind: str,
+        table: dict[str, dict[LabelSet, dict[int, Any]]],
+        name: str,
+        labels: Labels,
+    ) -> dict[int, Any]:
         """Get-or-create the per-window dict for one (name, labels) series.
 
-        Registry validation runs exactly when the series is created --
-        identical timing to the pre-handle first-write check.
+        The registry check runs exactly when the series is created.
         """
+        key = labels_key(labels)
         by_labels = table.get(name)
         if by_labels is None:
             by_labels = table[name] = {}
         series = by_labels.get(key)
         if series is None:
-            self._check(kind, name, key)
+            problem = DEFAULT_REGISTRY.check(name, kind, (k for k, _ in key))
+            if problem is not None:
+                raise TelemetryError(problem)
             series = by_labels[key] = {}
         return series
 
-    def record_latency(
-        self,
-        name: str,
-        value: float,
-        labels: Mapping[str, str] | LabelSet | None = None,
-    ) -> None:
-        """Record one latency observation for metric ``name``."""
-        window = self._window()
-        series = self._series("latency", self._latency, name, labels_key(labels))
-        dist = series.get(window)
-        if dist is None:
-            dist = series[window] = EmpiricalDistribution()
-        dist.add(value)
-
-    def inc_counter(
-        self,
-        name: str,
-        amount: float = 1.0,
-        labels: Mapping[str, str] | LabelSet | None = None,
-    ) -> None:
-        """Increment counter ``name`` by ``amount`` in the current window."""
-        if amount < 0:
-            raise TelemetryError(f"counter increment must be >= 0, got {amount}")
-        window = self._window()
-        series = self._series("counter", self._counters, name, labels_key(labels))
-        series[window] = series.get(window, 0.0) + amount
-
-    def observe_gauge(
-        self,
-        name: str,
-        value: float,
-        labels: Mapping[str, str] | LabelSet | None = None,
-    ) -> None:
-        """Record one point-in-time gauge sample."""
-        window = self._window()
-        series = self._series("gauge", self._gauges, name, labels_key(labels))
-        samples = series.get(window)
-        if samples is None:
-            samples = series[window] = []
-        samples.append(value)
-
-    # -- interned handles -------------------------------------------------
-    def latency_handle(
-        self,
-        name: str,
-        labels: Mapping[str, str] | LabelSet | None = None,
-    ) -> LatencyHandle:
-        """Interned writer for one latency series (hot-path callers).
-
-        Resolves the name/label lookup and registry check once; the
-        returned :class:`LatencyHandle` writes into the same series that
-        :meth:`record_latency` and the query methods use.
-        """
-        series = self._series("latency", self._latency, name, labels_key(labels))
+    # -- interned handles (the write API) ---------------------------------
+    def latency_handle(self, name: str, labels: Labels = None) -> LatencyHandle:
+        """Interned writer for one latency series."""
+        series = self._series("latency", self._latency, name, labels)
         return LatencyHandle(self._clock, self.window_s, series)
 
-    def counter_handle(
-        self,
-        name: str,
-        labels: Mapping[str, str] | LabelSet | None = None,
-    ) -> CounterHandle:
-        """Interned writer for one counter series (hot-path callers)."""
-        series = self._series("counter", self._counters, name, labels_key(labels))
+    def counter_handle(self, name: str, labels: Labels = None) -> CounterHandle:
+        """Interned writer for one counter series."""
+        series = self._series("counter", self._counters, name, labels)
         return CounterHandle(self._clock, self.window_s, series)
+
+    def gauge_handle(self, name: str, labels: Labels = None) -> GaugeHandle:
+        """Interned writer for one gauge series."""
+        series = self._series("gauge", self._gauges, name, labels)
+        return GaugeHandle(self._clock, self.window_s, series)
 
     # -- reads ------------------------------------------------------------
     def _window_range(self, t0: float, t1: float) -> range:
@@ -251,7 +199,7 @@ class MetricsHub:
         name: str,
         t0: float,
         t1: float,
-        labels: Mapping[str, str] | LabelSet | None = None,
+        labels: Labels = None,
     ) -> EmpiricalDistribution:
         """Pooled latency distribution for ``name`` over ``[t0, t1)``."""
         series = self._latency.get(name, {}).get(labels_key(labels), {})
@@ -268,7 +216,7 @@ class MetricsHub:
         q: float,
         t0: float,
         t1: float,
-        labels: Mapping[str, str] | LabelSet | None = None,
+        labels: Labels = None,
         default: float | None = None,
     ) -> float:
         """``q``-th percentile of ``name`` over ``[t0, t1)``.
@@ -291,7 +239,7 @@ class MetricsHub:
         name: str,
         t0: float,
         t1: float,
-        labels: Mapping[str, str] | LabelSet | None = None,
+        labels: Labels = None,
     ) -> float:
         """Sum of counter increments over ``[t0, t1)``.
 
@@ -322,7 +270,7 @@ class MetricsHub:
         name: str,
         t0: float,
         t1: float,
-        labels: Mapping[str, str] | LabelSet | None = None,
+        labels: Labels = None,
     ) -> float:
         """Average per-second rate of a counter over ``[t0, t1)``."""
         if t1 <= t0:
@@ -334,7 +282,7 @@ class MetricsHub:
         name: str,
         t0: float,
         t1: float,
-        labels: Mapping[str, str] | LabelSet | None = None,
+        labels: Labels = None,
         default: float | None = None,
     ) -> float:
         """Mean of gauge samples over ``[t0, t1)``."""
@@ -356,11 +304,11 @@ class MetricsHub:
         name: str,
         t0: float,
         t1: float,
-        labels: Mapping[str, str] | LabelSet | None = None,
+        labels: Labels = None,
     ) -> list[tuple[float, float]]:
         """Per-window (window start time, mean value) pairs over ``[t0, t1)``."""
         series = self._gauges.get(name, {}).get(labels_key(labels), {})
-        out = []
+        out: list[tuple[float, float]] = []
         for window in self._window_range(t0, t1):
             samples = series.get(window)
             if samples:
@@ -368,8 +316,13 @@ class MetricsHub:
         return out
 
     def label_sets(self, name: str) -> list[dict[str, str]]:
-        """All label combinations seen for metric ``name`` (any kind)."""
+        """Label sets of every series interned for ``name`` (any kind).
+
+        A series exists from the moment a handle interns it, so a label
+        set may be listed before (or without) any write.
+        """
         seen: set[LabelSet] = set()
-        for table in (self._latency, self._counters, self._gauges):
-            seen.update(table.get(name, {}).keys())
+        seen.update(self._latency.get(name, {}))
+        seen.update(self._counters.get(name, {}))
+        seen.update(self._gauges.get(name, {}))
         return [dict(ls) for ls in sorted(seen)]

@@ -4,28 +4,30 @@ Metric names used to be free-form strings passed to
 :class:`~repro.telemetry.metrics.MetricsHub` -- a typo silently created a
 parallel series that every query missed (the failure mode the ROADMAP
 flagged).  This module declares the canonical names, their kind, and
-their expected label keys; the hub checks writes against the registry
-(an undeclared write raises :class:`~repro.errors.TelemetryError`), and
-the ursalint rule ``TEL001`` checks string literals at lint time so typos
-never reach a run.
+their expected label keys; the hub checks every handle it interns
+against :data:`DEFAULT_REGISTRY` (an undeclared name, a kind mismatch or
+an undeclared label key raises :class:`~repro.errors.TelemetryError`),
+and the ursalint rule ``TEL001`` checks string literals at lint time so
+typos never reach a run.  :data:`ALERT_REGISTRY` is the same kind of
+table for the SLO monitor's alert names (rule ``TEL002``).
 
-Adding a metric is a one-line :data:`DEFAULT_REGISTRY` entry; ad-hoc hubs
-(unit tests, scratch scripts) can pass ``registry=None`` to opt out or
-build their own :class:`MetricRegistry`.
+A series that nothing reads is not declared: adding a metric is a
+one-line :data:`DEFAULT_REGISTRY` entry plus the query that needs it.
+The two cluster gauges are the exception; see their entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Generic, Iterable, Iterator, TypeVar
 
 __all__ = [
     "ALERT_REGISTRY",
-    "AlertRegistry",
     "AlertSpec",
     "DEFAULT_REGISTRY",
     "MetricRegistry",
     "MetricSpec",
+    "Registry",
 ]
 
 
@@ -38,8 +40,9 @@ class MetricSpec:
     """Declaration of one metric: name, kind, and expected label keys.
 
     ``labels`` lists every label key a series of this metric may carry;
-    a write may use any *subset* (e.g. ``requests_total`` is recorded
-    both per-service and client-level), but never a key outside the set.
+    a series may use any *subset* (e.g. ``requests_total`` may be
+    interned per-service or client-level), but never a key outside the
+    set.
     """
 
     name: str
@@ -55,38 +58,57 @@ class MetricSpec:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
-class MetricRegistry:
-    """An immutable-by-convention set of :class:`MetricSpec` declarations."""
+@dataclass(frozen=True)
+class AlertSpec:
+    """Declaration of one alert series: name, severity, and meaning."""
 
-    def __init__(self, specs: Iterable[MetricSpec] = ()) -> None:
-        self._specs: dict[str, MetricSpec] = {}
+    name: str
+    severity: str = "page"
+    description: str = ""
+
+
+SpecT = TypeVar("SpecT", MetricSpec, AlertSpec)
+
+
+class Registry(Generic[SpecT]):
+    """An immutable-by-convention name -> spec table.
+
+    The one container for both declaration tables: metrics
+    (:class:`MetricRegistry`, which adds the write check) and alerts
+    (:data:`ALERT_REGISTRY`).
+    """
+
+    def __init__(self, specs: Iterable[SpecT] = ()) -> None:
+        self._specs: dict[str, SpecT] = {}
         for spec in specs:
             self.register(spec)
 
-    def register(self, spec: MetricSpec) -> MetricSpec:
+    def register(self, spec: SpecT) -> SpecT:
         """Add a declaration; re-registering an identical spec is a no-op."""
         existing = self._specs.get(spec.name)
         if existing is not None and existing != spec:
-            raise ValueError(
-                f"metric {spec.name!r} already registered as {existing}"
-            )
+            raise ValueError(f"{spec.name!r} already registered as {existing}")
         self._specs[spec.name] = spec
         return spec
 
-    def get(self, name: str) -> MetricSpec | None:
+    def get(self, name: str) -> SpecT | None:
         return self._specs.get(name)
 
     def names(self) -> list[str]:
         return sorted(self._specs)
 
-    def __contains__(self, name: str) -> bool:
+    def __contains__(self, name: object) -> bool:
         return name in self._specs
 
-    def __iter__(self) -> Iterator[MetricSpec]:
+    def __iter__(self) -> Iterator[SpecT]:
         return iter(self._specs.values())
 
     def __len__(self) -> int:
         return len(self._specs)
+
+
+class MetricRegistry(Registry[MetricSpec]):
+    """The metric table: a :class:`Registry` that validates series."""
 
     def check(
         self,
@@ -94,7 +116,7 @@ class MetricRegistry:
         kind: str,
         label_keys: Iterable[str],
     ) -> str | None:
-        """Validate one write; returns a problem description or ``None``."""
+        """Validate one series; returns a problem description or ``None``."""
         spec = self._specs.get(name)
         if spec is None:
             return (
@@ -144,12 +166,6 @@ DEFAULT_REGISTRY = MetricRegistry(
             "client-level request arrivals",
         ),
         MetricSpec(
-            "sla_violations_total",
-            "counter",
-            ("request",),
-            "completed requests whose latency exceeded the class SLA target",
-        ),
-        MetricSpec(
             "cpu_utilization",
             "gauge",
             ("service",),
@@ -167,6 +183,9 @@ DEFAULT_REGISTRY = MetricRegistry(
             ("service",),
             "per-service pending requests (MQ backlog + thread-queue waiters)",
         ),
+        # The cluster gauges are read by no production query, but the
+        # process sampling them adds engine events that every pinned
+        # RunDigest counts; they go once digests stop counting events.
         MetricSpec(
             "cluster_allocated_cpus",
             "gauge",
@@ -179,88 +198,13 @@ DEFAULT_REGISTRY = MetricRegistry(
             (),
             "schedulable CPUs remaining on the cluster",
         ),
-        MetricSpec(
-            "traces_sampled_total",
-            "counter",
-            ("request",),
-            "requests selected by the tracer's sampling policy",
-        ),
-        MetricSpec(
-            "slo_burn_rate",
-            "gauge",
-            ("request", "window"),
-            "per-class error-budget burn rate over the fast/slow window",
-        ),
-        MetricSpec(
-            "slo_error_budget_consumed",
-            "gauge",
-            ("request",),
-            "cumulative fraction of the class's error budget consumed",
-        ),
-        MetricSpec(
-            "slo_alert_transitions_total",
-            "counter",
-            ("request", "alert", "state"),
-            "SLO alert fire/resolve transitions emitted by the monitor",
-        ),
     ]
 )
 
 
-# ----------------------------------------------------------------------
-# Alert-name registry (the SLO monitor's twin of the metric table)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class AlertSpec:
-    """Declaration of one alert series: name, severity, and meaning."""
-
-    name: str
-    severity: str = "page"
-    description: str = ""
-
-
-class AlertRegistry:
-    """The declared alert names the SLO monitor may emit.
-
-    Same contract as :class:`MetricRegistry` for metric names: every
-    alert series is declared once here, the monitor raises on an
-    undeclared name at emit time, and the ursalint rule ``TEL002``
-    checks :class:`~repro.telemetry.slo.Alert` name literals statically.
-    """
-
-    def __init__(self, specs: Iterable[AlertSpec] = ()) -> None:
-        self._specs: dict[str, AlertSpec] = {}
-        for spec in specs:
-            self.register(spec)
-
-    def register(self, spec: AlertSpec) -> AlertSpec:
-        existing = self._specs.get(spec.name)
-        if existing is not None and existing != spec:
-            raise ValueError(
-                f"alert {spec.name!r} already registered as {existing}"
-            )
-        self._specs[spec.name] = spec
-        return spec
-
-    def get(self, name: str) -> AlertSpec | None:
-        return self._specs.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._specs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
-    def __iter__(self) -> Iterator[AlertSpec]:
-        return iter(self._specs.values())
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-
 #: Every alert series the SLO monitor emits, in one table (TEL002 and
 #: the monitor's runtime check both read this).
-ALERT_REGISTRY = AlertRegistry(
+ALERT_REGISTRY: Registry[AlertSpec] = Registry(
     [
         AlertSpec(
             "slo-burn-rate",

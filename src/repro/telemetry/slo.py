@@ -49,7 +49,6 @@ from repro.telemetry.registry import ALERT_REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.topology import AppSpec, Application
-    from repro.telemetry.metrics import MetricsHub
 
 __all__ = [
     "ALERT_BUDGET_EXHAUSTED",
@@ -261,7 +260,6 @@ class _ClassState:
         "total_bad",
         "burn_active",
         "budget_active",
-        "gauge_bucket",
     )
 
     def __init__(self, spec: SLOSpec, fast_span: int, slow_span: int) -> None:
@@ -272,7 +270,6 @@ class _ClassState:
         self.total_bad = 0
         self.burn_active = False
         self.budget_active = False
-        self.gauge_bucket = -1
 
     def burn(self, window: _WindowSum) -> float:
         total = window.good + window.bad
@@ -294,11 +291,9 @@ class SLOMonitor:
     :class:`~repro.apps.topology.Application` with :meth:`attach`); read
     :attr:`alerts`, :meth:`burn_rates`, and :meth:`budget_report`.
 
-    ``hub`` (optional) receives ``slo_burn_rate`` /
-    ``slo_error_budget_consumed`` gauges once per bucket advance and an
-    ``slo_alert_transitions_total`` counter per transition -- all
-    registered series, all written from inside existing completion
-    callbacks (never a new engine event).
+    Everything the monitor computes stays on the monitor: it writes
+    nothing to the :class:`~repro.telemetry.metrics.MetricsHub`, and the
+    alert timeline plus :meth:`budget_report` are its only outputs.
     """
 
     def __init__(
@@ -308,7 +303,6 @@ class SLOMonitor:
         fast_window_s: float = 60.0,
         slow_window_s: float = 300.0,
         bucket_s: float = 5.0,
-        hub: "MetricsHub | None" = None,
     ) -> None:
         if bucket_s <= 0:
             raise TelemetryError(f"bucket_s must be > 0, got {bucket_s}")
@@ -321,7 +315,6 @@ class SLOMonitor:
         self.bucket_s = float(bucket_s)
         self.fast_window_s = float(fast_window_s)
         self.slow_window_s = float(slow_window_s)
-        self.hub = hub
         fast_span = max(1, round(fast_window_s / bucket_s))
         slow_span = max(fast_span, round(slow_window_s / bucket_s))
         self._classes: dict[str, _ClassState] = {}
@@ -395,21 +388,6 @@ class SLOMonitor:
                 now, fast, slow, consumed,
             )
 
-        if self.hub is not None and bucket != state.gauge_bucket:
-            state.gauge_bucket = bucket
-            self.hub.observe_gauge(
-                "slo_burn_rate", fast,
-                {"request": request_class, "window": "fast"},
-            )
-            self.hub.observe_gauge(
-                "slo_burn_rate", slow,
-                {"request": request_class, "window": "slow"},
-            )
-            self.hub.observe_gauge(
-                "slo_error_budget_consumed", consumed,
-                {"request": request_class},
-            )
-
     def _emit(
         self,
         name: str,
@@ -441,15 +419,6 @@ class SLOMonitor:
                 budget_consumed=consumed,
             )
         )
-        if self.hub is not None:
-            self.hub.inc_counter(
-                "slo_alert_transitions_total",
-                labels={
-                    "request": request_class,
-                    "alert": name,
-                    "state": state,
-                },
-            )
 
     # -- queries -----------------------------------------------------------
     def _advance_windows(self, state: _ClassState) -> None:

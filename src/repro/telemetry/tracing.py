@@ -71,7 +71,6 @@ from repro.errors import TelemetryError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.messages import Request
-    from repro.telemetry.metrics import CounterHandle, MetricsHub
 
 __all__ = [
     "CriticalPathSummary",
@@ -451,21 +450,19 @@ class Tracer:
     :class:`~repro.errors.TelemetryError` is raised if the attributed
     durations do not sum to the end-to-end latency within ``1e-6`` -- the
     executable form of the exactness contract.
+
+    The tracer keeps its state to itself: it writes nothing to the
+    :class:`~repro.telemetry.metrics.MetricsHub` (:attr:`finished`
+    holds every sampled request that completed).
     """
 
-    def __init__(
-        self, sample_every_n: int = 1, hub: "MetricsHub | None" = None
-    ) -> None:
+    def __init__(self, sample_every_n: int = 1) -> None:
         if sample_every_n < 1:
             raise TelemetryError(
                 f"sample_every_n must be >= 1, got {sample_every_n}"
             )
         self._every = sample_every_n
-        self.hub = hub
         self._counters: dict[str, int] = {}
-        #: Per-class interned counter writers, so a sampled request does
-        #: not rebuild the labels dict / redo the series lookup.
-        self._sampled_handles: dict[str, "CounterHandle"] = {}
         self._next_trace_id = 0
         self.finished: list[Trace] = []
 
@@ -486,13 +483,6 @@ class Tracer:
         # sampling rate changes.
         trace = Trace(self._next_trace_id, cls, request.arrival_time)
         self._next_trace_id += 1
-        if self.hub is not None:
-            handle = self._sampled_handles.get(cls)
-            if handle is None:
-                handle = self._sampled_handles[cls] = self.hub.counter_handle(
-                    "traces_sampled_total", labels={"request": cls}
-                )
-            handle.inc()
         return trace.begin_root(service, mode)
 
     def finish(self, trace: Trace, completion: float) -> None:

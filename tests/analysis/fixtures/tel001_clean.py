@@ -1,4 +1,4 @@
-"""TEL001 fixture: registered (or dynamic) metric writes; must be clean."""
+"""TEL001 fixture: registered (or dynamic) metric handles; must be clean."""
 
 #: A registered name behind a module-level constant resolves cleanly.
 _LATENCY_METRIC = "service_latency"
@@ -9,11 +9,11 @@ _AMBIGUOUS = "also_not_a_metric"  # noqa: F811
 
 
 def record(hub, service, name):
-    hub.record_latency(_LATENCY_METRIC, 0.5, {"service": service})
-    hub.inc_counter(_AMBIGUOUS, labels={"anything": "goes"})
-    hub.record_latency("service_latency", 0.5, {"service": service, "request": "r"})
-    hub.inc_counter("requests_total", labels={"request": "r", "service": service})
+    hub.latency_handle(_LATENCY_METRIC, {"service": service}).record(0.5)
+    hub.counter_handle(_AMBIGUOUS, labels={"anything": "goes"}).inc()
+    hub.latency_handle("service_latency", {"service": service, "request": "r"})
+    hub.counter_handle("requests_total", labels={"request": "r", "service": service})
     # Subset of the declared label keys is allowed.
-    hub.observe_gauge("cpu_utilization", 0.4)
+    hub.gauge_handle("cpu_utilization").observe(0.4)
     # Dynamic names are the runtime check's job, not the linter's.
-    hub.inc_counter(name, labels={"anything": "goes"})
+    hub.counter_handle(name, labels={"anything": "goes"})

@@ -1,4 +1,4 @@
-"""TEL001 fixture: unregistered metric writes that must be flagged."""
+"""TEL001 fixture: unregistered metric handles that must be flagged."""
 
 #: Module-level constants resolve like literals.
 _TYPOD_METRIC = "request_latencies"
@@ -6,10 +6,10 @@ _TYPOD_METRIC = "request_latencies"
 
 def record(hub, service):
     # Typo'd name reached through a module-level constant.
-    hub.record_latency(_TYPOD_METRIC, 0.5, {"request": "r"})
+    hub.latency_handle(_TYPOD_METRIC, {"request": "r"})
     # Typo'd name: no such metric in the registry.
-    hub.record_latency("servce_latency", 0.5, {"service": service})
+    hub.latency_handle("servce_latency", {"service": service})
     # Kind mismatch: requests_total is a counter, not a gauge.
-    hub.observe_gauge("requests_total", 1.0, {"service": service})
+    hub.gauge_handle("requests_total", {"service": service})
     # Undeclared label key on a registered metric.
-    hub.inc_counter("sla_violations_total", labels={"tier": "frontend"})
+    hub.counter_handle("client_requests_total", labels={"tier": "frontend"})

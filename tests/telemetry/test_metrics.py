@@ -21,22 +21,24 @@ def clock():
 
 @pytest.fixture
 def hub(clock):
-    # registry=None: these tests use ad-hoc metric names on purpose.
-    return MetricsHub(clock, window_s=60.0, registry=None)
+    return MetricsHub(clock, window_s=60.0)
 
 
 def test_labels_key_canonical():
     assert labels_key({"b": "2", "a": "1"}) == (("a", "1"), ("b", "2"))
+    assert labels_key((("b", "2"), ("a", "1"))) == (("a", "1"), ("b", "2"))
     assert labels_key(None) == ()
     assert labels_key({}) == ()
+    assert labels_key(()) == ()
 
 
 def test_latency_windowing(hub, clock):
     labels = {"service": "post"}
+    handle = hub.latency_handle("service_latency", labels)
     clock.now = 10.0
-    hub.record_latency("service_latency", 1.0, labels)
+    handle.record(1.0)
     clock.now = 70.0
-    hub.record_latency("service_latency", 9.0, labels)
+    handle.record(9.0)
     first = hub.latency_distribution("service_latency", 0, 60, labels)
     assert first.samples() == [1.0]
     both = hub.latency_distribution("service_latency", 0, 120, labels)
@@ -52,33 +54,37 @@ def test_latency_percentile_default(hub):
 
 
 def test_counter_total_and_rate(hub, clock):
+    handle = hub.counter_handle("requests_total", {"request": "post"})
     clock.now = 5.0
-    hub.inc_counter("requests_total", 3, {"request": "post"})
+    handle.inc(3)
     clock.now = 65.0
-    hub.inc_counter("requests_total", 7, {"request": "post"})
+    handle.inc(7)
     assert hub.counter_total("requests_total", 0, 120, {"request": "post"}) == 10
     assert hub.counter_rate("requests_total", 0, 120, {"request": "post"}) == pytest.approx(10 / 120)
     # Missing counters read as zero (Prometheus semantics).
     assert hub.counter_total("requests_total", 0, 120, {"request": "other"}) == 0
 
 
-def test_negative_counter_rejected(hub):
+def test_negative_counter_rejected(hub, clock):
+    handle = hub.counter_handle("client_requests_total", {"request": "post"})
     with pytest.raises(TelemetryError):
-        hub.inc_counter("c", -1)
+        handle.inc(-1)
+    assert hub.counter_total("client_requests_total", 0, 60, {"request": "post"}) == 0
 
 
 def test_rate_empty_interval_rejected(hub):
     with pytest.raises(TelemetryError):
-        hub.counter_rate("c", 10, 10)
+        hub.counter_rate("requests_total", 10, 10)
 
 
 def test_gauge_mean_and_series(hub, clock):
+    handle = hub.gauge_handle("cpu_utilization", {"service": "post"})
     clock.now = 1.0
-    hub.observe_gauge("cpu_utilization", 0.5, {"service": "post"})
+    handle.observe(0.5)
     clock.now = 2.0
-    hub.observe_gauge("cpu_utilization", 0.7, {"service": "post"})
+    handle.observe(0.7)
     clock.now = 61.0
-    hub.observe_gauge("cpu_utilization", 0.9, {"service": "post"})
+    handle.observe(0.9)
     assert hub.gauge_mean("cpu_utilization", 0, 60, {"service": "post"}) == pytest.approx(0.6)
     series = hub.gauge_series("cpu_utilization", 0, 120, {"service": "post"})
     assert series == [(0.0, pytest.approx(0.6)), (60.0, pytest.approx(0.9))]
@@ -91,10 +97,17 @@ def test_gauge_mean_default(hub):
 
 
 def test_label_sets(hub, clock):
-    hub.inc_counter("m", 1, {"a": "1"})
-    hub.record_latency("m", 1.0, {"a": "2"})
-    hub.observe_gauge("m", 1.0, {"a": "3"})
-    assert hub.label_sets("m") == [{"a": "1"}, {"a": "2"}, {"a": "3"}]
+    hub.counter_handle("requests_total", {"service": "b", "request": "r"})
+    hub.counter_handle("requests_total", {"service": "a"})
+    hub.latency_handle("request_latency", {"request": "r"})
+    hub.gauge_handle("queue_depth", {"service": "a"})
+    assert hub.label_sets("requests_total") == [
+        {"request": "r", "service": "b"},
+        {"service": "a"},
+    ]
+    assert hub.label_sets("request_latency") == [{"request": "r"}]
+    assert hub.label_sets("queue_depth") == [{"service": "a"}]
+    assert hub.label_sets("cpu_allocated") == []
 
 
 def test_invalid_window(clock):
@@ -104,25 +117,28 @@ def test_invalid_window(clock):
 
 def test_query_interval_validation(hub):
     with pytest.raises(TelemetryError):
-        hub.latency_distribution("m", 10, 5)
+        hub.latency_distribution("service_latency", 10, 5)
 
 
 def test_label_isolation(hub, clock):
-    hub.record_latency("lat", 1.0, {"service": "a"})
-    hub.record_latency("lat", 100.0, {"service": "b"})
-    dist = hub.latency_distribution("lat", 0, 60, {"service": "a"})
+    hub.latency_handle("service_latency", {"service": "a"}).record(1.0)
+    hub.latency_handle("service_latency", {"service": "b"}).record(100.0)
+    dist = hub.latency_distribution("service_latency", 0, 60, {"service": "a"})
     assert dist.samples() == [1.0]
 
 
-# -- interned handles and the fixed latency store ----------------------
+# -- interned handles ----------------------------------------------------
 
 
 def test_counter_handle_shares_series_with_string_path(hub, clock):
+    """Handle writes land in the series the name+labels queries read;
+    re-interning a series returns a writer to the same data."""
     labels = {"request": "post"}
     handle = hub.counter_handle("requests_total", labels)
+    again = hub.counter_handle("requests_total", {"request": "post"})
     clock.now = 5.0
     handle.inc()
-    hub.inc_counter("requests_total", 2, labels)  # string path, same series
+    again.inc(2)
     clock.now = 65.0
     handle.inc(4)
     assert hub.counter_total("requests_total", 0, 60, labels) == 3
@@ -132,9 +148,10 @@ def test_counter_handle_shares_series_with_string_path(hub, clock):
 def test_latency_handle_shares_series_with_string_path(hub, clock):
     labels = {"service": "post"}
     handle = hub.latency_handle("service_latency", labels)
+    again = hub.latency_handle("service_latency", labels)
     clock.now = 10.0
     handle.record(1.0)
-    hub.record_latency("service_latency", 3.0, labels)
+    again.record(3.0)
     clock.now = 70.0
     handle.record(9.0)
     first = hub.latency_distribution("service_latency", 0, 60, labels)
@@ -148,25 +165,31 @@ def test_counter_handle_rejects_negative(hub):
         handle.inc(-1)
 
 
-def test_handle_creation_runs_registry_check(clock):
-    from repro.telemetry.registry import DEFAULT_REGISTRY
-
-    checked = MetricsHub(clock, registry=DEFAULT_REGISTRY)
-    with pytest.raises(TelemetryError):
-        checked.counter_handle("definitely_not_a_registered_metric")
-    with pytest.raises(TelemetryError):
-        checked.latency_handle("definitely_not_a_registered_metric")
+def test_handle_creation_runs_registry_check(hub):
+    for factory in (hub.counter_handle, hub.latency_handle, hub.gauge_handle):
+        with pytest.raises(TelemetryError, match="not declared"):
+            factory("definitely_not_a_registered_metric")
+    # A rejected handle creates no series.
+    assert hub.label_sets("definitely_not_a_registered_metric") == []
 
 
 def test_labels_accept_canonical_tuples(hub, clock):
-    """Pre-canonicalized LabelSet tuples skip re-keying but hit the
-    same series as dict labels."""
+    """LabelSet tuples and dict labels name the same series."""
     key = labels_key({"service": "post"})
     clock.now = 5.0
-    hub.inc_counter("requests_total", 1, key)
-    hub.inc_counter("requests_total", 1, {"service": "post"})
+    hub.counter_handle("requests_total", key).inc()
+    hub.counter_handle("requests_total", {"service": "post"}).inc()
     assert hub.counter_total("requests_total", 0, 60, key) == 2
-    handle = hub.counter_handle("requests_total", key)
-    handle.inc()
-    assert hub.counter_total("requests_total", 0, 60, {"service": "post"}) == 3
+    assert hub.counter_total("requests_total", 0, 60, {"service": "post"}) == 2
 
+
+def test_unsorted_label_tuple_names_the_dict_series(hub, clock):
+    """A label tuple in any key order is canonicalised, so its writes are
+    visible to a dict-label query (no hidden second series)."""
+    labels = (("service", "post"), ("request", "r"))
+    hub.latency_handle("service_latency", labels=labels).record(0.5)
+    dist = hub.latency_distribution(
+        "service_latency", 0, 60, {"request": "r", "service": "post"}
+    )
+    assert dist.samples() == [0.5]
+    assert hub.label_sets("service_latency") == [{"request": "r", "service": "post"}]

@@ -4,15 +4,21 @@ import warnings
 
 import pytest
 
+from repro.api import RunOptions, SLOOptions, TracingOptions, run_deployment
 from repro.apps.topology import Application
 from repro.errors import TelemetryError
 from repro.experiments.artifacts import app_spec
 from repro.telemetry.metrics import MetricsHub
 from repro.telemetry.registry import (
+    ALERT_REGISTRY,
     DEFAULT_REGISTRY,
+    AlertSpec,
     MetricRegistry,
     MetricSpec,
+    Registry,
 )
+from repro.workload.defaults import default_mix_for
+from repro.workload.patterns import ConstantLoad
 
 
 class FakeClock:
@@ -77,6 +83,18 @@ def test_registry_container_protocol():
 def test_default_registry_has_core_metrics():
     for name in ("request_latency", "requests_total", "cpu_utilization"):
         assert name in DEFAULT_REGISTRY
+    assert len(DEFAULT_REGISTRY) == 9
+
+
+def test_alert_table_uses_the_same_container():
+    assert isinstance(DEFAULT_REGISTRY, Registry)
+    assert type(ALERT_REGISTRY) is Registry
+    assert ALERT_REGISTRY.names() == ["slo-budget-exhausted", "slo-burn-rate"]
+    registry = Registry([AlertSpec("a")])
+    registry.register(AlertSpec("a"))
+    assert len(registry) == 1 and "a" in registry
+    with pytest.raises(ValueError, match="already registered"):
+        registry.register(AlertSpec("a", severity="ticket"))
 
 
 # -- hub integration --------------------------------------------------------
@@ -84,51 +102,112 @@ def test_default_registry_has_core_metrics():
 
 def test_hub_raises_on_unregistered_name():
     hub = MetricsHub(FakeClock())
-    with pytest.raises(TelemetryError, match="not declared"):
-        hub.inc_counter("no_such_metric")
+    for factory in (hub.counter_handle, hub.latency_handle, hub.gauge_handle):
+        with pytest.raises(TelemetryError, match="not declared"):
+            factory("no_such_metric")
 
 
 def test_hub_raises_on_kind_mismatch():
     hub = MetricsHub(FakeClock())
     with pytest.raises(TelemetryError, match="declared as a counter"):
-        hub.record_latency("requests_total", 1.0)
+        hub.latency_handle("requests_total")
+    with pytest.raises(TelemetryError, match="declared as a latency"):
+        hub.gauge_handle("request_latency")
+    with pytest.raises(TelemetryError, match="declared as a gauge"):
+        hub.counter_handle("cpu_utilization")
 
 
 def test_hub_raises_on_undeclared_label_key():
     hub = MetricsHub(FakeClock())
     with pytest.raises(TelemetryError, match="undeclared label keys"):
-        hub.observe_gauge("cpu_utilization", 0.5, {"zone": "a"})
+        hub.gauge_handle("cpu_utilization", {"zone": "a"})
+    with pytest.raises(TelemetryError, match="undeclared label keys"):
+        hub.counter_handle("client_requests_total", {"service": "s"})
+    with pytest.raises(TelemetryError, match="undeclared label keys"):
+        hub.latency_handle("service_latency", (("zone", "a"),))
 
 
 def test_application_default_hub_raises_on_unregistered_write():
     app = Application(app_spec("social-network"))
     with pytest.raises(TelemetryError, match="not declared"):
-        app.hub.inc_counter("no_such_metric")
+        app.hub.counter_handle("no_such_metric")
 
 
-def test_hub_registry_none_disables_checking():
-    hub = MetricsHub(FakeClock(), registry=None)
-    hub.inc_counter("anything_goes", labels={"x": "y"})
-
-
-def test_hub_checks_only_on_new_series():
+def test_hub_checks_only_on_new_series(monkeypatch):
     hub = MetricsHub(FakeClock())
-    hub.inc_counter("requests_total", labels={"service": "s"})
-    # An empty registry would reject any new series; the existing one is
-    # not re-checked (validation runs at series creation only).
-    hub.registry = MetricRegistry()
-    hub.inc_counter("requests_total", labels={"service": "s"})
-    with pytest.raises(TelemetryError, match="not declared"):
-        hub.inc_counter("requests_total", labels={"service": "t"})
+    hub.counter_handle("requests_total", labels={"service": "s"})
+    # A registry that rejects everything would refuse any new series; the
+    # existing one is not re-checked (validation runs at series creation).
+    monkeypatch.setattr(
+        DEFAULT_REGISTRY, "check", lambda name, kind, keys: f"{name} rejected"
+    )
+    hub.counter_handle("requests_total", labels={"service": "s"}).inc()
+    with pytest.raises(TelemetryError, match="rejected"):
+        hub.counter_handle("requests_total", labels={"service": "t"})
 
 
 def test_hub_registered_writes_are_silent():
     hub = MetricsHub(FakeClock())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        hub.record_latency("request_latency", 0.1, {"request": "r"})
-        hub.inc_counter("requests_total", labels={"request": "r", "service": "s"})
-        hub.observe_gauge("queue_depth", 2.0, {"service": "s"})
+        hub.latency_handle("request_latency", {"request": "r"}).record(0.1)
+        hub.counter_handle(
+            "requests_total", labels={"request": "r", "service": "s"}
+        ).inc()
+        hub.gauge_handle("queue_depth", {"service": "s"}).observe(2.0)
+
+
+SLO_OPTIONS = SLOOptions(fast_window_s=10.0, slow_window_s=30.0, bucket_s=2.0)
+
+
+def _series_after_short_run(observed: bool):
+    """Every declared metric's label sets after a short deployment, and
+    the hub that holds them.  ``observed`` turns tracing and SLO
+    monitoring on."""
+    apps = []
+    run_deployment(
+        app_spec("social-network"),
+        default_mix_for("social-network"),
+        ConstantLoad(25.0),
+        apps.append,
+        manager_name="noop",
+        load_name="constant",
+        options=RunOptions(
+            seed=21,
+            duration_s=50.0,
+            measure_from_s=15.0,
+            slo=SLO_OPTIONS if observed else None,
+            tracing=TracingOptions(sample_every_n=5) if observed else None,
+        ),
+    )
+    (app,) = apps
+    hub = app.hub
+    return {name: hub.label_sets(name) for name in DEFAULT_REGISTRY.names()}, hub
+
+
+def test_real_deployment_writes_every_declared_metric():
+    series, hub = _series_after_short_run(observed=False)
+    for spec in DEFAULT_REGISTRY:
+        label_sets = series[spec.name]
+        assert label_sets, spec.name
+        if spec.kind == "latency":
+            samples = sum(
+                hub.latency_distribution(spec.name, 0, 50, ls).count
+                for ls in label_sets
+            )
+        elif spec.kind == "counter":
+            samples = sum(
+                hub.counter_total(spec.name, 0, 50, ls) for ls in label_sets
+            )
+        else:
+            samples = sum(
+                len(hub.gauge_series(spec.name, 0, 50, ls)) for ls in label_sets
+            )
+        assert samples > 0, spec.name
+    # Tracing and SLO monitoring write nothing to the hub (and the hub
+    # holds no series outside the registry, so none can hide elsewhere).
+    observed, _ = _series_after_short_run(observed=True)
+    assert observed == series
 
 
 # -- counter_total partial-bucket accounting --------------------------------
@@ -137,42 +216,43 @@ def test_hub_registered_writes_are_silent():
 @pytest.fixture
 def counting_hub():
     clock = FakeClock()
-    hub = MetricsHub(clock, window_s=60.0, registry=None)
+    hub = MetricsHub(clock, window_s=60.0)
+    handle = hub.counter_handle("client_requests_total")
     clock.now = 30.0
-    hub.inc_counter("c", 6.0)
+    handle.inc(6.0)
     clock.now = 90.0
-    hub.inc_counter("c", 12.0)
+    handle.inc(12.0)
     return hub
 
 
 def test_counter_total_exact_bucket(counting_hub):
-    assert counting_hub.counter_total("c", 0.0, 60.0) == pytest.approx(6.0)
-    assert counting_hub.counter_total("c", 60.0, 120.0) == pytest.approx(12.0)
+    assert counting_hub.counter_total("client_requests_total", 0.0, 60.0) == pytest.approx(6.0)
+    assert counting_hub.counter_total("client_requests_total", 60.0, 120.0) == pytest.approx(12.0)
 
 
 def test_counter_total_full_range(counting_hub):
-    assert counting_hub.counter_total("c", 0.0, 120.0) == pytest.approx(18.0)
+    assert counting_hub.counter_total("client_requests_total", 0.0, 120.0) == pytest.approx(18.0)
 
 
 def test_counter_total_half_buckets(counting_hub):
     # Uniform-within-bucket assumption: half the bucket, half the count.
-    assert counting_hub.counter_total("c", 0.0, 30.0) == pytest.approx(3.0)
-    assert counting_hub.counter_total("c", 30.0, 60.0) == pytest.approx(3.0)
-    assert counting_hub.counter_total("c", 30.0, 90.0) == pytest.approx(9.0)
+    assert counting_hub.counter_total("client_requests_total", 0.0, 30.0) == pytest.approx(3.0)
+    assert counting_hub.counter_total("client_requests_total", 30.0, 60.0) == pytest.approx(3.0)
+    assert counting_hub.counter_total("client_requests_total", 30.0, 90.0) == pytest.approx(9.0)
 
 
 def test_counter_total_interval_wider_than_bucket(counting_hub):
     # The old double-clamp could never fire (intersection <= window_s);
     # a window fully inside the interval contributes exactly its count.
-    assert counting_hub.counter_total("c", -60.0, 180.0) == pytest.approx(18.0)
+    assert counting_hub.counter_total("client_requests_total", -60.0, 180.0) == pytest.approx(18.0)
 
 
 def test_counter_total_empty_and_boundary(counting_hub):
-    assert counting_hub.counter_total("c", 120.0, 180.0) == 0.0
+    assert counting_hub.counter_total("client_requests_total", 120.0, 180.0) == 0.0
     # Degenerate interval on a boundary: zero overlap with every bucket.
-    assert counting_hub.counter_total("c", 60.0, 60.0) == 0.0
+    assert counting_hub.counter_total("client_requests_total", 60.0, 60.0) == 0.0
 
 
 def test_counter_rate_uses_fractional_totals(counting_hub):
-    assert counting_hub.counter_rate("c", 0.0, 120.0) == pytest.approx(18.0 / 120.0)
-    assert counting_hub.counter_rate("c", 30.0, 90.0) == pytest.approx(9.0 / 60.0)
+    assert counting_hub.counter_rate("client_requests_total", 0.0, 120.0) == pytest.approx(18.0 / 120.0)
+    assert counting_hub.counter_rate("client_requests_total", 30.0, 90.0) == pytest.approx(9.0 / 60.0)
