@@ -24,20 +24,19 @@ from __future__ import annotations
 # repro/experiments by repro.analysis.policy.
 import time
 
+from repro.apps.topology import Application
 from repro.core.exploration import ExplorationController
 from repro.core.manager import UrsaManager
 from repro.errors import InfeasibleModelError
 from repro.experiments import artifacts
 from repro.experiments.parallel import RunPlan, run_many
 from repro.experiments.report import render_table
-from repro.experiments.runner import RunOptions, make_app, scale_profile
+from repro.experiments.runner import RunOptions, scale_profile, start_deployment
 from repro.experiments.store import RunMeta
 from repro.sim.random import RandomStreams
-from repro.sim.trace import RunDigest
 from repro.solver import AllocationModel, ClassSla, ServiceOptions, solve
 from repro.stats.distributions import DEFAULT_PERCENTILE_GRID
 from repro.workload.defaults import default_mix_for
-from repro.workload.generator import LoadGenerator
 from repro.workload.patterns import ConstantLoad
 
 __all__ = [
@@ -70,36 +69,44 @@ BP_SERVICE = "timeline-service"
 
 
 def ttest_variant(alpha: float, options: RunOptions | None = None) -> dict:
-    """One Ursa deployment with the controller's t-test alpha overridden."""
+    """One Ursa deployment with the controller's t-test alpha overridden.
+
+    Started by :func:`~repro.experiments.runner.start_deployment`, with
+    load on ``seed + 1`` until the end of the run; ``alpha`` is set as
+    the manager is attached, before its first decision.
+    """
     options = (
         options if options is not None
         else RunOptions(seed=TTEST_SEED, digest=True)
     )
-    seed = options.seed
     duration = options.resolved_duration_s()
     measure_from = options.resolved_measure_from_s()
-    spec = artifacts.app_spec(ABLATION_APP)
     mix = default_mix_for(ABLATION_APP)
     rps = artifacts.app_rps(ABLATION_APP)
     exploration = artifacts.exploration_result(ABLATION_APP)
-    run_digest = RunDigest() if options.digest else None
-    app = make_app(spec, seed=seed, trace=run_digest)
-    app.env.run(until=10)
-    manager = UrsaManager(app, exploration)
-    manager.controller.alpha = alpha
-    manager.initialize({c: rps * mix.fraction(c) for c in mix.classes()})
-    manager.start()
-    LoadGenerator(
-        app, ConstantLoad(rps), mix, RandomStreams(seed + 1), stop_at_s=duration
-    ).start()
-    app.env.run(until=duration)
+
+    def attach(app: Application) -> UrsaManager:
+        manager = UrsaManager(app, exploration)
+        manager.controller.alpha = alpha
+        manager.initialize(mix.class_loads(rps))
+        manager.start()
+        return manager
+
+    run = start_deployment(
+        artifacts.app_spec(ABLATION_APP),
+        mix,
+        ConstantLoad(rps),
+        attach,
+        options,
+        load_seed=options.seed + 1,
+        load_stop_s=duration,
+    )
+    run.app.env.run(until=duration)
     return {
-        "decisions": len(manager.controller.decisions),
-        "violations": app.windowed_violation_rate(measure_from, duration),
-        "cpus": app.mean_cpu_allocation(measure_from, duration),
-        "run_digest": (
-            run_digest.hexdigest() if run_digest is not None else None
-        ),
+        "decisions": len(run.manager.controller.decisions),
+        "violations": run.app.windowed_violation_rate(measure_from, duration),
+        "cpus": run.app.mean_cpu_allocation(measure_from, duration),
+        "run_digest": run.run_digest(),
     }
 
 
@@ -286,9 +293,8 @@ def _build_grid_model(subset: tuple[int, ...]) -> AllocationModel:
     spec = artifacts.app_spec(ABLATION_APP)
     mix = default_mix_for(ABLATION_APP)
     rps = artifacts.app_rps(ABLATION_APP)
-    class_loads = {c: rps * mix.fraction(c) for c in mix.classes()}
     engine = OptimizationEngine(DEFAULT_PERCENTILE_GRID)
-    full = engine.build_model(spec, exploration, class_loads)
+    full = engine.build_model(spec, exploration, mix.class_loads(rps))
     grid = [DEFAULT_PERCENTILE_GRID[i] for i in subset]
     services = [
         ServiceOptions(

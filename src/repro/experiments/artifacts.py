@@ -253,8 +253,6 @@ def explore_services(
 
 def exploration_result(
     app_name: str,
-    mix: RequestMix | None = None,
-    tag: str = "default",
     jobs: int | None = None,
     on_complete: Callable[[RunPlan, object], None] | None = None,
 ) -> ExplorationResult:
@@ -271,7 +269,7 @@ def exploration_result(
         profile = scale_profile()
         return explore_services(
             app_spec(app_name),
-            mix if mix is not None else default_mix_for(app_name),
+            default_mix_for(app_name),
             app_rps(app_name),
             backpressure_thresholds(app_name, jobs=jobs, on_complete=on_complete),
             seed=202,
@@ -287,7 +285,8 @@ def exploration_result(
 
     # v2: per-service digests.  Older pickles carry the chained digest of
     # the sequential build, which must not be re-published as this one's.
-    return _cached(f"exploration-v2-{app_name}-{tag}", build)
+    # "-default" names the mix; warm caches are keyed on it, so it stays.
+    return _cached(f"exploration-v2-{app_name}-default", build)
 
 
 def sinan_dataset(app_name: str) -> SinanDataset:

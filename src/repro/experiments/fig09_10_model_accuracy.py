@@ -16,22 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.manager import UrsaManager
 from repro.core.overestimation import OverestimationTracker
 from repro.experiments import artifacts
+from repro.experiments.managers import attach_ursa
 from repro.experiments.report import render_attribution, render_series
 from repro.experiments.runner import (
     RunOptions,
     TraceArtifacts,
-    make_app,
     scale_profile,
+    start_deployment,
 )
 from repro.experiments.store import RunMeta
-from repro.sim.random import RandomStreams
-from repro.sim.trace import RunDigest
-from repro.telemetry.tracing import traces_to_jsonl
 from repro.workload.defaults import default_mix_for
-from repro.workload.generator import LoadGenerator
 from repro.workload.patterns import ConstantLoad
 
 __all__ = [
@@ -122,7 +118,9 @@ def run_model_accuracy(
     run also samples span trees and reports where each class's latency
     accrues -- the request-level cross-check of the model's per-service
     latency targets.  ``options.digest`` additionally checksums the full
-    event trace (reproducibility fingerprint).
+    event trace (reproducibility fingerprint).  The deployment starts in
+    :func:`~repro.experiments.runner.start_deployment`, with constant
+    load on ``seed + 1`` until the end of the run.
     """
     # This experiment's historical default seed differs from RunOptions'
     # 0; keep rendered outputs stable for callers that pass no options.
@@ -132,24 +130,16 @@ def run_model_accuracy(
     spec = artifacts.app_spec(app_name)
     mix = default_mix_for(app_name)
     rps = artifacts.app_rps(app_name)
-    exploration = artifacts.exploration_result(app_name)
-    run_digest = RunDigest() if options.digest else None
-    tracer = (
-        options.tracing.build_tracer() if options.tracing is not None else None
+    run = start_deployment(
+        spec,
+        mix,
+        ConstantLoad(rps),
+        attach_ursa(artifacts.exploration_result(app_name), mix.class_loads(rps)),
+        options,
+        load_seed=options.seed + 1,
+        load_stop_s=duration,
     )
-    app = make_app(spec, seed=options.seed, trace=run_digest, tracer=tracer)
-    app.env.run(until=10)
-    manager = UrsaManager(app, exploration)
-    class_loads = {c: rps * mix.fraction(c) for c in mix.classes()}
-    manager.initialize(class_loads)
-    manager.start()
-    LoadGenerator(
-        app,
-        pattern=ConstantLoad(rps),
-        mix=mix,
-        streams=RandomStreams(options.seed + 1),
-        stop_at_s=duration,
-    ).start()
+    app, manager = run.app, run.manager
 
     wanted = classes if classes is not None else tuple(
         rc.name for rc in spec.request_classes
@@ -179,25 +169,20 @@ def run_model_accuracy(
             tracker.observe(name, measured, bound)
         t += window_s
     critical_path = None
-    traced = 0
-    trace_artifacts = None
-    if tracer is not None:
-        traced = len(tracer.finished)
+    if run.tracer is not None:
         critical_path = render_attribution(
-            tracer.summary(window_s=window_s), title=None
+            run.tracer.summary(window_s=window_s), title=None
         )
-        trace_artifacts = TraceArtifacts(
-            traced_requests=traced,
-            jsonl=traces_to_jsonl(tracer.finished),
-            summary=tracer.summary().render(),
-        )
+    trace_artifacts = run.trace_artifacts()
     return ModelAccuracyResult(
         app_name=app_name,
         series=series,
         critical_path=critical_path,
-        traced_requests=traced,
+        traced_requests=(
+            trace_artifacts.traced_requests if trace_artifacts is not None else 0
+        ),
         traces=trace_artifacts,
-        run_digest=run_digest.hexdigest() if run_digest is not None else None,
+        run_digest=run.run_digest(),
     )
 
 

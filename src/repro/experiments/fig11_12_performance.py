@@ -131,8 +131,7 @@ def run_cell(
         exploration = artifacts.exploration_result(app_name)
         # Ursa computes thresholds once, at experiment start, from the
         # *current* (possibly skewed) class loads -- §VII-E.
-        class_loads = {c: rps * mix.fraction(c) for c in mix.classes()}
-        attach = attach_ursa(exploration, class_loads)
+        attach = attach_ursa(exploration, mix.class_loads(rps))
     elif manager == "sinan":
         attach = attach_sinan(artifacts.sinan_predictor(app_name))
     elif manager == "firm":
@@ -253,12 +252,10 @@ def grid_audit(grid: PerformanceGrid) -> list:
         if manager != "ursa" or result.traces is None:
             continue
         rps = artifacts.app_rps(app_name)
-        mix = _mix_for(app_name, load_kind)
-        class_loads = {c: rps * mix.fraction(c) for c in mix.classes()}
         outcome = OptimizationEngine().optimize(
             artifacts.app_spec(app_name),
             artifacts.exploration_result(app_name),
-            class_loads,
+            _mix_for(app_name, load_kind).class_loads(rps),
         )
         summary = CriticalPathSummary()
         for trace in traces_from_jsonl(result.traces.jsonl):

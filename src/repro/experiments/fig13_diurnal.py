@@ -10,16 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.manager import UrsaManager
 from repro.experiments import artifacts
+from repro.experiments.managers import attach_ursa
 from repro.experiments.parallel import RunPlan, run_many
 from repro.experiments.report import render_series
-from repro.experiments.runner import RunOptions, make_app, scale_profile
+from repro.experiments.runner import RunOptions, scale_profile, start_deployment
 from repro.experiments.store import RunMeta
-from repro.sim.random import RandomStreams
-from repro.sim.trace import RunDigest
 from repro.workload.defaults import default_mix_for
-from repro.workload.generator import LoadGenerator
 from repro.workload.patterns import DiurnalLoad
 
 __all__ = [
@@ -119,7 +116,12 @@ def _diurnal_cell(
     window_s: float,
     options: RunOptions,
 ) -> DiurnalTrace:
-    seed = options.seed
+    """The diurnal deployment and its per-window load/CPU series.
+
+    Started by :func:`~repro.experiments.runner.start_deployment`: Ursa
+    initialised for the trough load (``0.7 x`` the app's RPS), diurnal
+    load on ``seed + 1`` until the end of the run.
+    """
     # The diurnal run is deliberately longer than a plain deployment so
     # a full load period fits; an explicit duration_s still wins.
     duration = (
@@ -130,20 +132,18 @@ def _diurnal_cell(
     spec = artifacts.app_spec(app_name)
     mix = default_mix_for(app_name)
     rps = artifacts.app_rps(app_name)
-    exploration = artifacts.exploration_result(app_name)
-    run_digest = RunDigest() if options.digest else None
-    app = make_app(spec, seed=seed, trace=run_digest)
-    app.env.run(until=10)
-    manager = UrsaManager(app, exploration)
-    manager.initialize({c: rps * 0.7 * mix.fraction(c) for c in mix.classes()})
-    manager.start()
-    LoadGenerator(
-        app,
-        pattern=DiurnalLoad(low=rps * 0.7, high=rps * 1.8, period_s=duration),
-        mix=mix,
-        streams=RandomStreams(seed + 1),
-        stop_at_s=duration,
-    ).start()
+    run = start_deployment(
+        spec,
+        mix,
+        DiurnalLoad(low=rps * 0.7, high=rps * 1.8, period_s=duration),
+        attach_ursa(
+            artifacts.exploration_result(app_name), mix.class_loads(rps * 0.7)
+        ),
+        options,
+        load_seed=options.seed + 1,
+        load_stop_s=duration,
+    )
+    app = run.app
     app.env.run(until=duration)
 
     traces = {}
@@ -177,10 +177,7 @@ def _diurnal_cell(
             )
             t += window_s
         traces[service] = ServiceTrace(service, load_series, cpu_series)
-    return DiurnalTrace(
-        traces=traces,
-        run_digest=run_digest.hexdigest() if run_digest is not None else None,
-    )
+    return DiurnalTrace(traces=traces, run_digest=run.run_digest())
 
 
 def experiment_meta(

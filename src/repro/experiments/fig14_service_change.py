@@ -17,16 +17,14 @@ from dataclasses import dataclass
 
 from repro.apps.social_network import swap_object_detect_model
 from repro.core.exploration import ExplorationController, ExplorationResult
-from repro.core.manager import UrsaManager
 from repro.experiments import artifacts
+from repro.experiments.managers import attach_ursa
 from repro.experiments.parallel import RunPlan, run_many
 from repro.experiments.report import render_series
-from repro.experiments.runner import RunOptions, make_app, scale_profile
+from repro.experiments.runner import RunOptions, scale_profile, start_deployment
 from repro.experiments.store import RunMeta
 from repro.sim.random import RandomStreams
-from repro.sim.trace import RunDigest
 from repro.workload.defaults import default_mix_for
-from repro.workload.generator import LoadGenerator
 from repro.workload.patterns import ConstantLoad
 
 __all__ = ["ServiceChangeResult", "run_service_change", "experiment_meta"]
@@ -75,23 +73,24 @@ class ServiceChangeResult:
 def _deploy_and_measure(
     spec, exploration: ExplorationResult, label: str, options: RunOptions
 ) -> DeploymentSummary:
-    seed = options.seed
+    """One Ursa deployment and its object-detect latency CDF.
+
+    Started by :func:`~repro.experiments.runner.start_deployment`, with
+    constant load on ``seed + 1`` until the end of the run.
+    """
     duration = options.resolved_duration_s()
     mix = default_mix_for("social-network")
     rps = artifacts.app_rps("social-network")
-    run_digest = RunDigest() if options.digest else None
-    app = make_app(spec, seed=seed, trace=run_digest)
-    app.env.run(until=10)
-    manager = UrsaManager(app, exploration)
-    manager.initialize({c: rps * mix.fraction(c) for c in mix.classes()})
-    manager.start()
-    LoadGenerator(
-        app,
-        pattern=ConstantLoad(rps),
-        mix=mix,
-        streams=RandomStreams(seed + 1),
-        stop_at_s=duration,
-    ).start()
+    run = start_deployment(
+        spec,
+        mix,
+        ConstantLoad(rps),
+        attach_ursa(exploration, mix.class_loads(rps)),
+        options,
+        load_seed=options.seed + 1,
+        load_stop_s=duration,
+    )
+    app = run.app
     app.env.run(until=duration)
     dist = app.hub.latency_distribution(
         "request_latency",
@@ -110,7 +109,7 @@ def _deploy_and_measure(
         label=label,
         violation_rate=dist.fraction_above(sla.target_s) if dist else 0.0,
         cdf=cdf,
-        run_digest=run_digest.hexdigest() if run_digest is not None else None,
+        run_digest=run.run_digest(),
     )
 
 

@@ -1,9 +1,10 @@
 """Manager factories: attach any of the five §VII systems to an app.
 
 Each factory returns a callable suitable for
-:func:`repro.experiments.runner.run_deployment`'s ``attach_manager``:
-given a freshly built :class:`Application`, it constructs the manager,
-applies its initial allocation, and starts its control loop.
+:func:`repro.experiments.runner.start_deployment`'s ``attach_manager``:
+given the application at the end of its 10 s warm-up, before load
+starts, it constructs the manager, applies its initial allocation, and
+starts its control loop.
 """
 
 from __future__ import annotations

@@ -1,9 +1,14 @@
 """Shared experiment harness: deployments under managed load.
 
-Every §VII experiment boils down to: instantiate an application on a
-fresh cluster, attach one of the five resource managers, drive a load
-pattern, and read violation/allocation metrics.  This module provides that
-loop plus the scale profile (quick vs full) used by the benchmarks.
+Every managed §VII experiment starts its run the same way, in
+:func:`start_deployment`: build the application on a fresh cluster
+(with the run digest, span tracer and SLO monitor ``RunOptions`` asks
+for), run the empty deployment to the 10 s warm-up, attach the resource
+manager, and only then start the load generator.  The load generator's
+seed and stop time are the two things callers disagree on, so each
+caller passes its own (``load_seed``, ``load_stop_s``).  What a run
+measures after that is the caller's: :func:`run_deployment` takes the
+violation/allocation summary the Fig. 11/12 grid and fleet cells use.
 
 Scale profiles: the ``REPRO_SCALE`` environment variable selects ``quick``
 (default -- minutes of simulated time per run, suitable for CI) or
@@ -36,12 +41,14 @@ __all__ = [
     "ClusterOptions",
     "DeploymentMetrics",
     "DeploymentResult",
+    "ManagedRun",
     "RunOptions",
     "SLOArtifacts",
     "SLOOptions",
     "TraceArtifacts",
     "TracingOptions",
     "run_deployment",
+    "start_deployment",
 ]
 
 
@@ -381,6 +388,80 @@ def make_app(
     )
 
 
+@dataclass
+class ManagedRun:
+    """A deployment started by :func:`start_deployment`, load running.
+
+    ``manager`` is whatever ``attach_manager`` returned; ``digest``,
+    ``tracer`` and ``monitor`` are the observers ``RunOptions`` asked
+    for (``None`` when off).
+    """
+
+    app: Application
+    manager: Any
+    digest: RunDigest | None
+    tracer: Tracer | None
+    monitor: SLOMonitor | None
+
+    def run_digest(self) -> str | None:
+        """Hex checksum of the event trace so far (``None``: digest off)."""
+        return self.digest.hexdigest() if self.digest is not None else None
+
+    def trace_artifacts(self) -> TraceArtifacts | None:
+        """The sampled span trees, serialized (``None``: tracing off)."""
+        if self.tracer is None:
+            return None
+        return TraceArtifacts(
+            traced_requests=len(self.tracer.finished),
+            jsonl=traces_to_jsonl(self.tracer.finished),
+            summary=self.tracer.summary().render(),
+        )
+
+
+def start_deployment(
+    spec: AppSpec,
+    mix: RequestMix,
+    pattern,
+    attach_manager: Callable[[Application], object],
+    options: RunOptions,
+    *,
+    load_seed: int,
+    load_stop_s: float,
+) -> ManagedRun:
+    """Deploy ``spec``, warm up to 10 s, attach the manager, start load.
+
+    Returns at simulated time 10 with the load generator started on
+    ``RandomStreams(load_seed)`` until ``load_stop_s``; the caller runs
+    the environment on and takes its own measurements.
+    """
+    digest = RunDigest() if options.digest else None
+    tracer = (
+        options.tracing.build_tracer() if options.tracing is not None else None
+    )
+    app = make_app(
+        spec,
+        options.seed,
+        trace=digest,
+        tracer=tracer,
+        cluster_options=options.cluster,
+    )
+    monitor = None
+    if options.slo is not None:
+        env = app.env
+        monitor = options.slo.build_monitor(spec, clock=lambda: env.now)
+        monitor.attach(app)
+    app.env.run(until=10)
+    manager = attach_manager(app)
+    LoadGenerator(
+        app,
+        pattern=pattern,
+        mix=mix,
+        streams=RandomStreams(load_seed),
+        stop_at_s=load_stop_s,
+    ).start()
+    return ManagedRun(app, manager, digest, tracer, monitor)
+
+
 def run_deployment(
     spec: AppSpec,
     mix: RequestMix,
@@ -396,37 +477,22 @@ def run_deployment(
     ``options.tracing`` samples span trees and returns them (serialized)
     in ``result.traces``; ``options.digest`` checksums the full event
     trace into ``result.run_digest``.  Both are pure observers -- the
-    simulated timeline is identical with or without them.
+    simulated timeline is identical with or without them.  Load runs on
+    ``seed + 7`` and stops 30 s before the end, so queues drain.
     """
     options = options if options is not None else RunOptions()
     duration = options.resolved_duration_s()
     measure_from = options.resolved_measure_from_s()
-    run_digest = RunDigest() if options.digest else None
-    tracer = (
-        options.tracing.build_tracer() if options.tracing is not None else None
-    )
-    app = make_app(
+    run = start_deployment(
         spec,
-        options.seed,
-        trace=run_digest,
-        tracer=tracer,
-        cluster_options=options.cluster,
+        mix,
+        pattern,
+        attach_manager,
+        options,
+        load_seed=options.seed + 7,
+        load_stop_s=duration - 30.0,
     )
-    slo_monitor = None
-    if options.slo is not None:
-        env = app.env
-        slo_monitor = options.slo.build_monitor(spec, clock=lambda: env.now)
-        slo_monitor.attach(app)
-    app.env.run(until=10)
-    attach_manager(app)
-    generator = LoadGenerator(
-        app,
-        pattern=pattern,
-        mix=mix,
-        streams=RandomStreams(options.seed + 7),
-        stop_at_s=duration - 30.0,
-    )
-    generator.start()
+    app = run.app
     wall_start = time.perf_counter()
     app.env.run(until=duration)
     wall = time.perf_counter() - wall_start
@@ -451,19 +517,12 @@ def run_deployment(
         },
         final_replicas={name: app.replicas(name) for name in app.services},
     )
-    traces = None
-    if tracer is not None:
-        traces = TraceArtifacts(
-            traced_requests=len(tracer.finished),
-            jsonl=traces_to_jsonl(tracer.finished),
-            summary=tracer.summary().render(),
-        )
     slo_artifacts = None
-    if slo_monitor is not None:
+    if run.monitor is not None:
         slo_artifacts = SLOArtifacts(
-            alert_transitions=len(slo_monitor.alerts),
-            alerts_jsonl=slo_monitor.alerts_jsonl(),
-            budget_report=slo_monitor.budget_report(),
+            alert_transitions=len(run.monitor.alerts),
+            alerts_jsonl=run.monitor.alerts_jsonl(),
+            budget_report=run.monitor.budget_report(),
         )
     return DeploymentResult(
         app_name=spec.name,
@@ -478,7 +537,7 @@ def run_deployment(
         wall_seconds=wall,
         capped_scale_ups=app.cluster.capped_scale_ups(),
         metrics=metrics,
-        run_digest=run_digest.hexdigest() if run_digest is not None else None,
-        traces=traces,
+        run_digest=run.run_digest(),
+        traces=run.trace_artifacts(),
         slo=slo_artifacts,
     )

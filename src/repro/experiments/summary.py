@@ -11,16 +11,17 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.store import results_dir
 
-__all__ = ["results_dir", "summarize"]
-
-
-def results_dir() -> Path:
-    return Path(__file__).resolve().parents[3] / "results"
+__all__ = ["summarize"]
 
 
 def summarize(directory: Path | None = None) -> str:
-    """One digest string over all present result files."""
+    """One digest string over all present result files.
+
+    ``directory`` defaults to :func:`~repro.experiments.store.results_dir`,
+    so ``REPRO_RESULTS_DIR`` redirects the summary as it does ``--save``.
+    """
     base = directory if directory is not None else results_dir()
     blocks = []
     missing = []
@@ -34,11 +35,11 @@ def summarize(directory: Path | None = None) -> str:
             blocks.append(f"{title}\n{rule}\n{path.read_text().rstrip()}")
         else:
             missing.append(stem)
+    if not blocks:
+        blocks.append("no results yet")
     if missing:
         blocks.append(
             "missing (run `pytest benchmarks/ --benchmark-only`): "
             + ", ".join(missing)
         )
-    if not blocks:
-        return "no results yet — run `pytest benchmarks/ --benchmark-only`"
     return "\n\n".join(blocks)

@@ -29,11 +29,9 @@ from repro.baselines.sinan import SinanManager
 from repro.core.manager import UrsaManager
 from repro.experiments import artifacts
 from repro.experiments.report import render_table
-from repro.experiments.runner import make_app, scale_profile
+from repro.experiments.runner import RunOptions, scale_profile, start_deployment
 from repro.experiments.store import RunMeta
-from repro.sim.random import RandomStreams
 from repro.workload.defaults import default_mix_for
-from repro.workload.generator import LoadGenerator
 from repro.workload.patterns import ConstantLoad
 
 __all__ = ["ControlPlaneLatency", "run_table06", "experiment_meta"]
@@ -67,7 +65,14 @@ class ControlPlaneLatency:
 def run_table06(
     app_name: str = "social-network", seed: int = TABLE6_SEED, warm_s: float = 150.0
 ) -> ControlPlaneLatency:
-    """Measure decision latencies on a warmed-up deployment."""
+    """Measure decision latencies on warmed-up deployments.
+
+    Each system gets its own deployment, started by
+    :func:`~repro.experiments.runner.start_deployment` with constant load
+    on ``seed + 1`` until ``warm_s``.  The manager is initialised at the
+    10 s warm-up, before load starts, but never started: decisions are
+    timed by hand once the run reaches ``warm_s``.
+    """
     spec = artifacts.app_spec(app_name)
     mix = default_mix_for(app_name)
     rps = artifacts.app_rps(app_name)
@@ -75,43 +80,53 @@ def run_table06(
     predictor = artifacts.sinan_predictor(app_name)
     agents = artifacts.firm_agents(app_name)
 
-    def warmed_app():
-        app = make_app(spec, seed=seed)
-        app.env.run(until=10)
-        LoadGenerator(
-            app,
-            pattern=ConstantLoad(rps),
-            mix=mix,
-            streams=RandomStreams(seed + 1),
-            stop_at_s=warm_s,
-        ).start()
-        return app
+    options = RunOptions(seed=seed)
 
-    class_loads = {c: rps * mix.fraction(c) for c in mix.classes()}
+    def warmed(attach):
+        """The manager ``attach`` returns, on a deployment run to ``warm_s``."""
+        run = start_deployment(
+            spec,
+            mix,
+            ConstantLoad(rps),
+            attach,
+            options,
+            load_seed=seed + 1,
+            load_stop_s=warm_s,
+        )
+        run.app.env.run(until=warm_s)
+        return run.manager
+
+    class_loads = mix.class_loads(rps)
     deploy_ms: dict[str, float] = {}
     update_ms: dict[str, float | None] = {}
 
     # ---- Ursa ---------------------------------------------------------
-    app = warmed_app()
-    ursa = UrsaManager(app, exploration)
-    ursa.initialize(class_loads)
-    app.env.run(until=warm_s)
+    def init_ursa(app):
+        manager = UrsaManager(app, exploration)
+        manager.initialize(class_loads)
+        return manager
+
+    ursa = warmed(init_ursa)
     deploy_ms["ursa"] = ursa.time_deploy_decision(repeats=50) * 1000.0
     update_ms["ursa"] = ursa.time_update_decision(class_loads) * 1000.0
 
     # ---- Sinan --------------------------------------------------------
-    app = warmed_app()
-    sinan = SinanManager(app, predictor)
-    sinan.initialize(2)
-    app.env.run(until=warm_s)
+    def init_sinan(app):
+        manager = SinanManager(app, predictor)
+        manager.initialize(2)
+        return manager
+
+    sinan = warmed(init_sinan)
     deploy_ms["sinan"] = sinan.time_decision(repeats=10) * 1000.0
     update_ms["sinan"] = None  # full retraining; not an online operation
 
     # ---- Firm ---------------------------------------------------------
-    app = warmed_app()
-    firm = FirmManager(app, agents)
-    firm.initialize(2)
-    app.env.run(until=warm_s)
+    def init_firm(app):
+        manager = FirmManager(app, agents)
+        manager.initialize(2)
+        return manager
+
+    firm = warmed(init_firm)
     # Fill the replay buffers so the update is representative.
     for agent in agents.values():
         if len(agent.buffer) < 64:
@@ -124,13 +139,11 @@ def run_table06(
     update_ms["firm"] = firm.time_update(iterations=1) * 1000.0
 
     # ---- Autoscaling ----------------------------------------------------
-    app = warmed_app()
-    scaler = StepAutoscaler(app, auto_a())
-    app.env.run(until=warm_s)
+    scaler = warmed(lambda app: StepAutoscaler(app, auto_a()))
     start = time.perf_counter()
     repeats = 100
     for _ in range(repeats):
-        for service in app.services:
+        for service in scaler.app.services:
             scaler.decide(service)
     deploy_ms["autoscaling"] = (time.perf_counter() - start) / repeats * 1000.0
     update_ms["autoscaling"] = deploy_ms["autoscaling"]

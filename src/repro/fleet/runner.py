@@ -82,13 +82,11 @@ def _run_fleet_cell(
     mix = _mix_for(app_name, load_kind)
     pattern = _pattern_for(load_kind, rps, duration)
     exploration = artifacts.exploration_result(app_name)
-    class_loads = {c: rps * mix.fraction(c) for c in mix.classes()}
-    attach = attach_ursa(exploration, class_loads)
     return run_deployment(
         spec,
         mix,
         pattern,
-        attach,
+        attach_ursa(exploration, mix.class_loads(rps)),
         manager_name="ursa",
         load_name=load_kind,
         options=options,

@@ -37,7 +37,7 @@ from repro.sim.random import (
     Uniform,
 )
 from repro.sim.resources import PriorityStore, Resource, Store
-from repro.sim.trace import EventTraceRecorder, RunDigest, write_digest
+from repro.sim.trace import EventTraceRecorder, RunDigest
 
 __all__ = [
     "AllOf",
@@ -62,5 +62,4 @@ __all__ = [
     "Store",
     "Timeout",
     "Uniform",
-    "write_digest",
 ]

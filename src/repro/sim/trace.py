@@ -37,7 +37,7 @@ Typical experiment usage::
     digest = RunDigest()
     env = Environment(trace=digest)
     ...run...
-    write_digest(digest, "results/fig09_model_accuracy.digest")
+    digest.hexdigest()  # archived in the results/ sidecar (RunMeta.digests)
 """
 
 from __future__ import annotations
@@ -45,12 +45,11 @@ from __future__ import annotations
 import hashlib
 import struct
 from array import array
-from pathlib import Path
 from typing import Mapping
 
 from repro.sim.engine import Event
 
-__all__ = ["EventTraceRecorder", "RunDigest", "combine_digests", "write_digest"]
+__all__ = ["EventTraceRecorder", "RunDigest", "combine_digests"]
 
 _PACK = struct.Struct("<dqq").pack
 
@@ -170,19 +169,3 @@ def combine_digests(digests: Mapping[str, str]) -> str:
     for name in sorted(digests):
         combined.update(f"{name}:{digests[name]}\n".encode("utf-8"))
     return combined.hexdigest()
-
-
-def write_digest(digest: "RunDigest | str", path: str | Path) -> str:
-    """Store a run digest next to a results artifact.
-
-    Accepts either a :class:`RunDigest` or an already-computed hex string;
-    writes ``<digest>\\n`` to ``path`` (conventionally the artifact path
-    with a ``.digest`` suffix) and returns the hex string.  Comparing the
-    stored file across machines or PRs answers "was this exactly the same
-    simulation?" without re-running anything.
-    """
-    value = digest if isinstance(digest, str) else digest.hexdigest()
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(value + "\n", encoding="ascii")
-    return value

@@ -95,11 +95,6 @@ class ClassSla:
         if self.target_s <= 0:
             raise SolverError(f"class {self.name!r}: target must be > 0")
 
-    @property
-    def residual_budget(self) -> float:
-        """``100 - x_j``: the total percentile residual the class may spend."""
-        return 100.0 - self.percentile
-
 
 @dataclass
 class AllocationModel:

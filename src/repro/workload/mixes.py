@@ -46,6 +46,10 @@ class RequestMix:
     def classes(self) -> list[str]:
         return list(self.weights)
 
+    def class_loads(self, rps: float) -> dict[str, float]:
+        """Per-class RPS when ``rps`` in aggregate follows this mix."""
+        return {name: rps * weight for name, weight in self.weights.items()}
+
     def scaled(self, class_name: str, factor: float) -> "RequestMix":
         """A new mix with one class's weight multiplied by ``factor``.
 
@@ -59,9 +63,3 @@ class RequestMix:
         weights = dict(self.weights)
         weights[class_name] = weights[class_name] * factor
         return RequestMix(weights)
-
-    def ratio_string(self) -> str:
-        """Human-readable ``a:b:c`` ratio (for experiment reports)."""
-        smallest = min(w for w in self.weights.values() if w > 0)
-        parts = [f"{name}={weight / smallest:.3g}" for name, weight in self.weights.items()]
-        return " : ".join(parts)

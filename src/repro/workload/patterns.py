@@ -9,7 +9,9 @@ The paper evaluates three load shapes:
   the one used during exploration (handled by the mix, not the pattern).
 
 A pattern is a callable ``rate(t) -> float`` giving the aggregate RPS at
-simulation time ``t``.
+simulation time ``t``, with a ``peak`` attribute bounding it.  The
+experiments need two: :class:`ConstantLoad` and :class:`DiurnalLoad`
+(the dynamic runs use the diurnal shape without a burst component).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-__all__ = ["ConstantLoad", "DiurnalLoad", "BurstLoad", "RampLoad", "ComposedLoad"]
+__all__ = ["ConstantLoad", "DiurnalLoad"]
 
 
 @dataclass(frozen=True)
@@ -69,90 +71,3 @@ class DiurnalLoad:
     @property
     def peak(self) -> float:
         return self.high
-
-
-@dataclass(frozen=True)
-class BurstLoad:
-    """Baseline RPS with a sharp burst during ``[start_s, start_s + duration_s)``.
-
-    ``burst_factor`` of 0.5-1.25 reproduces the paper's 50 %-125 % bursts.
-    """
-
-    base: float
-    burst_factor: float
-    start_s: float
-    duration_s: float
-
-    def __post_init__(self) -> None:
-        if self.base <= 0:
-            raise ConfigurationError(f"base rps must be > 0, got {self.base}")
-        if self.burst_factor < 0:
-            raise ConfigurationError(
-                f"burst factor must be >= 0, got {self.burst_factor}"
-            )
-        if self.duration_s <= 0:
-            raise ConfigurationError(f"duration must be > 0, got {self.duration_s}")
-
-    def __call__(self, t: float) -> float:
-        if self.start_s <= t < self.start_s + self.duration_s:
-            return self.base * (1.0 + self.burst_factor)
-        return self.base
-
-    @property
-    def peak(self) -> float:
-        return self.base * (1.0 + self.burst_factor)
-
-
-@dataclass(frozen=True)
-class RampLoad:
-    """Linear ramp from ``start_rps`` to ``end_rps`` over ``duration_s``.
-
-    Used by the exploration controller to sweep load levels.
-    """
-
-    start_rps: float
-    end_rps: float
-    duration_s: float
-
-    def __post_init__(self) -> None:
-        if self.start_rps <= 0 or self.end_rps <= 0:
-            raise ConfigurationError("ramp rates must be > 0")
-        if self.duration_s <= 0:
-            raise ConfigurationError(f"duration must be > 0, got {self.duration_s}")
-
-    def __call__(self, t: float) -> float:
-        frac = min(1.0, max(0.0, t / self.duration_s))
-        return self.start_rps + (self.end_rps - self.start_rps) * frac
-
-    @property
-    def peak(self) -> float:
-        return max(self.start_rps, self.end_rps)
-
-
-class ComposedLoad:
-    """Piecewise pattern: a sequence of (duration, pattern) segments.
-
-    Each segment's pattern sees a local clock starting at zero.  After the
-    last segment the final pattern continues indefinitely.
-    """
-
-    def __init__(self, segments: list[tuple[float, object]]) -> None:
-        if not segments:
-            raise ConfigurationError("composed load needs at least one segment")
-        for duration, _pattern in segments[:-1]:
-            if duration <= 0:
-                raise ConfigurationError("segment durations must be > 0")
-        self.segments = list(segments)
-
-    def __call__(self, t: float) -> float:
-        offset = 0.0
-        for duration, pattern in self.segments[:-1]:
-            if t < offset + duration:
-                return pattern(t - offset)
-            offset += duration
-        _last_duration, last_pattern = self.segments[-1]
-        return last_pattern(t - offset)
-
-    @property
-    def peak(self) -> float:
-        return max(pattern.peak for _d, pattern in self.segments)

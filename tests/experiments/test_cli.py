@@ -158,7 +158,7 @@ def test_fig10_save_reproduces_the_pin(tmp_path, monkeypatch):
         "from repro.experiments.summary import summarize; summarize(); "
         "print('\\n'.join(m for m in sys.modules "
         "if m.startswith('repro.experiments.') and m.split('.')[2] not in "
-        "('cli', 'registry', 'summary', 'parallel', 'runner', 'sanitizer')))",
+        "('cli', 'registry', 'summary', 'parallel', 'runner', 'sanitizer', 'store')))",
         # ...and the public API does not load the registry.
         "import repro.api; print('repro.experiments.registry' in sys.modules or '')",
     ],

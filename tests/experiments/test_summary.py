@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+from repro.experiments.cli import main
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.summary import summarize
 
@@ -10,8 +11,18 @@ RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 def test_summarize_empty_dir(tmp_path):
     text = summarize(tmp_path)
+    assert text.startswith("no results yet")
     assert "missing" in text
     assert "fig02_backpressure" in text
+
+
+def test_summary_honours_results_dir_override(tmp_path, monkeypatch, capsys):
+    # `python -m repro summary` reads the same directory --save writes.
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    assert main(["summary"]) == 0
+    out = capsys.readouterr().out
+    assert "no results yet" in out
+    assert "fig02_backpressure" in out  # listed as missing
 
 
 def test_summarize_includes_present_files(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
-from repro.sim.trace import EventTraceRecorder, RunDigest, combine_digests, write_digest
+from repro.sim.trace import EventTraceRecorder, RunDigest, combine_digests
 
 
 def _workload(env: Environment, seed: int) -> None:
@@ -97,19 +97,6 @@ def test_digest_counts_events_and_does_not_finalise():
     assert digest.hexdigest() == first
     digest(env.now + 1.0, 0, 10**6, env.event())
     assert digest.hexdigest() != first
-
-
-def test_write_digest(tmp_path):
-    digest = RunDigest()
-    env = Environment(trace=digest)
-    _workload(env, seed=0)
-    path = tmp_path / "nested" / "run.digest"
-    value = write_digest(digest, path)
-    assert path.read_text() == value + "\n"
-    assert value == digest.hexdigest()
-    # Accepts a precomputed hex string too.
-    assert write_digest("abc123", tmp_path / "raw.digest") == "abc123"
-    assert (tmp_path / "raw.digest").read_text() == "abc123\n"
 
 
 @pytest.mark.parametrize("until", [5.0, None])

@@ -3,14 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workload import (
-    BurstLoad,
-    ComposedLoad,
-    ConstantLoad,
-    DiurnalLoad,
-    RampLoad,
-    RequestMix,
-)
+from repro.workload import ConstantLoad, DiurnalLoad, RequestMix
 from repro.workload.defaults import (
     default_mix_for,
     media_service_mix,
@@ -48,44 +41,19 @@ def test_diurnal_validation():
         DiurnalLoad(low=20, high=10, period_s=100)
 
 
-def test_burst_load():
-    load = BurstLoad(base=40, burst_factor=1.25, start_s=100, duration_s=50)
-    assert load(99) == 40
-    assert load(100) == 90
-    assert load(149) == 90
-    assert load(150) == 40
-    assert load.peak == 90
-
-
-def test_ramp_load():
-    load = RampLoad(10, 110, duration_s=100)
-    assert load(0) == 10
-    assert load(50) == 60
-    assert load(100) == 110
-    assert load(200) == 110  # clamps
-    assert load.peak == 110
-
-
-def test_composed_load():
-    load = ComposedLoad(
-        [(100.0, ConstantLoad(10)), (50.0, ConstantLoad(30)), (1.0, ConstantLoad(5))]
-    )
-    assert load(50) == 10
-    assert load(120) == 30
-    assert load(200) == 5  # last segment extends forever
-    assert load.peak == 30
-
-
-def test_composed_validation():
-    with pytest.raises(ConfigurationError):
-        ComposedLoad([])
-
-
 def test_mix_normalises():
     mix = RequestMix({"a": 1.0, "b": 3.0})
     assert mix.fraction("a") == pytest.approx(0.25)
     assert mix.fraction("b") == pytest.approx(0.75)
     assert mix.fraction("missing") == 0.0
+
+
+def test_mix_class_loads_split_the_aggregate():
+    mix = RequestMix({"a": 1.0, "b": 3.0})
+    loads = mix.class_loads(40.0)
+    assert loads == {"a": 40.0 * mix.fraction("a"), "b": 40.0 * mix.fraction("b")}
+    assert list(loads) == mix.classes()
+    assert sum(loads.values()) == pytest.approx(40.0)
 
 
 def test_mix_validation():
