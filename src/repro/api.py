@@ -23,6 +23,7 @@ from the top-level :mod:`repro` package::
 
 from __future__ import annotations
 
+from repro.cluster.cluster import ClusterOptions
 from repro.experiments.ablations import (
     run_backpressure_ablation,
     run_grid_ablation,
@@ -39,7 +40,6 @@ from repro.experiments.fig11_12_performance import (
 from repro.experiments.fig13_diurnal import run_diurnal_trace
 from repro.experiments.fig14_service_change import run_service_change
 from repro.experiments.runner import (
-    ClusterOptions,
     DeploymentMetrics,
     DeploymentResult,
     RunOptions,

@@ -5,14 +5,17 @@ its microservices, and its request classes -- each a call tree with an SLA
 (percentile + target latency, Tables II-IV) and a priority.  An
 :class:`Application` instantiates the spec on a simulated cluster and is
 the object workload generators and resource managers interact with.
+:func:`make_app` stands a spec up on a fresh environment, cluster and
+metrics hub -- the one constructor every simulated run in ``repro``
+deploys through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
-from repro.cluster.cluster import Cluster
+from repro.cluster.cluster import Cluster, ClusterOptions
 from repro.errors import ConfigurationError, TopologyError
 from repro.net.messages import Call, CallMode, Request
 from repro.services.base import Microservice
@@ -22,7 +25,7 @@ from repro.sim.random import RandomStreams
 from repro.telemetry.metrics import CounterHandle, LatencyHandle, MetricsHub
 from repro.telemetry.tracing import Tracer
 
-__all__ = ["SlaSpec", "RequestClass", "AppSpec", "Application"]
+__all__ = ["SlaSpec", "RequestClass", "AppSpec", "Application", "make_app"]
 
 
 @dataclass(frozen=True)
@@ -391,3 +394,43 @@ class Application:
                 "cpu_allocated", t0, t1, {"service": name}, default=0.0
             )
         return total
+
+
+def make_app(
+    spec: AppSpec,
+    seed: int,
+    initial_replicas: Mapping[str, int] | int = 2,
+    trace: Callable | None = None,
+    tracer: Tracer | None = None,
+    cluster_options: ClusterOptions | None = None,
+    window_s: float = 60.0,
+) -> Application:
+    """An application on a fresh cluster (default: the 8-node testbed).
+
+    ``seed`` seeds the application's :class:`RandomStreams`
+    (``RandomStreams(streams.fork(salt).seed)`` is the same generator as
+    ``streams.fork(salt)``).  ``trace`` is the engine-level event hook
+    (e.g. a :class:`~repro.sim.trace.RunDigest`); ``tracer`` the
+    request-level span sampler.  ``cluster_options`` reshapes the cluster
+    (node count, node size, capacity capping) -- the knob fleet cells use
+    to enforce a per-tenant node budget.  ``window_s`` is the metrics
+    hub's aggregation window; profiling runs match it to their sampling
+    window so per-sample distributions and rates are exact.
+    """
+    cluster_options = (
+        cluster_options if cluster_options is not None else ClusterOptions()
+    )
+    env = Environment(trace=trace)
+    return Application(
+        spec,
+        env=env,
+        cluster=Cluster(
+            env,
+            nodes=cluster_options.build_nodes(),
+            cap_on_full=cluster_options.cap_on_full,
+        ),
+        hub=MetricsHub(lambda: env.now, window_s=window_s),
+        streams=RandomStreams(seed),
+        initial_replicas=initial_replicas,
+        tracer=tracer,
+    )

@@ -17,18 +17,15 @@ import numpy as np
 
 from repro.apps.topology import Application, AppSpec
 from repro.baselines.firm.agent import FirmAgent
-from repro.cluster.cluster import Cluster
-from repro.cluster.node import Node
-from repro.core.exploration import provisioning_for
+from repro.core.exploration import start_profiling_run
 from repro.errors import ConfigurationError
-from repro.sim.engine import Environment
 from repro.sim.random import RandomStreams
-from repro.telemetry.metrics import MetricsHub
-from repro.workload.generator import LoadGenerator
 from repro.workload.mixes import RequestMix
-from repro.workload.patterns import ConstantLoad
 
 __all__ = ["FirmManager", "train_firm_agents"]
+
+#: Chance per training window that a random service gets CPU-throttled.
+ANOMALY_PROBABILITY = 0.25
 
 
 def _service_state(app: Application, service: str, t0: float, t1: float,
@@ -80,7 +77,6 @@ def train_firm_agents(
     n_samples: int = 400,
     window_s: float = 30.0,
     max_replicas: int = 32,
-    anomaly_probability: float = 0.25,
     seed_salt: int = 0,
 ) -> tuple[dict[str, FirmAgent], float]:
     """Online training with anomaly injection.
@@ -93,25 +89,10 @@ def train_firm_agents(
         s.name: FirmAgent(s.name, seed=seed_salt * 131 + k)
         for k, s in enumerate(spec.services)
     }
-    provisioning = provisioning_for(spec, mix, rps)
-    env = Environment()
-    cluster = Cluster(env, nodes=[Node(f"firm-{i}", 96, 256) for i in range(8)])
-    hub = MetricsHub(lambda: env.now, window_s=window_s)
-    app = Application(
-        spec,
-        env=env,
-        cluster=cluster,
-        hub=hub,
-        streams=streams.fork(seed_salt),
-        initial_replicas=provisioning,
+    app, _generator, provisioning = start_profiling_run(
+        spec, mix, rps, streams, seed_salt, window_s=window_s, warmup_s=60.0
     )
-    LoadGenerator(
-        app,
-        pattern=ConstantLoad(rps),
-        mix=mix,
-        streams=streams.fork(seed_salt + 1),
-    ).start()
-    env.run(until=60)
+    env = app.env
     rng = streams.stream(f"firm-train:{spec.name}:{seed_salt}")
     cpus_reference = {
         s.name: provisioning[s.name] * s.cpus_per_replica for s in spec.services
@@ -126,7 +107,7 @@ def train_firm_agents(
         if throttled is not None:
             app.services[throttled].set_speed_factor(1.0)
             throttled = None
-        elif rng.random() < anomaly_probability:
+        elif rng.random() < ANOMALY_PROBABILITY:
             throttled = str(rng.choice(list(agents)))
             app.services[throttled].set_speed_factor(float(rng.uniform(0.2, 0.6)))
         env.run(until=w0 + window_s)

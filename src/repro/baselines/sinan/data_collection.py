@@ -20,20 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps.topology import Application, AppSpec
+from repro.apps.topology import AppSpec
 from repro.baselines.sinan.features import FeatureSchema
-from repro.cluster.cluster import Cluster
-from repro.cluster.node import Node
-from repro.core.exploration import provisioning_for
+from repro.core.exploration import start_profiling_run
 from repro.errors import ExplorationError
-from repro.sim.engine import Environment
 from repro.sim.random import RandomStreams
-from repro.telemetry.metrics import MetricsHub
-from repro.workload.generator import LoadGenerator
 from repro.workload.mixes import RequestMix
-from repro.workload.patterns import ConstantLoad
 
 __all__ = ["TrainingSample", "SinanDataset", "SinanDataCollector"]
+
+#: A sample's violation label looks this many windows ahead.
+LOOKAHEAD_WINDOWS = 2
 
 
 @dataclass
@@ -74,12 +71,10 @@ class SinanDataCollector:
         self,
         streams: RandomStreams,
         window_s: float = 60.0,
-        lookahead_windows: int = 2,
         settle_s: float = 20.0,
     ) -> None:
         self.streams = streams
         self.window_s = float(window_s)
-        self.lookahead = int(lookahead_windows)
         self.settle_s = float(settle_s)
 
     def collect(
@@ -91,28 +86,19 @@ class SinanDataCollector:
         seed_salt: int = 0,
     ) -> SinanDataset:
         """Collect ``n_samples`` (one per window) on a fresh deployment."""
-        if n_samples < self.lookahead + 1:
+        if n_samples < LOOKAHEAD_WINDOWS + 1:
             raise ExplorationError("sample budget smaller than the lookahead")
         schema = FeatureSchema.for_spec(spec)
-        provisioning = provisioning_for(spec, mix, rps)
-        env = Environment()
-        cluster = Cluster(env, nodes=[Node(f"col-{i}", 96, 256) for i in range(8)])
-        hub = MetricsHub(lambda: env.now, window_s=self.window_s)
-        app = Application(
+        app, _generator, provisioning = start_profiling_run(
             spec,
-            env=env,
-            cluster=cluster,
-            hub=hub,
-            streams=self.streams.fork(seed_salt),
-            initial_replicas=provisioning,
+            mix,
+            rps,
+            self.streams,
+            seed_salt,
+            window_s=self.window_s,
+            warmup_s=60.0,
         )
-        LoadGenerator(
-            app,
-            pattern=ConstantLoad(rps),
-            mix=mix,
-            streams=self.streams.fork(seed_salt + 1),
-        ).start()
-        env.run(until=60)
+        env = app.env
 
         rng = self.streams.stream(f"sinan-collect:{spec.name}:{seed_salt}")
         dataset = SinanDataset(schema=schema)
@@ -160,7 +146,7 @@ class SinanDataCollector:
             for entry in pending:
                 entry[1].append(latencies)
                 entry[2].append(violated)
-                if len(entry[1]) >= self.lookahead:
+                if len(entry[1]) >= LOOKAHEAD_WINDOWS:
                     finished.append(entry)
             for entry in finished:
                 pending.remove(entry)

@@ -6,10 +6,14 @@ Ursa and the baselines use:
 * ``create_deployment(...)`` -- register a microservice's replica set;
 * ``scale(service, n)`` -- set replica counts;
 * ``allocated_cpus()`` / ``replicas()`` -- observability for accounting.
+
+:class:`ClusterOptions` is the plain-data shape of the cluster a run
+deploys onto; :func:`repro.apps.topology.make_app` builds it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.cluster.deployment import Deployment, Pod
@@ -18,7 +22,31 @@ from repro.cluster.scheduler import Scheduler
 from repro.errors import SchedulingError
 from repro.sim.engine import Environment
 
-__all__ = ["Cluster"]
+__all__ = ["Cluster", "ClusterOptions"]
+
+
+@dataclass(frozen=True)
+class ClusterOptions:
+    """Shape of the cluster a run deploys onto (plain data, picklable).
+
+    The default matches the historical harness testbed: 8 homogeneous
+    96-CPU nodes.  Fleet cells (:mod:`repro.fleet`) shrink this to a
+    per-tenant node budget and turn on ``cap_on_full`` so a tight budget
+    degrades to queueing (SLA violations) instead of raising
+    :class:`~repro.errors.SchedulingError` out of the manager.
+    """
+
+    nodes: int = 8
+    node_cpus: int = 96
+    node_memory_gb: float = 256.0
+    #: Cap scale-ups at cluster capacity instead of raising when full.
+    cap_on_full: bool = False
+
+    def build_nodes(self) -> list[Node]:
+        return [
+            Node(f"run-{i}", self.node_cpus, self.node_memory_gb)
+            for i in range(self.nodes)
+        ]
 
 
 class Cluster:

@@ -21,9 +21,7 @@ from repro.core.exploration import (
     ExplorationResult,
     LprOption,
     ServiceProfile,
-    load_exploration,
     provisioning_for,
-    save_exploration,
 )
 from repro.core.manager import UrsaManager
 from repro.core.optimizer import (
@@ -59,9 +57,7 @@ __all__ = [
     "UrsaManager",
     "empirical_bound_holds",
     "latency_upper_bound",
-    "load_exploration",
     "provisioning_for",
-    "save_exploration",
     "request_ratio_deviation",
     "residuals_fit",
     "split_residual_evenly",

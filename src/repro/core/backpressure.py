@@ -2,9 +2,12 @@
 
 The profiling engine wraps one tested service in the 3-tier harness of
 Fig. 3 (client -> proxy -> tested service, nested RPC).  It ramps the
-tested service's CPU limit upward while replaying a fixed workload; at
-each limit it records the proxy's p99 latency (one sample per measurement
-window) and the tested service's CPU utilisation.  The proxy latency has
+tested service's CPU limit upward while replaying a fixed workload; each
+limit is a fresh deployment of
+:func:`~repro.apps.profiling_harness.profiling_harness_spec` through
+:func:`~repro.apps.topology.make_app` on a two-node 64-CPU cluster, where
+it records the proxy's p99 latency (one sample per measurement window)
+and the tested service's CPU utilisation.  The proxy latency has
 *converged* when Welch's t-test can no longer distinguish the samples
 under the last two CPU limits; the tested service's utilisation just
 before convergence is its **backpressure-free threshold**: operating below
@@ -21,20 +24,34 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.apps.profiling_harness import PROFILE_CLASS, build_profiling_harness
-from repro.cluster.cluster import Cluster
-from repro.cluster.node import Node
+from repro.apps.profiling_harness import PROFILE_CLASS, profiling_harness_spec
+from repro.apps.topology import make_app
+from repro.cluster.cluster import ClusterOptions
 from repro.errors import ExplorationError
 from repro.services.spec import ServiceSpec
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Event
 from repro.sim.random import Distribution, Mixture, RandomStreams
 from repro.stats.ttest import means_differ
-from repro.telemetry.metrics import MetricsHub
 from repro.workload.generator import LoadGenerator
 from repro.workload.mixes import RequestMix
 from repro.workload.patterns import ConstantLoad
 
 __all__ = ["BackpressureProfiler", "BackpressureProfile", "ProfilePoint"]
+
+#: The testbed every per-limit measurement deploys on.
+PROFILING_CLUSTER = ClusterOptions(nodes=2, node_cpus=64)
+
+#: The workload is sized to keep this many cores busy, so the ramp always
+#: traverses saturation (low limits) into comfort (high limits) regardless
+#: of the CPU-limit range.
+SATURATION_CPUS = 2.2
+
+#: Practical-equivalence band for converged proxy latencies: a relative
+#: tolerance, and an absolute noise floor (differences below it are
+#: measurement noise on real systems -- the paper's t-test operates on
+#: jittery hardware measurements; the simulator is cleaner).
+EQUIVALENCE_REL_TOL = 0.15
+EQUIVALENCE_ABS_TOL_S = 0.005
 
 
 @dataclass(frozen=True)
@@ -80,9 +97,6 @@ class BackpressureProfiler:
         window_s: float = 10.0,
         samples_per_limit: int = 8,
         alpha: float = 0.05,
-        saturation_cpus: float = 2.2,
-        equivalence_rel_tol: float = 0.15,
-        equivalence_abs_tol_s: float = 0.005,
     ) -> None:
         if samples_per_limit < 2:
             raise ExplorationError("need >= 2 samples per CPU limit for the t-test")
@@ -90,15 +104,6 @@ class BackpressureProfiler:
         self.window_s = float(window_s)
         self.samples_per_limit = int(samples_per_limit)
         self.alpha = float(alpha)
-        #: The workload is sized to keep this many cores busy, so the ramp
-        #: always traverses saturation (low limits) into comfort (high
-        #: limits) regardless of the CPU-limit range.
-        self.saturation_cpus = float(saturation_cpus)
-        self.equivalence_rel_tol = float(equivalence_rel_tol)
-        #: Absolute noise floor: differences below this are measurement
-        #: noise on real systems (the paper's t-test operates on jittery
-        #: hardware measurements; the simulator is cleaner).
-        self.equivalence_abs_tol_s = float(equivalence_abs_tol_s)
 
     def profile_spec(
         self,
@@ -139,31 +144,29 @@ class BackpressureProfiler:
         rps: float,
         trace: Callable[[float, int, int, Event], None] | None = None,
     ) -> ProfilePoint:
-        """One CPU-limit step on a fresh harness (no backlog carry-over)."""
-        env = Environment(trace=trace)
-        cluster = Cluster(
-            env, nodes=[Node("prof-0", 64, 256), Node("prof-1", 64, 256)]
-        )
+        """One CPU-limit step on a fresh harness (no backlog carry-over).
+
+        Load starts only once the replicas are up (at 20 s), then settles
+        for one window before the measured windows.
+        """
         salt = (zlib.crc32(service_name.encode()) + cpu_limit * 7919) % 2**31
-        hub = MetricsHub(lambda: env.now, window_s=self.window_s)
-        app = build_profiling_harness(
-            env=env,
-            cluster=cluster,
-            streams=self.streams.fork(salt),
-            tested_name=service_name,
-            tested_work=work,
-            tested_cpus=cpu_limit,
-            hub=hub,
+        app = make_app(
+            profiling_harness_spec(service_name, work, tested_cpus=cpu_limit),
+            self.streams.fork(salt).seed,
+            initial_replicas=1,
+            trace=trace,
+            cluster_options=PROFILING_CLUSTER,
+            window_s=self.window_s,
         )
+        env = app.env
         env.run(until=20)  # replicas up
         tested = app.services[service_name]
-        generator = LoadGenerator(
+        LoadGenerator(
             app,
             pattern=ConstantLoad(rps),
             mix=RequestMix({PROFILE_CLASS: 1.0}),
             streams=self.streams.fork(salt + 1),
-        )
-        generator.start()
+        ).start()
         env.run(until=env.now + self.window_s)  # settle
         proxy_samples = []
         t_measure_start = env.now
@@ -222,9 +225,9 @@ class BackpressureProfiler:
         """
         if max_cpu_limit < 2:
             raise ExplorationError("need >= 2 CPU limits to detect convergence")
-        # Size the load to keep ~saturation_cpus cores of work in the
+        # Size the load to keep ~SATURATION_CPUS cores of work in the
         # system: low CPU limits run saturated, high limits comfortable.
-        rps = self.saturation_cpus / work.mean
+        rps = SATURATION_CPUS / work.mean
         points: list[ProfilePoint] = []
         converged_at: int | None = None
         for cpu_limit in range(1, max_cpu_limit + 1):
@@ -254,8 +257,8 @@ class BackpressureProfiler:
                 means_close = abs(
                     previous.proxy_p99_mean - current.proxy_p99_mean
                 ) <= max(
-                    self.equivalence_rel_tol * current.proxy_p99_mean,
-                    self.equivalence_abs_tol_s,
+                    EQUIVALENCE_REL_TOL * current.proxy_p99_mean,
+                    EQUIVALENCE_ABS_TOL_S,
                 )
                 if not saturated and (not distinct or means_close):
                     converged_at = cpu_limit

@@ -1,10 +1,12 @@
 """Allocation-space exploration: Algorithm 1 of the paper.
 
 Each microservice is explored *individually* on a fresh deployment of its
-application: every other service is provisioned generously, and the
-profiled service's replica count is reduced step by step.  At each step
-the controller collects a fixed number of one-window samples (the paper
-samples once per minute) recording
+application, started by :func:`start_profiling_run` (the protocol the
+Sinan and Firm training runs share): every service is provisioned
+generously by :func:`provisioning_for` on the default testbed under
+constant load, and the profiled service's replica count is then reduced
+step by step.  At each step the controller collects a fixed number of
+one-window samples (the paper samples once per minute) recording
 
 * the per-replica load of each request class at the service (the LPR
   vector candidate),
@@ -37,16 +39,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from repro.apps.topology import Application, AppSpec
-from repro.cluster.cluster import Cluster
-from repro.cluster.node import Node
+from repro.apps.topology import Application, AppSpec, make_app
 from repro.errors import ExplorationError
-from repro.sim.engine import Environment
 from repro.sim.random import RandomStreams
 from repro.sim.trace import RunDigest, combine_digests
-from repro.telemetry.metrics import MetricsHub
 from repro.stats.distributions import DEFAULT_PERCENTILE_GRID
-from repro.workload.generator import LoadGenerator
+from repro.workload.generator import BATCH_CANDIDATES, LoadGenerator
 from repro.workload.mixes import RequestMix
 from repro.workload.patterns import ConstantLoad
 
@@ -56,9 +54,25 @@ __all__ = [
     "ExplorationResult",
     "ExplorationController",
     "provisioning_for",
-    "save_exploration",
-    "load_exploration",
+    "start_profiling_run",
 ]
+
+#: If the SLA is violated before any LPR option was recorded, the initial
+#: provisioning was not "adequate CPUs to keep latency low"; the profiled
+#: service's replicas are escalated and the step retried, at most this
+#: many times.
+MAX_ESCALATIONS = 3
+
+#: When the profiled service reaches 1 replica without violating, the
+#: workload trace is replayed hotter -- its rate multiplied by
+#: ``PROBE_GROWTH`` per step -- so exploration still finds the service's
+#: true SLA-bounded capacity.
+PROBE_GROWTH = 1.3
+
+#: Probe intensity ceiling (within the generator's ``MAX_MULTIPLIER``):
+#: bounds per-service exploration time at the cost of capping the
+#: discoverable LPR range.
+PROBE_MAX_MULTIPLIER = 2.2
 
 
 @dataclass
@@ -165,31 +179,67 @@ def provisioning_for(
     return replicas
 
 
+def start_profiling_run(
+    spec: AppSpec,
+    mix: RequestMix,
+    rps: float,
+    streams: RandomStreams,
+    seed_salt: int,
+    *,
+    window_s: float,
+    warmup_s: float,
+    trace: Callable | None = None,
+    batch_candidates: int = BATCH_CANDIDATES,
+) -> tuple[Application, LoadGenerator, dict[str, int]]:
+    """Deploy ``spec`` generously provisioned, under constant load, warmed up.
+
+    The protocol Algorithm 1 and the ML baselines' training runs share:
+    :func:`provisioning_for` replicas on the default testbed with
+    ``streams.fork(seed_salt)``, ``ConstantLoad(rps)`` from time 0 on
+    ``streams.fork(seed_salt + 1)``, then a run to ``warmup_s``.  The
+    metrics hub aggregates over ``window_s``, the caller's sampling
+    window, so per-sample latency distributions and rates are exact.
+    Returns the application, its started load generator, and the
+    provisioning.
+    """
+    provisioning = provisioning_for(spec, mix, rps)
+    app = make_app(
+        spec,
+        streams.fork(seed_salt).seed,
+        initial_replicas=provisioning,
+        trace=trace,
+        window_s=window_s,
+    )
+    generator = LoadGenerator(
+        app,
+        pattern=ConstantLoad(rps),
+        mix=mix,
+        streams=streams.fork(seed_salt + 1),
+        batch_candidates=batch_candidates,
+    )
+    generator.start()
+    app.env.run(until=warmup_s)
+    return app, generator, provisioning
+
+
 class ExplorationController:
     """Runs Algorithm 1 for each service of an application."""
 
     def __init__(
         self,
         streams: RandomStreams,
-        percentile_grid: Sequence[float] = DEFAULT_PERCENTILE_GRID,
         window_s: float = 60.0,
         samples_per_step: int = 10,
         sla_violation_threshold: float = 0.10,
         warmup_s: float = 60.0,
         settle_s: float = 30.0,
         min_window_samples: int = 30,
-        max_escalations: int = 3,
-        probe_beyond_min_replicas: bool = True,
-        probe_growth: float = 1.3,
-        probe_max_multiplier: float = 2.2,
-        cluster_factory: Callable[[Environment], Cluster] | None = None,
     ) -> None:
         if samples_per_step < 1:
             raise ExplorationError("need >= 1 sample per step")
         if not 0 < sla_violation_threshold <= 1:
             raise ExplorationError("F_sla must be in (0, 1]")
         self.streams = streams
-        self.grid = list(percentile_grid)
         self.window_s = float(window_s)
         self.samples_per_step = int(samples_per_step)
         self.f_sla = float(sla_violation_threshold)
@@ -199,25 +249,6 @@ class ExplorationController:
         #: not evaluate that class's SLA (a p99 of a handful of samples is
         #: just the maximum and would trigger spurious terminations).
         self.min_window_samples = int(min_window_samples)
-        #: If the SLA is violated before any LPR option was recorded, the
-        #: initial provisioning was not "adequate CPUs to keep latency
-        #: low"; escalate the profiled service's replicas and retry.
-        self.max_escalations = int(max_escalations)
-        #: When the profiled service reaches 1 replica without violating,
-        #: replay the workload trace at growing intensity so exploration
-        #: still finds the service's true SLA-bounded capacity.
-        self.probe_beyond_min_replicas = bool(probe_beyond_min_replicas)
-        if probe_growth <= 1.0:
-            raise ExplorationError("probe_growth must be > 1")
-        self.probe_growth = float(probe_growth)
-        #: Probe intensity ceiling: bounds per-service exploration time at
-        #: the cost of capping the discoverable LPR range.
-        self.probe_max_multiplier = float(probe_max_multiplier)
-        self.cluster_factory = cluster_factory or (
-            lambda env: Cluster(
-                env, nodes=[Node(f"exp-{i}", 96, 256) for i in range(8)]
-            )
-        )
 
     # ------------------------------------------------------------------
     def explore_app(
@@ -270,36 +301,23 @@ class ExplorationController:
         :attr:`ServiceProfile.trace_digest`.
         """
         service_spec = spec.service(service_name)
-        provisioning = provisioning_for(spec, mix, rps)
-        initial = provisioning[service_name]
-
         run_digest = RunDigest() if digest else None
-        env = Environment(trace=run_digest)
-        cluster = self.cluster_factory(env)
-        # The telemetry hub's aggregation window matches the sampling
-        # window so per-sample latency distributions and rates are exact.
-        hub = MetricsHub(lambda: env.now, window_s=self.window_s)
-        app = Application(
-            spec,
-            env=env,
-            cluster=cluster,
-            hub=hub,
-            streams=self.streams.fork(seed_salt),
-            initial_replicas=provisioning,
-        )
         # batch_candidates=1: exploration replays the trace "hotter" by
         # raising the rate multiplier mid-run, which requires the exact
         # per-candidate thinning loop (the batched scan samples the
         # multiplier only at wake time).
-        generator = LoadGenerator(
-            app,
-            pattern=ConstantLoad(rps),
-            mix=mix,
-            streams=self.streams.fork(seed_salt + 1),
+        app, generator, provisioning = start_profiling_run(
+            spec,
+            mix,
+            rps,
+            self.streams,
+            seed_salt,
+            window_s=self.window_s,
+            warmup_s=self.warmup_s,
+            trace=run_digest,
             batch_candidates=1,
         )
-        generator.start()
-        env.run(until=self.warmup_s)
+        env = app.env
 
         # Classes that actually touch the profiled service.
         touched = [
@@ -313,7 +331,7 @@ class ExplorationController:
 
         options: list[LprOption] = []
         samples = 0
-        replicas = initial
+        replicas = provisioning[service_name]
         escalations = 0
         terminated_by = "min_replicas"
         t_start = env.now
@@ -360,7 +378,7 @@ class ExplorationController:
             if f_sla >= self.f_sla and not options:
                 # Violations before any feasible option were recorded: the
                 # initial provisioning was inadequate -- escalate and retry.
-                if escalations >= self.max_escalations:
+                if escalations >= MAX_ESCALATIONS:
                     terminated_by = "sla"
                     break
                 escalations += 1
@@ -388,7 +406,7 @@ class ExplorationController:
                 if not dist:
                     usable = False
                     break
-                latency_rows[rc.name] = dist.percentiles(self.grid)
+                latency_rows[rc.name] = dist.percentiles(DEFAULT_PERCENTILE_GRID)
             if usable:
                 options.append(
                     LprOption(
@@ -415,12 +433,8 @@ class ExplorationController:
                 # Replay the trace hotter to keep probing LPR candidates,
                 # until the SLA/backpressure stop fires or the probe budget
                 # runs out.
-                next_multiplier = generator.rate_multiplier * self.probe_growth
-                limit = min(self.probe_max_multiplier, generator.max_multiplier)
-                if (
-                    not self.probe_beyond_min_replicas
-                    or next_multiplier > limit
-                ):
+                next_multiplier = generator.rate_multiplier * PROBE_GROWTH
+                if next_multiplier > PROBE_MAX_MULTIPLIER:
                     terminated_by = "min_replicas"
                     break
                 generator.set_rate_multiplier(next_multiplier)
@@ -442,76 +456,3 @@ class ExplorationController:
             trace_digest=run_digest.hexdigest() if run_digest else None,
         )
 
-
-def save_exploration(result: ExplorationResult, path) -> None:
-    """Persist an exploration result as JSON (portable across versions).
-
-    Exploration is the expensive offline phase; persisting it lets
-    deployments reuse profiles without re-running Algorithm 1 (the paper's
-    re-exploration only touches updated services).
-    """
-    import json
-    from pathlib import Path
-
-    payload = {
-        "app_name": result.app_name,
-        "profiles": {
-            name: {
-                "service": p.service,
-                "cpus_per_replica": p.cpus_per_replica,
-                "samples_collected": p.samples_collected,
-                "profiling_time_s": p.profiling_time_s,
-                "terminated_by": p.terminated_by,
-                "trace_digest": p.trace_digest,
-                "options": [
-                    {
-                        "replicas": o.replicas,
-                        "lpr": o.lpr,
-                        "load_samples": o.load_samples,
-                        "latency_rows": o.latency_rows,
-                        "utilization": o.utilization,
-                    }
-                    for o in p.options
-                ],
-            }
-            for name, p in result.profiles.items()
-        },
-    }
-    with Path(path).open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-
-def load_exploration(path) -> ExplorationResult:
-    """Load an exploration result saved by :func:`save_exploration`."""
-    import json
-    from pathlib import Path
-
-    with Path(path).open() as fh:
-        payload = json.load(fh)
-    profiles = {}
-    for name, p in payload["profiles"].items():
-        options = [
-            LprOption(
-                replicas=int(o["replicas"]),
-                lpr={k: float(v) for k, v in o["lpr"].items()},
-                load_samples={
-                    k: [float(x) for x in v] for k, v in o["load_samples"].items()
-                },
-                latency_rows={
-                    k: [float(x) for x in v] for k, v in o["latency_rows"].items()
-                },
-                utilization=float(o["utilization"]),
-            )
-            for o in p["options"]
-        ]
-        profiles[name] = ServiceProfile(
-            service=p["service"],
-            cpus_per_replica=int(p["cpus_per_replica"]),
-            options=options,
-            samples_collected=int(p["samples_collected"]),
-            profiling_time_s=float(p["profiling_time_s"]),
-            terminated_by=str(p["terminated_by"]),
-            # Absent from files written before per-service digests.
-            trace_digest=p.get("trace_digest"),
-        )
-    return ExplorationResult(app_name=payload["app_name"], profiles=profiles)

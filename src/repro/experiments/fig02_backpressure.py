@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.chains import CHAIN_CLASS, build_chain_spec, tier_name
+from repro.apps.topology import make_app
 from repro.experiments.report import render_heatmap
-from repro.experiments.runner import make_app, scale_profile
+from repro.experiments.runner import scale_profile
 from repro.experiments.store import RunMeta
 from repro.net.messages import CallMode
 from repro.sim.random import RandomStreams

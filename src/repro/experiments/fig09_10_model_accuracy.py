@@ -125,7 +125,6 @@ def run_model_accuracy(
     # This experiment's historical default seed differs from RunOptions'
     # 0; keep rendered outputs stable for callers that pass no options.
     options = options if options is not None else RunOptions(seed=FIG9_10_SEED)
-    profile = options.profile()
     duration = options.resolved_duration_s()
     spec = artifacts.app_spec(app_name)
     mix = default_mix_for(app_name)
@@ -150,7 +149,7 @@ def run_model_accuracy(
         name: AccuracySeries(name, slas[name].percentile) for name in wanted
     }
     env = app.env
-    start = profile.measure_from_s
+    start = min(options.resolved_measure_from_s(), duration)
     env.run(until=start)
     t = start
     while t + window_s <= duration:

@@ -2,13 +2,19 @@
 
 Every managed §VII experiment starts its run the same way, in
 :func:`start_deployment`: build the application on a fresh cluster
-(with the run digest, span tracer and SLO monitor ``RunOptions`` asks
-for), run the empty deployment to the 10 s warm-up, attach the resource
-manager, and only then start the load generator.  The load generator's
-seed and stop time are the two things callers disagree on, so each
-caller passes its own (``load_seed``, ``load_stop_s``).  What a run
-measures after that is the caller's: :func:`run_deployment` takes the
-violation/allocation summary the Fig. 11/12 grid and fleet cells use.
+with :func:`repro.apps.topology.make_app` (with the run digest, span
+tracer, cluster shape and SLO monitor ``RunOptions`` asks for), run the
+empty deployment to the 10 s warm-up, attach the resource manager, and
+only then start the load generator.  The load generator's seed and stop
+time are the two things callers disagree on, so each caller passes its
+own (``load_seed``, ``load_stop_s``).  What a run measures after that is
+the caller's: :func:`run_deployment` takes the violation/allocation
+summary the Fig. 11/12 grid and fleet cells use.
+
+``make_app`` is the one deployment constructor in ``repro``: Fig. 2 and
+the artifact builders (backpressure profiling, Algorithm 1 exploration,
+Sinan/Firm training) call it directly, since they run their own
+unmanaged protocols.
 
 Scale profiles: the ``REPRO_SCALE`` environment variable selects ``quick``
 (default -- minutes of simulated time per run, suitable for CI) or
@@ -21,12 +27,10 @@ import dataclasses
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
-from repro.apps.topology import Application, AppSpec
-from repro.cluster.cluster import Cluster
-from repro.cluster.node import Node
-from repro.sim.engine import Environment
+from repro.apps.topology import Application, AppSpec, make_app
+from repro.cluster.cluster import ClusterOptions
 from repro.sim.random import RandomStreams
 from repro.sim.trace import RunDigest
 from repro.stats.histogram import FixedHistogram
@@ -38,7 +42,6 @@ from repro.workload.mixes import RequestMix
 __all__ = [
     "ScaleProfile",
     "scale_profile",
-    "ClusterOptions",
     "DeploymentMetrics",
     "DeploymentResult",
     "ManagedRun",
@@ -212,34 +215,6 @@ class SLOOptions:
 
 
 @dataclass(frozen=True)
-class ClusterOptions:
-    """Shape of the cluster a run deploys onto (plain data, picklable).
-
-    The default matches the historical harness testbed: 8 homogeneous
-    96-CPU nodes.  Fleet cells (:mod:`repro.fleet`) shrink this to a
-    per-tenant node budget and turn on ``cap_on_full`` so a tight budget
-    degrades to queueing (SLA violations) instead of raising
-    :class:`~repro.errors.SchedulingError` out of the manager.
-    """
-
-    nodes: int = 8
-    node_cpus: int = 96
-    node_memory_gb: float = 256.0
-    #: Cap scale-ups at cluster capacity instead of raising when full.
-    cap_on_full: bool = False
-
-    def build_nodes(self) -> list[Node]:
-        return [
-            Node(f"run-{i}", self.node_cpus, self.node_memory_gb)
-            for i in range(self.nodes)
-        ]
-
-    @property
-    def total_cpus(self) -> int:
-        return self.nodes * self.node_cpus
-
-
-@dataclass(frozen=True)
 class SLOArtifacts:
     """Serialized SLO-monitor output of one run (picklable, deterministic)."""
 
@@ -351,41 +326,6 @@ class DeploymentResult:
     traces: TraceArtifacts | None = field(repr=False, default=None)
     #: Alert timeline + budget accounting (``slo=`` option).
     slo: SLOArtifacts | None = field(repr=False, default=None)
-
-
-def make_app(
-    spec: AppSpec,
-    seed: int,
-    initial_replicas: Mapping[str, int] | int = 2,
-    trace: Callable | None = None,
-    tracer: Tracer | None = None,
-    cluster_options: ClusterOptions | None = None,
-) -> Application:
-    """An application on a fresh cluster (default: the 8-node testbed).
-
-    ``trace`` is the engine-level event hook (e.g. a
-    :class:`~repro.sim.trace.RunDigest`); ``tracer`` the request-level
-    span sampler.  ``cluster_options`` reshapes the cluster (node count,
-    node size, capacity capping) -- the knob fleet cells use to enforce
-    a per-tenant node budget.
-    """
-    cluster_options = (
-        cluster_options if cluster_options is not None else ClusterOptions()
-    )
-    env = Environment(trace=trace)
-    cluster = Cluster(
-        env,
-        nodes=cluster_options.build_nodes(),
-        cap_on_full=cluster_options.cap_on_full,
-    )
-    return Application(
-        spec,
-        env=env,
-        cluster=cluster,
-        streams=RandomStreams(seed),
-        initial_replicas=initial_replicas,
-        tracer=tracer,
-    )
 
 
 @dataclass

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.cluster.cluster import ClusterOptions
 from repro.errors import TelemetryError
 from repro.experiments import artifacts
 
@@ -38,7 +39,6 @@ from repro.experiments.report import (
     render_dashboard_text,
 )
 from repro.experiments.runner import (
-    ClusterOptions,
     DeploymentResult,
     RunOptions,
     SLOOptions,

@@ -6,7 +6,7 @@ generated by thinning against the pattern's peak rate, which is exact for
 any bounded rate function.
 
 Thinning draws candidates at the envelope rate ``peak * fraction *
-max_multiplier`` and rejects most of them, so a naive implementation
+MAX_MULTIPLIER`` and rejects most of them, so a naive implementation
 schedules an engine timeout per *rejected* candidate — a large fraction of
 all simulation events at off-peak rates.  The batched scan below instead
 advances a plain-float arrival cursor through rejected candidates in a
@@ -27,7 +27,14 @@ from repro.errors import ConfigurationError
 from repro.sim.random import RandomStreams
 from repro.workload.mixes import RequestMix
 
-__all__ = ["LoadGenerator"]
+__all__ = ["BATCH_CANDIDATES", "LoadGenerator", "MAX_MULTIPLIER"]
+
+#: Ceiling of the runtime rate multiplier; the thinning envelope reserves
+#: this much headroom so intensity changes at runtime stay exact.
+MAX_MULTIPLIER = 4.0
+
+#: Default candidates scanned per engine wake by the batched thinning loop.
+BATCH_CANDIDATES = 256
 
 
 class LoadGenerator:
@@ -45,17 +52,14 @@ class LoadGenerator:
         mix: RequestMix,
         streams: RandomStreams,
         stop_at_s: float | None = None,
-        max_multiplier: float = 4.0,
         max_outstanding: int | None = None,
-        batch_candidates: int = 256,
+        batch_candidates: int = BATCH_CANDIDATES,
     ) -> None:
         peak = getattr(pattern, "peak", None)
         if peak is None or peak <= 0:
             raise ConfigurationError(
                 "load pattern must expose a positive .peak attribute"
             )
-        if max_multiplier < 1.0:
-            raise ConfigurationError("max_multiplier must be >= 1")
         unknown = [c for c in mix.classes() if c not in app.request_classes]
         if unknown:
             raise ConfigurationError(
@@ -66,11 +70,10 @@ class LoadGenerator:
         self.mix = mix
         self.streams = streams
         self.stop_at_s = stop_at_s
-        #: Runtime intensity knob in [0, max_multiplier]; the exploration
+        #: Runtime intensity knob in [0, MAX_MULTIPLIER]; the exploration
         #: controller raises it to probe per-replica loads beyond what the
         #: base trace can produce (replaying the trace "hotter").
         self.rate_multiplier = 1.0
-        self.max_multiplier = float(max_multiplier)
         #: Bounded client concurrency (a Locust-style fixed user pool).
         #: Arrivals while this many requests are outstanding are shed; the
         #: §III chain experiments use it so overload queues at the client,
@@ -97,9 +100,9 @@ class LoadGenerator:
         self.outstanding = max(0, self.outstanding - 1)
 
     def set_rate_multiplier(self, multiplier: float) -> None:
-        if not 0.0 <= multiplier <= self.max_multiplier:
+        if not 0.0 <= multiplier <= MAX_MULTIPLIER:
             raise ConfigurationError(
-                f"multiplier must be in [0, {self.max_multiplier}], got {multiplier}"
+                f"multiplier must be in [0, {MAX_MULTIPLIER}], got {multiplier}"
             )
         self.rate_multiplier = float(multiplier)
 
@@ -125,7 +128,7 @@ class LoadGenerator:
         """
         env = self.app.env
         rng = self.streams.stream(f"workload:{class_name}")
-        envelope = self.pattern.peak * fraction * self.max_multiplier
+        envelope = self.pattern.peak * fraction * MAX_MULTIPLIER
         while True:
             gap = rng.exponential(1.0 / envelope)
             yield env.timeout(gap)
@@ -166,7 +169,7 @@ class LoadGenerator:
         """
         env = self.app.env
         rng = self.streams.stream(f"workload:{class_name}")
-        envelope = self.pattern.peak * fraction * self.max_multiplier
+        envelope = self.pattern.peak * fraction * MAX_MULTIPLIER
         scale = 1.0 / envelope
         pattern = self.pattern
         exponential = rng.exponential

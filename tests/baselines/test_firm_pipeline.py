@@ -1,5 +1,7 @@
 """Integration tests for Firm's trainer and deployment controller."""
 
+import hashlib
+
 import pytest
 
 from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
@@ -43,6 +45,16 @@ def test_training_returns_agent_per_service(trained):
     # Agents actually learned from transitions.
     assert all(len(a.buffer) > 10 for a in agents.values())
     assert all(a.updates > 0 for a in agents.values())
+    # Pinned: the training run reproduces the learned weights bit for bit.
+    digest = hashlib.sha256()
+    for name in sorted(agents):
+        for net in (agents[name].actor, agents[name].critic):
+            for weights in net.params():
+                digest.update(weights.tobytes())
+    assert digest.hexdigest() == (
+        "e59fb93acaaafb30ee7465f781da2d3f44133d209a33d194b0ac86f83a9fd06f"
+    )
+    assert sim_time == 600.0
 
 
 def test_deployment_with_trained_agents(trained):

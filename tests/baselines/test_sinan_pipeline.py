@@ -1,5 +1,8 @@
 """Integration tests for Sinan's data collection, training and scheduler."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
@@ -57,6 +60,14 @@ def test_feature_schema_round_trip(dataset):
     assert set(v) <= {0, 1}
     replicas = schema.replicas_of(x[0])
     assert set(replicas) == {"front", "work"}
+    # Pinned: the collection run reproduces the dataset bit for bit.
+    digest = hashlib.sha256()
+    for array in (x, y, v):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == (
+        "8a3ab82f9ce39903ba10a89de01ee37e97abf54e03686f0b7a0750f39ca1b4f3"
+    )
+    assert dataset.collection_time_s == 915.0
 
 
 @pytest.fixture(scope="module")

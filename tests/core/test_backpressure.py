@@ -21,6 +21,9 @@ def profile():
 def test_profiler_finds_threshold_in_band(profile):
     assert 0.2 <= profile.threshold_utilization <= 0.95
     assert 2 <= profile.converged_cpu_limit <= 8
+    # Pinned: the profiling ramp reproduces exactly.
+    assert profile.threshold_utilization == 0.5408073251421763
+    assert profile.converged_cpu_limit == 5
 
 
 def test_profile_curve_shape(profile):

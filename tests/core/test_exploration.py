@@ -110,8 +110,6 @@ def test_controller_validation():
         ExplorationController(RandomStreams(0), samples_per_step=0)
     with pytest.raises(ExplorationError):
         ExplorationController(RandomStreams(0), sla_violation_threshold=0)
-    with pytest.raises(ExplorationError):
-        ExplorationController(RandomStreams(0), probe_growth=1.0)
 
 
 def test_explore_app_covers_services(controller):

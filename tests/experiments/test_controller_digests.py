@@ -55,6 +55,9 @@ def test_profiler_measurements_are_digest_deterministic():
         )
         digests.append(digest.hexdigest())
     assert digests[0] == digests[1]
+    # Pinned: the measurement deployment (cluster shape, seeds, start-up
+    # and load protocol) replays the same event trace.
+    assert digests[0] == "caff6d3376814ba92f2c1b3805215826"
 
 
 def _explore(digest):
@@ -83,6 +86,11 @@ def test_exploration_digest_is_deterministic_and_optional():
     per_service = {n: p.trace_digest for n, p in traced_a.profiles.items()}
     assert len(set(per_service.values())) == len(per_service)
     assert traced_a.trace_digest == combine_digests(per_service)
+    # Pinned: each service's exploration deployment replays the same trace.
+    assert per_service == {
+        "front": "fb0cb08951e052c641c176fce31f23a3",
+        "work": "3a8df33355b106f79952dfb335ef3889",
+    }
     # Tracing observes scheduling, never steers it: same profiles.
     assert traced_a.total_samples == plain.total_samples
     assert {n: p.samples_collected for n, p in traced_a.profiles.items()} == {

@@ -17,6 +17,7 @@ from repro.api import (
 )
 from repro.experiments import artifacts
 from repro.experiments.managers import attach_ursa
+from repro.sim.engine import Environment
 from repro.workload.defaults import default_mix_for
 from repro.workload.patterns import ConstantLoad
 
@@ -77,6 +78,31 @@ def test_model_accuracy_pin():
     assert result.traced_requests == result.traces.traced_requests == 111
     assert short_hash(result.traces.jsonl) == "921c5e1a4e4ec3a8"
     assert short_hash(result.traces.summary) == "308111d91d92f320"
+
+
+def test_model_accuracy_honours_measure_from(monkeypatch):
+    # Windows start at options.measure_from_s, and the run stops at
+    # options.duration_s even when the scale profile measures later.
+    artifacts.exploration_result(APP)  # build outside the recorded runs
+    clocks = []
+    original_run = Environment.run
+
+    def recording_run(self, until=None):
+        value = original_run(self, until)
+        clocks.append(self.now)
+        return value
+
+    monkeypatch.setattr(Environment, "run", recording_run)
+    result = run_model_accuracy(
+        APP,
+        window_s=30.0,
+        options=RunOptions(
+            seed=17, duration_s=90.0, measure_from_s=30.0, scale="quick"
+        ),
+    )
+    assert all(len(s.points) > 0 for s in result.series.values())
+    assert all(t >= 30.0 for s in result.series.values() for t, _, _ in s.points)
+    assert clocks and max(clocks) <= 90.0
 
 
 def test_diurnal_trace_pin():
