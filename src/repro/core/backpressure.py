@@ -53,6 +53,10 @@ SATURATION_CPUS = 2.2
 EQUIVALENCE_REL_TOL = 0.15
 EQUIVALENCE_ABS_TOL_S = 0.005
 
+#: Significance level of the Welch t-test that tells the proxy latencies
+#: under two consecutive CPU limits apart.
+ALPHA = 0.05
+
 
 @dataclass(frozen=True)
 class ProfilePoint:
@@ -96,14 +100,12 @@ class BackpressureProfiler:
         streams: RandomStreams,
         window_s: float = 10.0,
         samples_per_limit: int = 8,
-        alpha: float = 0.05,
     ) -> None:
         if samples_per_limit < 2:
             raise ExplorationError("need >= 2 samples per CPU limit for the t-test")
         self.streams = streams
         self.window_s = float(window_s)
         self.samples_per_limit = int(samples_per_limit)
-        self.alpha = float(alpha)
 
     def profile_spec(
         self,
@@ -248,7 +250,7 @@ class BackpressureProfiler:
                 distinct = means_differ(
                     list(previous.proxy_p99_samples),
                     list(current.proxy_p99_samples),
-                    alpha=self.alpha,
+                    alpha=ALPHA,
                 )
                 # Practical-equivalence band: simulated samples are far less
                 # noisy than the paper's real measurements, so a tiny (but

@@ -57,6 +57,11 @@ __all__ = [
     "start_profiling_run",
 ]
 
+#: Algorithm 1's ``F_sla``: a step whose share of SLA-violating windows
+#: reaches this ends the exploration (or, before any LPR option was
+#: recorded, escalates the provisioning).
+F_SLA = 0.10
+
 #: If the SLA is violated before any LPR option was recorded, the initial
 #: provisioning was not "adequate CPUs to keep latency low"; the profiled
 #: service's replicas are escalated and the step retried, at most this
@@ -230,19 +235,15 @@ class ExplorationController:
         streams: RandomStreams,
         window_s: float = 60.0,
         samples_per_step: int = 10,
-        sla_violation_threshold: float = 0.10,
         warmup_s: float = 60.0,
         settle_s: float = 30.0,
         min_window_samples: int = 30,
     ) -> None:
         if samples_per_step < 1:
             raise ExplorationError("need >= 1 sample per step")
-        if not 0 < sla_violation_threshold <= 1:
-            raise ExplorationError("F_sla must be in (0, 1]")
         self.streams = streams
         self.window_s = float(window_s)
         self.samples_per_step = int(samples_per_step)
-        self.f_sla = float(sla_violation_threshold)
         self.warmup_s = float(warmup_s)
         self.settle_s = float(settle_s)
         #: Windows with fewer completed requests of a class than this do
@@ -375,7 +376,7 @@ class ExplorationController:
             f_sla = violated_windows / self.samples_per_step
 
             # -- Algorithm 1's termination checks (do not record this step)
-            if f_sla >= self.f_sla and not options:
+            if f_sla >= F_SLA and not options:
                 # Violations before any feasible option were recorded: the
                 # initial provisioning was inadequate -- escalate and retry.
                 if escalations >= MAX_ESCALATIONS:
@@ -389,7 +390,7 @@ class ExplorationController:
             if utilization >= backpressure_threshold:
                 terminated_by = "backpressure"
                 break
-            if f_sla >= self.f_sla:
+            if f_sla >= F_SLA:
                 terminated_by = "sla"
                 break
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.social_network import swap_object_detect_model
-from repro.core.exploration import ExplorationController, ExplorationResult
+from repro.core.exploration import F_SLA, ExplorationController, ExplorationResult
 from repro.experiments import artifacts
 from repro.experiments.managers import attach_ursa
 from repro.experiments.parallel import RunPlan, run_many
@@ -114,12 +114,7 @@ def _deploy_and_measure(
 
 
 def _explore_changed_service(spec, seed: int):
-    """Partial re-exploration of the changed service (§VII-G).
-
-    Returns ``(profile, f_sla)`` -- the controller's SLA-violation
-    threshold is needed by the caller to report the violation rate
-    incurred while the exploration ran.
-    """
+    """Partial re-exploration of the changed service (§VII-G)."""
     profile = scale_profile()
     controller = ExplorationController(
         RandomStreams(seed + 11),
@@ -139,7 +134,7 @@ def _explore_changed_service(spec, seed: int):
         thresholds.get(CHANGED_SERVICE, 1.0),
         seed_salt=seed,
     )
-    return partial, controller.f_sla
+    return partial
 
 
 def run_service_change(
@@ -165,7 +160,7 @@ def run_service_change(
     # deployment; here both are simulated from the same initial state),
     # so they fan out as two plans.  Seeds are explicit per plan, so the
     # result is identical for any ``jobs``.
-    original, (partial, f_sla) = run_many(
+    original, partial = run_many(
         [
             RunPlan(
                 _deploy_and_measure,
@@ -201,7 +196,7 @@ def run_service_change(
     # terminating step's violations are part of the run; approximate with
     # the termination cause (a terminating "sla" step means the last
     # samples violated at >= F_sla).
-    partial_violation = f_sla if partial.terminated_by == "sla" else 0.0
+    partial_violation = F_SLA if partial.terminated_by == "sla" else 0.0
     return ServiceChangeResult(
         partial_samples=partial.samples_collected,
         partial_time_s=partial.profiling_time_s,

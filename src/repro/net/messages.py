@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import TopologyError
 
@@ -55,6 +56,25 @@ class Call:
         if self.repeat < 1:
             raise TopologyError(f"repeat must be >= 1, got {self.repeat}")
         object.__setattr__(self, "children", tuple(self.children))
+
+    @cached_property
+    def legs(self) -> tuple[tuple["Call", ...], tuple["Call", ...], tuple["Call", ...]]:
+        """The ``(mq, rpc, event)`` child calls, each expanded by ``repeat``.
+
+        The order the runtime calls them in: children keep their order
+        within each mode, and a child with ``repeat=n`` appears ``n``
+        times in a row.  Computed on first use and cached on the
+        instance, so a ``Call`` unpickled from an older cache entry
+        simply computes it again.
+        """
+        by_mode: dict[CallMode, list[Call]] = {mode: [] for mode in CallMode}
+        for child in self.children:
+            by_mode[child.mode].extend([child] * child.repeat)
+        return (
+            tuple(by_mode[CallMode.MQ]),
+            tuple(by_mode[CallMode.RPC]),
+            tuple(by_mode[CallMode.EVENT]),
+        )
 
     def services(self) -> list[str]:
         """All service names in this subtree, preorder, with duplicates."""

@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, TopologyError
-from repro.net.messages import Call, CallMode, Request
+from repro.net.messages import Call, Request
 from repro.net.mq import MessageQueue
 from repro.sim.engine import AnyOf, Environment, Event
 from repro.sim.resources import Resource
@@ -365,53 +365,45 @@ class Microservice:
 
         child_dones: list[Event] = []
         downstream_wait = 0.0
+        mq_legs, rpc_legs, event_legs = call.legs
 
         # Fire-and-forget MQ children first: publishing never blocks, so
         # the parent records no segment; the child span's queue phase
         # covers the message's whole queue residency.
-        for child in call.children:
-            if child.mode == CallMode.MQ:
-                for _ in range(child.repeat):
-                    child_span = (
-                        span.new_child(child.service, "mq", env.now)
-                        if span is not None
-                        else None
-                    )
-                    child_dones.append(
-                        self._peer(child.service).publish(
-                            request, child, span=child_span
-                        )
-                    )
+        for child in mq_legs:
+            child_span = (
+                span.new_child(child.service, "mq", env.now)
+                if span is not None
+                else None
+            )
+            child_dones.append(
+                self._peer(child.service).publish(request, child, span=child_span)
+            )
 
         # Nested RPC children: sequential, holding this service's thread.
-        for child in call.children:
-            if child.mode == CallMode.RPC:
-                for _ in range(child.repeat):
-                    t0 = env.now
-                    child_span = (
-                        span.new_child(child.service, "rpc", t0)
-                        if span is not None
-                        else None
-                    )
-                    child_response, child_done = self._peer(child.service).submit(
-                        request, child, span=child_span
-                    )
-                    yield child_response
-                    downstream_wait += env.now - t0
-                    child_dones.append(child_done)
-                    if span is not None:
-                        span.record(PHASE_DOWNSTREAM, t0, env.now, child_span)
-                        mark = env.now
+        for child in rpc_legs:
+            t0 = env.now
+            child_span = (
+                span.new_child(child.service, "rpc", t0)
+                if span is not None
+                else None
+            )
+            child_response, child_done = self._peer(child.service).submit(
+                request, child, span=child_span
+            )
+            yield child_response
+            downstream_wait += env.now - t0
+            child_dones.append(child_done)
+            if span is not None:
+                span.record(PHASE_DOWNSTREAM, t0, env.now, child_span)
+                mark = env.now
 
-        event_children = [c for c in call.children if c.mode == CallMode.EVENT]
-        daemon_held = False
-        if event_children:
+        if event_legs:
             # Hand off to a daemon thread; dispatch blocks (holding the
             # worker thread) when the daemon pool is exhausted -- the
             # event-driven backpressure path.
             # ursalint: transfers=replica.daemons -- released after the event-driven leg
             yield replica.daemons.acquire(priority=request.priority)
-            daemon_held = True
             if span is not None:
                 span.record(PHASE_QUEUE, mark, env.now)
                 mark = env.now
@@ -427,25 +419,24 @@ class Microservice:
             span.response_end = env.now
         response.succeed()
 
-        if daemon_held:
+        if event_legs:
             # Daemon leg: perform the event-driven calls, waiting for each
             # downstream response (the R1 step of Fig. 1(b)).
-            for child in event_children:
-                for _ in range(child.repeat):
-                    t0 = env.now
-                    child_span = (
-                        span.new_child(child.service, "event", t0)
-                        if span is not None
-                        else None
-                    )
-                    child_response, child_done = self._peer(child.service).submit(
-                        request, child, span=child_span
-                    )
-                    yield child_response
-                    child_dones.append(child_done)
-                    if span is not None:
-                        span.record(PHASE_DOWNSTREAM, t0, env.now, child_span)
-                        mark = env.now
+            for child in event_legs:
+                t0 = env.now
+                child_span = (
+                    span.new_child(child.service, "event", t0)
+                    if span is not None
+                    else None
+                )
+                child_response, child_done = self._peer(child.service).submit(
+                    request, child, span=child_span
+                )
+                yield child_response
+                child_dones.append(child_done)
+                if span is not None:
+                    span.record(PHASE_DOWNSTREAM, t0, env.now, child_span)
+                    mark = env.now
             replica.daemons.release()
 
         replica.inflight -= 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,13 +138,19 @@ class LogNormal(Distribution):
         if self.cv <= 0:
             raise ValueError(f"cv must be > 0, got {self.cv}")
 
+    @cached_property
     def _params(self) -> tuple[float, float]:
+        """``(mu, sigma)`` of the underlying normal, computed once.
+
+        Cached lazily on the instance, so a distribution unpickled from
+        an older cache entry computes it on first use.
+        """
         sigma2 = math.log(1.0 + self.cv**2)
         mu = math.log(self.mean) - sigma2 / 2.0
         return mu, math.sqrt(sigma2)
 
     def sample(self, rng: np.random.Generator) -> float:
-        mu, sigma = self._params()
+        mu, sigma = self._params
         return float(rng.lognormal(mu, sigma))
 
     def scaled(self, factor: float) -> "LogNormal":

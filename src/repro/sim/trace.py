@@ -25,11 +25,11 @@ untraced run would.
 Both hooks are also on the per-event hot path of every traced run, so
 they avoid per-event object churn: the recorder stores the three numeric
 columns in flat ``array`` buffers (amortised append, no tuple per event)
-and interns one name string per event *type*; the digest packs events
-into a reusable ``bytearray`` chunk and folds it into the hash every
+and interns one name string per event *type*; the digest only appends
+one row per event and packs and hashes the rows every
 ``_CHUNK_EVENTS`` events, with encoded type names cached per type.  The
 byte stream each exposes (``as_bytes`` / the hashed stream) is identical
-to the original tuple-per-event implementation, so recorded traces and
+to the original pack-per-event implementation, so recorded traces and
 archived digests stay comparable across versions.
 
 Typical experiment usage::
@@ -54,8 +54,8 @@ __all__ = ["EventTraceRecorder", "RunDigest", "combine_digests"]
 _PACK = struct.Struct("<dqq").pack
 
 #: Events buffered per digest chunk before folding into the hash.  Each
-#: event contributes 24 packed bytes plus a short type name, so a chunk
-#: stays well under a page while cutting hash-update calls ~256x.
+#: event contributes 24 packed bytes plus a short type name, so a packed
+#: chunk is a few kB while cutting hash-update calls ~256x.
 _CHUNK_EVENTS = 256
 
 
@@ -116,43 +116,54 @@ class RunDigest:
     :class:`EventTraceRecorder` records: scheduling time, priority,
     sequence number, and event type name -- i.e. two runs have equal
     digests iff their event traces are identical.
+
+    The per-event call only appends a ``(when, priority, seq, type)``
+    row; every ``_CHUNK_EVENTS`` rows are packed (``<dqq`` plus the
+    ASCII type name) and folded into the hash in one update, so the
+    hashed byte stream is the one a per-event pack would produce.  A row
+    holds the event's *type*, never the event: a hook that kept a
+    reference would defeat the Timeout freelist's refcount guard.
     """
 
-    __slots__ = ("_hash", "_buf", "_pending", "_name_bytes", "events")
+    __slots__ = ("_hash", "_rows", "_folded", "_name_bytes")
 
     def __init__(self) -> None:
         self._hash = hashlib.blake2b(digest_size=16)
-        self._buf = bytearray()
-        self._pending = 0
+        self._rows: list[tuple[float, int, int, type]] = []
+        #: Events already folded into ``_hash``.
+        self._folded = 0
         # Encoded type names, cached per event type (ascii encode once).
         self._name_bytes: dict[type, bytes] = {}
-        self.events = 0
 
     def __call__(self, when: float, priority: int, seq: int, event: Event) -> None:
-        cls = event.__class__
-        names = self._name_bytes
-        name = names.get(cls)
-        if name is None:
-            name = names[cls] = cls.__name__.encode("ascii")
-        buf = self._buf
-        buf += _PACK(when, priority, seq)
-        buf += name
-        self.events += 1
-        pending = self._pending = self._pending + 1
-        if pending >= _CHUNK_EVENTS:
-            self._hash.update(buf)
-            del buf[:]
-            self._pending = 0
+        rows = self._rows
+        rows.append((when, priority, seq, event.__class__))
+        if len(rows) >= _CHUNK_EVENTS:
+            self._fold()
 
-    def _flush(self) -> None:
-        if self._pending:
-            self._hash.update(self._buf)
-            del self._buf[:]
-            self._pending = 0
+    @property
+    def events(self) -> int:
+        """Events seen so far."""
+        return self._folded + len(self._rows)
+
+    def _fold(self) -> None:
+        """Pack the buffered rows and fold them into the hash."""
+        rows = self._rows
+        names = self._name_bytes
+        chunk = []
+        for when, priority, seq, cls in rows:
+            name = names.get(cls)
+            if name is None:
+                name = names[cls] = cls.__name__.encode("ascii")
+            chunk.append(_PACK(when, priority, seq))
+            chunk.append(name)
+        self._hash.update(b"".join(chunk))
+        self._folded += len(rows)
+        rows.clear()
 
     def hexdigest(self) -> str:
         """Hex checksum of the trace so far (does not finalise the hook)."""
-        self._flush()
+        self._fold()
         return self._hash.copy().hexdigest()
 
 

@@ -108,8 +108,6 @@ def test_provisioning_scales_with_load():
 def test_controller_validation():
     with pytest.raises(ExplorationError):
         ExplorationController(RandomStreams(0), samples_per_step=0)
-    with pytest.raises(ExplorationError):
-        ExplorationController(RandomStreams(0), sla_violation_threshold=0)
 
 
 def test_explore_app_covers_services(controller):

@@ -1,9 +1,11 @@
 """Tests for call trees, requests and message queues."""
 
+import pickle
+
 import pytest
 
 from repro.errors import TopologyError
-from repro.net.messages import Call, Request
+from repro.net.messages import Call, CallMode, Request
 from repro.net.mq import MessageQueue
 from repro.sim import Environment
 
@@ -25,6 +27,56 @@ def test_call_walk_and_depth():
     assert [c.service for c in tree.walk()] == ["a", "b", "c", "d"]
     assert tree.depth() == 3
     assert Call("leaf").depth() == 1
+
+
+def _mixed_call() -> Call:
+    return Call(
+        "root",
+        children=(
+            Call("r1", CallMode.RPC, repeat=2),
+            Call("m1", CallMode.MQ),
+            Call("e1", CallMode.EVENT, repeat=3),
+            Call("r2", CallMode.RPC, children=(Call("leaf", CallMode.MQ),)),
+            Call("m2", CallMode.MQ, repeat=2),
+            Call("e2", CallMode.EVENT),
+        ),
+    )
+
+
+def _leg_names(call: Call) -> tuple[list[str], list[str], list[str]]:
+    return tuple([child.service for child in legs] for legs in call.legs)
+
+
+def test_call_legs_keep_order_and_repeat_per_mode():
+    call = _mixed_call()
+    assert _leg_names(call) == (
+        ["m1", "m2", "m2"],
+        ["r1", "r1", "r2"],
+        ["e1", "e1", "e1", "e2"],
+    )
+    rpc = call.legs[1]
+    assert rpc[0] is rpc[1] is call.children[0]
+    assert rpc[2].legs == ((Call("leaf", CallMode.MQ),), (), ())
+    assert Call("leaf").legs == ((), (), ())
+
+
+def test_call_legs_survive_pickle():
+    call = _mixed_call()
+    expected = _leg_names(call)
+    loaded = pickle.loads(pickle.dumps(call))
+    assert loaded == call
+    assert _leg_names(loaded) == expected
+
+
+def test_call_pickled_without_cached_legs_computes_them():
+    # A Call pickled before it ever computed its legs has no cached
+    # attribute -- the form every pre-existing cache entry has.
+    call = _mixed_call()
+    state = pickle.dumps(call)
+    assert "legs" not in vars(call)
+    loaded = pickle.loads(state)
+    assert "legs" not in vars(loaded)
+    assert _leg_names(loaded) == _leg_names(_mixed_call())
 
 
 def test_request_latency_requires_completion():

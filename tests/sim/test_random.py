@@ -1,5 +1,8 @@
 """Unit and property tests for random streams and distributions."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +109,21 @@ def test_lognormal_samples_positive(mean, cv):
     rng = np.random.default_rng(0)
     for _ in range(20):
         assert dist.sample(rng) > 0
+
+
+def test_lognormal_cached_params_draw_the_uncached_variates():
+    dist = LogNormal(0.08, cv=0.8)
+    sigma2 = math.log(1.0 + 0.8**2)
+    mu, sigma = math.log(0.08) - sigma2 / 2.0, math.sqrt(sigma2)
+    expected = np.random.default_rng(3).lognormal(mu, sigma, size=5)
+    rng = np.random.default_rng(3)
+    assert [dist.sample(rng) for _ in range(5)] == list(expected)
+    # Pickled before or after the cache filled, it unpickles equal and
+    # samples the same.
+    for state in (pickle.dumps(LogNormal(0.08, cv=0.8)), pickle.dumps(dist)):
+        loaded = pickle.loads(state)
+        assert loaded == dist
+        assert loaded.sample(np.random.default_rng(3)) == expected[0]
 
 
 @given(seed=st.integers(0, 2**31), name=st.text(min_size=1, max_size=20))

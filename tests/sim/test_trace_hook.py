@@ -1,8 +1,11 @@
 """Tests for the engine trace hook and the run-digest helpers."""
 
+import hashlib
+import struct
+
 import pytest
 
-from repro.sim.engine import Environment
+from repro.sim.engine import AnyOf, Environment
 from repro.sim.resources import Resource
 from repro.sim.trace import EventTraceRecorder, RunDigest, combine_digests
 
@@ -136,3 +139,49 @@ def test_combine_digests_hashes_service_lines():
 
     expected = hashlib.blake2b(b"a:01\nb:02\n", digest_size=16).hexdigest()
     assert combine_digests({"b": "02", "a": "01"}) == expected
+
+
+def _reference_digest(entries) -> str:
+    """The per-event encoding: ``<dqq`` plus the ASCII type name, hashed
+    in one stream."""
+    reference = hashlib.blake2b(digest_size=16)
+    for when, priority, seq, name in entries:
+        reference.update(struct.pack("<dqq", when, priority, seq))
+        reference.update(name.encode("ascii"))
+    return reference.hexdigest()
+
+
+@pytest.mark.parametrize("n_events", [0, 255, 256, 257, 10_007])
+def test_batched_digest_hashes_the_per_event_byte_stream(n_events):
+    env = Environment()
+    kinds = [env.event(), env.timeout(1.0), AnyOf(env, [env.event()])]
+    recorder = EventTraceRecorder()
+    digest = RunDigest()
+    checkpoints = {0, 1, 100, 255, 256, 300, 511, 512, 4096, n_events}
+    for i in range(n_events + 1):
+        if i in checkpoints:
+            # hexdigest() between chunks folds a partial chunk; the stream
+            # must continue exactly where it left off.
+            assert digest.events == len(recorder) == i
+            assert digest.hexdigest() == _reference_digest(recorder.entries)
+        if i == n_events:
+            break
+        args = (i * 0.25, i % 2, i + 1, kinds[i % 3])
+        recorder(*args)
+        digest(*args)
+    assert digest.events == n_events
+
+
+def test_batched_digest_matches_reference_on_a_real_run():
+    recorder = EventTraceRecorder()
+    digest = RunDigest()
+
+    def both(when, priority, seq, event):
+        recorder(when, priority, seq, event)
+        digest(when, priority, seq, event)
+
+    env = Environment(trace=both)
+    for seed in range(3):
+        _workload(env, seed=seed)
+    assert digest.events == len(recorder) > 256
+    assert digest.hexdigest() == _reference_digest(recorder.entries)
