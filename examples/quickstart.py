@@ -12,10 +12,11 @@ Run:  python examples/quickstart.py
 """
 
 from repro.apps import build_vanilla_social_network_spec
-from repro.apps.topology import Application
-from repro.core import BackpressureProfiler, ExplorationController, UrsaManager
-from repro.sim import Environment, RandomStreams
-from repro.workload import ConstantLoad, LoadGenerator
+from repro.core import BackpressureProfiler, ExplorationController
+from repro.experiments.managers import attach_ursa
+from repro.experiments.runner import RunOptions, start_deployment
+from repro.sim import RandomStreams
+from repro.workload import ConstantLoad
 from repro.workload.defaults import vanilla_social_network_mix
 
 
@@ -50,14 +51,17 @@ def main() -> None:
         f"{exploration.exploration_time_s / 60:.0f} simulated minutes"
     )
 
-    # -- 3. optimise and deploy ------------------------------------------
-    env = Environment()
-    app = Application(spec, env=env, streams=RandomStreams(3), initial_replicas=1)
-    env.run(until=10)
-    manager = UrsaManager(app, exploration)
-    class_loads = {c: rps * mix.fraction(c) for c in mix.classes()}
-    outcome = manager.initialize(class_loads)
-    manager.start()
+    # -- 3. optimise and deploy; a 10-minute constant load starts --------
+    run = start_deployment(
+        spec,
+        mix,
+        ConstantLoad(rps),
+        attach_ursa(exploration, mix.class_loads(rps)),
+        RunOptions(seed=3),
+        load_seed=4,
+        load_stop_s=600,
+    )
+    app, outcome = run.app, run.manager.outcome
     print("== optimiser chose per-service scaling thresholds:")
     for name, threshold in sorted(outcome.thresholds.items()):
         lpr = max(threshold.lpr.values())
@@ -68,10 +72,7 @@ def main() -> None:
 
     # -- 4. drive load and report ----------------------------------------
     print("== running a 10-minute constant-load deployment...")
-    LoadGenerator(
-        app, ConstantLoad(rps), mix, RandomStreams(4), stop_at_s=600
-    ).start()
-    env.run(until=640)
+    app.env.run(until=640)
     print(f"   SLA violation rate: {app.windowed_violation_rate(120, 640):.2%}")
     print(f"   mean CPU allocation: {app.mean_cpu_allocation(120, 640):.1f} cores")
     for rc in spec.request_classes:

@@ -11,10 +11,11 @@ Run:  python examples/service_update.py
 """
 
 from repro.apps import build_social_network_spec, swap_object_detect_model
-from repro.apps.topology import Application
-from repro.core import ExplorationController, ExplorationResult, UrsaManager
-from repro.sim import Environment, RandomStreams
-from repro.workload import ConstantLoad, LoadGenerator
+from repro.core import ExplorationController, ExplorationResult
+from repro.experiments.managers import attach_ursa
+from repro.experiments.runner import RunOptions, start_deployment
+from repro.sim import RandomStreams
+from repro.workload import ConstantLoad
 from repro.workload.defaults import social_network_mix
 
 SERVICE = "object-detect-ml"
@@ -24,15 +25,16 @@ CLASS_NAME = "object-detect"
 def deploy(spec, exploration, label, seed):
     mix = social_network_mix()
     rps = 120.0
-    env = Environment()
-    app = Application(spec, env=env, streams=RandomStreams(seed), initial_replicas=1)
-    env.run(until=10)
-    manager = UrsaManager(app, exploration)
-    manager.initialize({c: rps * mix.fraction(c) for c in mix.classes()})
-    manager.start()
-    LoadGenerator(app, ConstantLoad(rps), mix, RandomStreams(seed + 1),
-                  stop_at_s=500).start()
-    env.run(until=540)
+    app = start_deployment(
+        spec,
+        mix,
+        ConstantLoad(rps),
+        attach_ursa(exploration, mix.class_loads(rps)),
+        RunOptions(seed=seed),
+        load_seed=seed + 1,
+        load_stop_s=500,
+    ).app
+    app.env.run(until=540)
     dist = app.hub.latency_distribution(
         "request_latency", 120, 540, {"request": CLASS_NAME}
     )

@@ -16,9 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.topology import Application
+from repro.core.control_loop import ControlLoop
 from repro.errors import ConfigurationError
 
 __all__ = ["StepAutoscaler", "auto_a", "auto_b"]
+
+#: Seconds between two scaling passes (both variants); each pass reads
+#: the utilisation of the interval just ended.
+CONTROL_INTERVAL_S = 30.0
+#: Replica bounds per service.
+MIN_REPLICAS = 1
+MAX_REPLICAS = 64
 
 
 @dataclass(frozen=True)
@@ -29,7 +37,6 @@ class _Config:
     #: Replicas added per breach (AWS step adjustment).
     step_out: int
     step_in: int
-    control_interval_s: float = 30.0
 
 
 def auto_a() -> _Config:
@@ -42,32 +49,17 @@ def auto_b() -> _Config:
     return _Config("auto-b", 0.30, 0.12, step_out=2, step_in=1)
 
 
-class StepAutoscaler:
+class StepAutoscaler(ControlLoop):
     """Per-service utilisation-threshold scaling loop."""
 
-    def __init__(
-        self,
-        app: Application,
-        config: _Config | None = None,
-        min_replicas: int = 1,
-        max_replicas: int = 64,
-    ) -> None:
-        self.app = app
-        self.config = config if config is not None else auto_a()
-        if not 0 < self.config.scale_in_below < self.config.scale_out_above <= 1:
-            raise ConfigurationError(
-                f"need 0 < in < out <= 1, got {self.config}"
-            )
-        self.min_replicas = int(min_replicas)
-        self.max_replicas = int(max_replicas)
-        self.decisions = 0
-        self._started = False
+    interval_s = CONTROL_INTERVAL_S
 
-    def start(self) -> None:
-        if self._started:
-            raise ConfigurationError("autoscaler already started")
-        self._started = True
-        self.app.env.process(self._loop())
+    def __init__(self, app: Application, config: _Config) -> None:
+        if not 0 < config.scale_in_below < config.scale_out_above <= 1:
+            raise ConfigurationError(f"need 0 < in < out <= 1, got {config}")
+        super().__init__(app)
+        self.config = config
+        self.decisions = 0
 
     def decide(self, service: str) -> int | None:
         """Return the new replica count for ``service``, or None to hold.
@@ -77,7 +69,7 @@ class StepAutoscaler:
         """
         hub = self.app.hub
         now = self.app.env.now
-        t0 = max(0.0, now - self.config.control_interval_s)
+        t0 = max(0.0, now - CONTROL_INTERVAL_S)
         if now <= t0:
             return None
         utilization = hub.gauge_mean(
@@ -87,11 +79,11 @@ class StepAutoscaler:
             return None
         current = max(1, self.app.services[service].deployment.desired_replicas)
         if utilization > self.config.scale_out_above:
-            return min(self.max_replicas, current + self.config.step_out)
+            return min(MAX_REPLICAS, current + self.config.step_out)
         if utilization < self.config.scale_in_below:
             # Scale in only if the lower count would stay under the upper
             # threshold (protects against flapping).
-            target = max(self.min_replicas, current - self.config.step_in)
+            target = max(MIN_REPLICAS, current - self.config.step_in)
             if target < current:
                 projected = utilization * current / target
                 if projected < self.config.scale_out_above:
@@ -106,10 +98,3 @@ class StepAutoscaler:
                 if target != current:
                     self.app.scale(service, target)
                     self.decisions += 1
-
-    def _loop(self):
-        env = self.app.env
-        yield env.timeout(self.app.hub.window_s)
-        while True:
-            self.step()
-            yield env.timeout(self.config.control_interval_s)

@@ -11,12 +11,11 @@ Ursa's threshold check).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.apps.topology import Application, AppSpec
 from repro.baselines.firm.agent import FirmAgent
+from repro.core.control_loop import ControlLoop
 from repro.core.exploration import start_profiling_run
 from repro.errors import ConfigurationError
 from repro.sim.random import RandomStreams
@@ -26,10 +25,17 @@ __all__ = ["FirmManager", "train_firm_agents"]
 
 #: Chance per training window that a random service gets CPU-throttled.
 ANOMALY_PROBABILITY = 0.25
+#: Replica cap per service, in training and deployment alike: the agent
+#: state normalises the replica count by it.
+MAX_REPLICAS = 32
+#: Seconds between two deployment decisions.
+CONTROL_INTERVAL_S = 30.0
+#: Replicas per service before the first decision.
+INITIAL_REPLICAS = 2
 
 
-def _service_state(app: Application, service: str, t0: float, t1: float,
-                   max_replicas: int) -> np.ndarray:
+def _service_state(app: Application, service: str, t0: float,
+                   t1: float) -> np.ndarray:
     hub = app.hub
     utilization = hub.gauge_mean(
         "cpu_utilization", t0, t1, {"service": service}, default=0.0
@@ -52,7 +58,7 @@ def _service_state(app: Application, service: str, t0: float, t1: float,
             min(1.0, utilization),
             min(1.0, queue_depth / 100.0),
             min(3.0, pressure) / 3.0,
-            replicas / max_replicas,
+            replicas / MAX_REPLICAS,
         ]
     )
 
@@ -76,7 +82,6 @@ def train_firm_agents(
     streams: RandomStreams,
     n_samples: int = 400,
     window_s: float = 30.0,
-    max_replicas: int = 32,
     seed_salt: int = 0,
 ) -> tuple[dict[str, FirmAgent], float]:
     """Online training with anomaly injection.
@@ -114,7 +119,7 @@ def train_firm_agents(
         violated = _app_violated(app, w0, env.now)
         noise = max(0.05, 0.5 * (1.0 - step / max(1, n_samples)))
         for name, agent in agents.items():
-            state = _service_state(app, name, w0, env.now, max_replicas)
+            state = _service_state(app, name, w0, env.now)
             if name in states:
                 cpus = app.services[name].allocated_cpus
                 reward = agent.reward(violated, cpus, cpus_reference[name])
@@ -123,7 +128,7 @@ def train_firm_agents(
             action = agent.act(state, noise_std=noise)
             delta = agent.action_to_delta(action)
             current = app.services[name].deployment.desired_replicas
-            target = int(np.clip(current + delta, 1, max_replicas))
+            target = int(np.clip(current + delta, 1, MAX_REPLICAS))
             if target != current:
                 app.scale(name, target)
             states[name] = state
@@ -131,86 +136,53 @@ def train_firm_agents(
     return agents, env.now - t_start
 
 
-class FirmManager:
-    """Deployment-time controller applying the trained agents."""
+class FirmManager(ControlLoop):
+    """Deployment-time controller applying the trained agents.
 
-    def __init__(
-        self,
-        app: Application,
-        agents: dict[str, FirmAgent],
-        control_interval_s: float = 30.0,
-        max_replicas: int = 32,
-        online_learning: bool = True,
-    ) -> None:
+    The agents keep learning online: each step first trains every agent
+    on the transition its previous decision led to.
+    """
+
+    interval_s = CONTROL_INTERVAL_S
+
+    def __init__(self, app: Application, agents: dict[str, FirmAgent]) -> None:
         missing = set(app.services) - set(agents)
         if missing:
             raise ConfigurationError(f"no agents for services: {sorted(missing)}")
-        self.app = app
+        super().__init__(app)
         self.agents = agents
-        self.control_interval_s = float(control_interval_s)
-        self.max_replicas = int(max_replicas)
-        self.online_learning = online_learning
         self.decisions = 0
-        self._started = False
         self._last: dict[str, tuple[np.ndarray, float]] = {}
         self._cpus_reference = {
             s.name: 4 * s.cpus_per_replica for s in app.spec.services
         }
 
-    def initialize(self, replicas: dict[str, int] | int = 2) -> None:
+    def initialize(self) -> None:
+        """Apply the starting allocation."""
         for name in self.app.services:
-            count = replicas if isinstance(replicas, int) else replicas.get(name, 2)
-            self.app.scale(name, count)
-
-    def start(self) -> None:
-        if self._started:
-            raise ConfigurationError("manager already started")
-        self._started = True
-        self.app.env.process(self._loop())
+            self.app.scale(name, INITIAL_REPLICAS)
 
     # ------------------------------------------------------------------
     def decide(self, service: str, t0: float, t1: float) -> int:
         """One agent decision: state read + actor forward pass."""
         agent = self.agents[service]
-        state = _service_state(self.app, service, t0, t1, self.max_replicas)
+        state = _service_state(self.app, service, t0, t1)
         action = agent.act(state)
         delta = agent.action_to_delta(action)
         current = self.app.services[service].deployment.desired_replicas
         self._last[service] = (state, action)
-        return int(np.clip(current + delta, 1, self.max_replicas))
-
-    def time_decision(self, repeats: int = 20) -> float:
-        """Mean wall-clock seconds for a full per-service decision pass."""
-        now = self.app.env.now
-        t0 = max(0.0, now - self.control_interval_s)
-        # Table VI probe: real compute cost of a decision, not simulated time.
-        start = time.perf_counter()  # ursalint: disable=SIM001 -- Table VI probe
-        for _ in range(repeats):
-            for service in self.agents:
-                self.decide(service, t0, now)
-        # ursalint: disable=SIM001 -- Table VI probe
-        return (time.perf_counter() - start) / repeats
-
-    def time_update(self, iterations: int = 1) -> float:
-        """Wall-clock seconds for online RL update iterations (Table VI)."""
-        start = time.perf_counter()  # ursalint: disable=SIM001 -- Table VI probe
-        for _ in range(iterations):
-            for agent in self.agents.values():
-                agent.update()
-        return time.perf_counter() - start  # ursalint: disable=SIM001 -- Table VI probe
+        return int(np.clip(current + delta, 1, MAX_REPLICAS))
 
     def step(self) -> None:
         now = self.app.env.now
-        t0 = max(0.0, now - self.control_interval_s)
+        t0 = max(0.0, now - CONTROL_INTERVAL_S)
         if now <= t0:
             return
         violated = _app_violated(self.app, t0, now)
         for service, agent in self.agents.items():
-            if self.online_learning and service in self._last:
+            if service in self._last:
                 state, action = self._last[service]
-                next_state = _service_state(
-                    self.app, service, t0, now, self.max_replicas
-                )
+                next_state = _service_state(self.app, service, t0, now)
                 cpus = self.app.services[service].allocated_cpus
                 reward = agent.reward(
                     violated, cpus, self._cpus_reference[service]
@@ -221,10 +193,3 @@ class FirmManager:
             if target != self.app.services[service].deployment.desired_replicas:
                 self.app.scale(service, target)
         self.decisions += 1
-
-    def _loop(self):
-        env = self.app.env
-        yield env.timeout(self.app.hub.window_s)
-        while True:
-            self.step()
-            yield env.timeout(self.control_interval_s)

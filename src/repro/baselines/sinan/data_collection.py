@@ -52,11 +52,6 @@ class SinanDataset:
     def size(self) -> int:
         return len(self.samples)
 
-    def violation_ratio(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(s.violation for s in self.samples) / len(self.samples)
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x = np.vstack([s.features for s in self.samples])
         y = np.vstack([s.next_latency for s in self.samples])

@@ -11,43 +11,42 @@ bottleneck services.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.apps.topology import Application
 from repro.baselines.sinan.predictor import SinanPredictor
+from repro.core.control_loop import ControlLoop
 from repro.errors import ConfigurationError
 
 __all__ = ["SinanManager"]
 
+#: Seconds between two decisions.
+CONTROL_INTERVAL_S = 30.0
+#: Candidate allocations scored per decision (one model batch).
+CANDIDATES = 256
+#: A candidate is safe when every predicted latency is under this share
+#: of its SLA target ...
+SAFETY_MARGIN = 0.9
+#: ... and its predicted violation probability is under this.
+VIOLATION_THRESHOLD = 0.5
+#: Replica bounds per service in a candidate.
+MAX_REPLICAS = 64
+#: Seed of the random-neighbour candidate generator.
+CANDIDATE_SEED = 0
+#: Replicas per service before the first decision.
+INITIAL_REPLICAS = 2
 
-class SinanManager:
+
+class SinanManager(ControlLoop):
     """Deploy-time manager driving an app with Sinan's models."""
 
-    def __init__(
-        self,
-        app: Application,
-        predictor: SinanPredictor,
-        control_interval_s: float = 30.0,
-        candidates: int = 256,
-        safety_margin: float = 0.9,
-        violation_threshold: float = 0.5,
-        max_replicas: int = 64,
-        seed: int = 0,
-    ) -> None:
-        if candidates < 8:
-            raise ConfigurationError("need >= 8 candidates")
-        self.app = app
+    interval_s = CONTROL_INTERVAL_S
+
+    def __init__(self, app: Application, predictor: SinanPredictor) -> None:
+        super().__init__(app)
         self.predictor = predictor
-        self.control_interval_s = float(control_interval_s)
-        self.candidates = int(candidates)
-        self.safety_margin = float(safety_margin)
-        self.violation_threshold = float(violation_threshold)
-        self.max_replicas = int(max_replicas)
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(CANDIDATE_SEED)
         self.decisions = 0
-        self._started = False
         schema = predictor.schema
         self._cpus = {
             s.name: s.cpus_per_replica for s in app.spec.services
@@ -59,17 +58,10 @@ class SinanManager:
             raise ConfigurationError("predictor schema does not match app")
 
     # ------------------------------------------------------------------
-    def initialize(self, replicas: dict[str, int] | int = 2) -> None:
-        """Apply a starting allocation."""
+    def initialize(self) -> None:
+        """Apply the starting allocation."""
         for name in self.app.services:
-            count = replicas if isinstance(replicas, int) else replicas.get(name, 2)
-            self.app.scale(name, count)
-
-    def start(self) -> None:
-        if self._started:
-            raise ConfigurationError("manager already started")
-        self._started = True
-        self.app.env.process(self._loop())
+            self.app.scale(name, INITIAL_REPLICAS)
 
     # ------------------------------------------------------------------
     def _candidate_matrix(self, base: np.ndarray) -> np.ndarray:
@@ -82,20 +74,20 @@ class SinanManager:
             for delta in (-1, 1):
                 candidate = dict(current)
                 candidate[name] = int(
-                    np.clip(candidate[name] + delta, 1, self.max_replicas)
+                    np.clip(candidate[name] + delta, 1, MAX_REPLICAS)
                 )
                 rows.append(schema.with_replicas(base, candidate))
         for delta in (-1, 1):
             candidate = {
-                name: int(np.clip(count + delta, 1, self.max_replicas))
+                name: int(np.clip(count + delta, 1, MAX_REPLICAS))
                 for name, count in current.items()
             }
             rows.append(schema.with_replicas(base, candidate))
         # Random neighbours fill the batch.
-        while len(rows) < self.candidates:
+        while len(rows) < CANDIDATES:
             candidate = {
                 name: int(
-                    np.clip(count + self._rng.integers(-2, 3), 1, self.max_replicas)
+                    np.clip(count + self._rng.integers(-2, 3), 1, MAX_REPLICAS)
                 )
                 for name, count in current.items()
             }
@@ -116,8 +108,8 @@ class SinanManager:
         latencies = self.predictor.predict_latency(batch)
         violation_p = self.predictor.predict_violation_proba(batch)
         safe = (
-            (latencies <= self._sla_targets * self.safety_margin).all(axis=1)
-            & (violation_p < self.violation_threshold)
+            (latencies <= self._sla_targets * SAFETY_MARGIN).all(axis=1)
+            & (violation_p < VIOLATION_THRESHOLD)
         )
         if safe.any():
             costs = np.asarray(
@@ -132,25 +124,9 @@ class SinanManager:
             chosen = batch[int(np.argmin(pressure))]
         return self.predictor.schema.replicas_of(chosen)
 
-    def time_decision(self, repeats: int = 10) -> float:
-        """Mean wall-clock seconds per decision (Table VI)."""
-        # Table VI probe: real compute cost of a decision, not simulated time.
-        start = time.perf_counter()  # ursalint: disable=SIM001 -- Table VI probe
-        for _ in range(repeats):
-            self.decide()
-        # ursalint: disable=SIM001 -- Table VI probe
-        return (time.perf_counter() - start) / repeats
-
     def step(self) -> None:
         target = self.decide()
         for name, count in target.items():
             if self.app.services[name].deployment.desired_replicas != count:
                 self.app.scale(name, count)
         self.decisions += 1
-
-    def _loop(self):
-        env = self.app.env
-        yield env.timeout(self.app.hub.window_s)
-        while True:
-            self.step()
-            yield env.timeout(self.control_interval_s)

@@ -5,6 +5,7 @@
 * :mod:`repro.core.exploration` -- Algorithm 1 LPR exploration.
 * :mod:`repro.core.optimizer` -- the MIP-based optimisation engine.
 * :mod:`repro.core.overestimation` -- bound-to-estimate calibration.
+* :mod:`repro.core.control_loop` -- the periodic loop every manager runs.
 * :mod:`repro.core.resource_controller` -- threshold scaling (fast path).
 * :mod:`repro.core.anomaly` -- load/latency anomaly triggers.
 * :mod:`repro.core.manager` -- the :class:`UrsaManager` facade.

@@ -22,10 +22,17 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.apps.topology import Application
+from repro.core.control_loop import ControlLoop
 from repro.core.optimizer import ScalingThreshold
-from repro.errors import ConfigurationError
 
 __all__ = ["AnomalyDetector", "AnomalyEvent", "request_ratio_deviation"]
+
+#: Seconds between two checks; each check reads the interval just ended.
+CHECK_INTERVAL_S = 120.0
+#: Request-ratio deviation above which thresholds are recalculated.
+RATIO_DEVIATION_THRESHOLD = 1.0
+#: Windowed SLA violation rate above which services are re-explored.
+SLA_VIOLATION_THRESHOLD = 0.10
 
 
 def request_ratio_deviation(
@@ -58,8 +65,10 @@ class AnomalyEvent:
     detail: str
 
 
-class AnomalyDetector:
+class AnomalyDetector(ControlLoop):
     """Periodic anomaly checks over the tracing framework's metrics."""
+
+    interval_s = CHECK_INTERVAL_S
 
     def __init__(
         self,
@@ -67,34 +76,19 @@ class AnomalyDetector:
         thresholds: Mapping[str, ScalingThreshold],
         on_recalculate: Callable[[], None] | None = None,
         on_reexplore: Callable[[list[str]], None] | None = None,
-        check_interval_s: float = 60.0,
-        ratio_deviation_threshold: float = 1.0,
-        sla_violation_threshold: float = 0.10,
     ) -> None:
-        if check_interval_s <= 0:
-            raise ConfigurationError("check interval must be > 0")
-        if ratio_deviation_threshold <= 0:
-            raise ConfigurationError("deviation threshold must be > 0")
-        if not 0 < sla_violation_threshold <= 1:
-            raise ConfigurationError("SLA violation threshold must be in (0, 1]")
-        self.app = app
+        super().__init__(app)
         self.thresholds = dict(thresholds)
         self.on_recalculate = on_recalculate
         self.on_reexplore = on_reexplore
-        self.check_interval_s = float(check_interval_s)
-        self.ratio_deviation_threshold = float(ratio_deviation_threshold)
-        self.sla_violation_threshold = float(sla_violation_threshold)
         self.events: list[AnomalyEvent] = []
-        self._started = False
 
     def set_thresholds(self, thresholds: Mapping[str, ScalingThreshold]) -> None:
         self.thresholds = dict(thresholds)
 
-    def start(self) -> None:
-        if self._started:
-            raise ConfigurationError("detector already started")
-        self._started = True
-        self.app.env.process(self._loop())
+    def first_step_after_s(self) -> float:
+        """The first check reads a full interval, like every later one."""
+        return CHECK_INTERVAL_S
 
     # ------------------------------------------------------------------
     def check_load_anomaly(self, t0: float, t1: float) -> list[str]:
@@ -110,7 +104,7 @@ class AnomalyDetector:
                     {"service": service, "request": class_name},
                 )
             deviation = request_ratio_deviation(loads, threshold.lpr)
-            if deviation > self.ratio_deviation_threshold:
+            if deviation > RATIO_DEVIATION_THRESHOLD:
                 skewed.append(service)
         return skewed
 
@@ -120,7 +114,7 @@ class AnomalyDetector:
 
     def step(self) -> None:
         now = self.app.env.now
-        t0 = max(0.0, now - self.check_interval_s)
+        t0 = max(0.0, now - CHECK_INTERVAL_S)
         if t0 >= now:
             return
         skewed = self.check_load_anomaly(t0, now)
@@ -131,7 +125,7 @@ class AnomalyDetector:
             if self.on_recalculate is not None:
                 self.on_recalculate()
         violation_rate = self.check_latency_anomaly(t0, now)
-        if violation_rate > self.sla_violation_threshold:
+        if violation_rate > SLA_VIOLATION_THRESHOLD:
             self.events.append(
                 AnomalyEvent(
                     now, "latency", f"SLA violation rate {violation_rate:.3f}"
@@ -139,9 +133,3 @@ class AnomalyDetector:
             )
             if self.on_reexplore is not None:
                 self.on_reexplore(sorted(self.thresholds))
-
-    def _loop(self):
-        env = self.app.env
-        while True:
-            yield env.timeout(self.check_interval_s)
-            self.step()

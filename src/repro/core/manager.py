@@ -9,16 +9,20 @@
 Typical lifecycle::
 
     exploration = ExplorationController(streams).explore_app(spec, mix, rps, bp)
-    app = Application(spec, ...)
+    app = make_app(spec, seed)
     manager = UrsaManager(app, exploration)
     manager.initialize(class_loads={"read-timeline": 25.0, ...})
     manager.start()
-    env.run(until=...)
+    app.env.run(until=...)
+
+The experiments run this lifecycle through
+:func:`repro.experiments.runner.start_deployment`, which warms the app up
+for 10 s, attaches the manager with
+:func:`repro.experiments.managers.attach_ursa`, and starts the load.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Mapping
 
 from repro.apps.topology import Application
@@ -31,36 +35,25 @@ from repro.errors import ConfigurationError
 
 __all__ = ["UrsaManager"]
 
+#: Seconds of recent client arrivals a threshold recalculation averages.
+OBSERVED_LOAD_HORIZON_S = 300.0
+
 
 class UrsaManager:
     """Deploy-time resource management for one application."""
 
-    def __init__(
-        self,
-        app: Application,
-        exploration: ExplorationResult,
-        engine: OptimizationEngine | None = None,
-        control_interval_s: float = 15.0,
-        anomaly_check_interval_s: float = 120.0,
-        ratio_deviation_threshold: float = 1.0,
-        sla_violation_threshold: float = 0.10,
-    ) -> None:
+    def __init__(self, app: Application, exploration: ExplorationResult) -> None:
         self.app = app
         self.exploration = exploration
-        self.engine = engine if engine is not None else OptimizationEngine()
+        self.engine = OptimizationEngine()
         self.overestimation = OverestimationTracker()
         self.outcome: OptimizationOutcome | None = None
-        self.controller = ResourceController(
-            app, thresholds={}, control_interval_s=control_interval_s
-        )
+        self.controller = ResourceController(app, thresholds={})
         self.detector = AnomalyDetector(
             app,
             thresholds={},
             on_recalculate=self._recalculate_from_observed_load,
             on_reexplore=self._mark_for_reexploration,
-            check_interval_s=anomaly_check_interval_s,
-            ratio_deviation_threshold=ratio_deviation_threshold,
-            sla_violation_threshold=sla_violation_threshold,
         )
         self.recalculations = 0
         #: Services flagged by latency anomalies for offline re-exploration
@@ -68,7 +61,6 @@ class UrsaManager:
         #: manager surfaces the request rather than blocking the control
         #: loop; the Fig. 14 experiment shows the full cycle.
         self.pending_reexploration: list[str] = []
-        self._started = False
 
     # ------------------------------------------------------------------
     def initialize(self, class_loads: Mapping[str, float]) -> OptimizationOutcome:
@@ -93,17 +85,14 @@ class UrsaManager:
         """Spawn the resource controller and anomaly detector loops."""
         if self.outcome is None:
             raise ConfigurationError("call initialize() before start()")
-        if self._started:
-            raise ConfigurationError("manager already started")
-        self._started = True
         self.controller.start()
         self.detector.start()
 
     # ------------------------------------------------------------------
-    def observed_class_loads(self, horizon_s: float = 300.0) -> dict[str, float]:
+    def observed_class_loads(self) -> dict[str, float]:
         """Recent client-level per-class arrival rates from telemetry."""
         now = self.app.env.now
-        t0 = max(0.0, now - horizon_s)
+        t0 = max(0.0, now - OBSERVED_LOAD_HORIZON_S)
         if now <= t0:
             return {}
         return {
@@ -118,23 +107,6 @@ class UrsaManager:
             if name not in self.pending_reexploration:
                 self.pending_reexploration.append(name)
 
-    def apply_reexploration(self, exploration: ExplorationResult) -> None:
-        """Merge fresh (partial) exploration data and re-optimise.
-
-        Call after running :class:`ExplorationController` for the services
-        in :attr:`pending_reexploration`; clears the pending list.
-        """
-        profiles = dict(self.exploration.profiles)
-        profiles.update(exploration.profiles)
-        self.exploration = ExplorationResult(
-            app_name=self.exploration.app_name, profiles=profiles
-        )
-        self.pending_reexploration = [
-            s for s in self.pending_reexploration
-            if s not in exploration.profiles
-        ]
-        self._recalculate_from_observed_load()
-
     def _recalculate_from_observed_load(self) -> None:
         loads = self.observed_class_loads()
         if not loads or all(v <= 0 for v in loads.values()):
@@ -144,25 +116,3 @@ class UrsaManager:
         self.controller.set_thresholds(outcome.thresholds)
         self.detector.set_thresholds(outcome.thresholds)
         self.recalculations += 1
-
-    # ------------------------------------------------------------------
-    # Control-plane latency probes (Table VI)
-    # ------------------------------------------------------------------
-    def time_deploy_decision(self, repeats: int = 50) -> float:
-        """Mean wall-clock seconds for one full fast-path decision pass."""
-        if self.outcome is None:
-            raise ConfigurationError("call initialize() first")
-        # The Table VI probes below intentionally read the host clock: they
-        # measure the controller's real compute cost, never simulated state.
-        start = time.perf_counter()  # ursalint: disable=SIM001 -- Table VI probe
-        for _ in range(repeats):
-            for service in self.outcome.thresholds:
-                self.controller.decide(service)
-        # ursalint: disable=SIM001 -- Table VI probe
-        return (time.perf_counter() - start) / repeats
-
-    def time_update_decision(self, class_loads: Mapping[str, float]) -> float:
-        """Wall-clock seconds to recompute the optimisation model."""
-        start = time.perf_counter()  # ursalint: disable=SIM001 -- Table VI probe
-        self.engine.optimize(self.app.spec, self.exploration, class_loads)
-        return time.perf_counter() - start  # ursalint: disable=SIM001 -- Table VI probe

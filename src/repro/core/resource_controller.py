@@ -23,11 +23,18 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.apps.topology import Application
+from repro.core.control_loop import ControlLoop
 from repro.core.optimizer import ScalingThreshold
-from repro.errors import ConfigurationError
 from repro.stats.ttest import mean_exceeds
 
 __all__ = ["ResourceController", "ScalingDecision"]
+
+#: Seconds between two scaling passes.
+CONTROL_INTERVAL_S = 15.0
+#: Metrics windows of load samples each decision reads.
+LOOKBACK_WINDOWS = 3
+#: Scale-in floor per service.
+MIN_REPLICAS = 1
 
 
 @dataclass
@@ -41,41 +48,25 @@ class ScalingDecision:
     reason: str
 
 
-class ResourceController:
+class ResourceController(ControlLoop):
     """Per-application scaling loop driven by LPR thresholds."""
+
+    interval_s = CONTROL_INTERVAL_S
 
     def __init__(
         self,
         app: Application,
         thresholds: Mapping[str, ScalingThreshold],
-        control_interval_s: float = 15.0,
-        lookback_windows: int = 3,
         alpha: float = 0.05,
-        min_replicas: int = 1,
     ) -> None:
-        if control_interval_s <= 0:
-            raise ConfigurationError("control interval must be > 0")
-        if lookback_windows < 1:
-            raise ConfigurationError("need >= 1 lookback window")
-        self.app = app
+        super().__init__(app)
         self.thresholds = dict(thresholds)
-        self.control_interval_s = float(control_interval_s)
-        self.lookback_windows = int(lookback_windows)
         self.alpha = float(alpha)
-        self.min_replicas = int(min_replicas)
         self.decisions: list[ScalingDecision] = []
-        self._started = False
 
     def set_thresholds(self, thresholds: Mapping[str, ScalingThreshold]) -> None:
         """Swap thresholds (after the optimiser recalculates)."""
         self.thresholds = dict(thresholds)
-
-    def start(self) -> None:
-        """Spawn the control loop as a simulation process."""
-        if self._started:
-            raise ConfigurationError("controller already started")
-        self._started = True
-        self.app.env.process(self._loop())
 
     # ------------------------------------------------------------------
     def _recent_load_samples(self, service: str, classes) -> dict[str, list[float]]:
@@ -86,7 +77,7 @@ class ResourceController:
         samples: dict[str, list[float]] = {}
         for class_name in classes:
             rates = []
-            for k in range(self.lookback_windows, 0, -1):
+            for k in range(LOOKBACK_WINDOWS, 0, -1):
                 t0 = max(0.0, now - k * window)
                 t1 = now - (k - 1) * window
                 if t1 <= t0:
@@ -114,7 +105,7 @@ class ResourceController:
             name: (sum(rates) / len(rates) if rates else 0.0)
             for name, rates in loads.items()
         }
-        desired = max(self.min_replicas, threshold.replicas_for(mean_loads))
+        desired = max(MIN_REPLICAS, threshold.replicas_for(mean_loads))
 
         if desired > current:
             # Confirm with the t-test that some class really exceeds its
@@ -157,11 +148,3 @@ class ResourceController:
                 self.decisions.append(decision)
                 applied.append(decision)
         return applied
-
-    def _loop(self):
-        env = self.app.env
-        # Give telemetry one full window before the first decision.
-        yield env.timeout(self.app.hub.window_s)
-        while True:
-            self.step()
-            yield env.timeout(self.control_interval_s)

@@ -48,7 +48,7 @@ def attach_ursa(
 def attach_sinan(predictor: SinanPredictor) -> Callable[[Application], SinanManager]:
     def attach(app: Application) -> SinanManager:
         manager = SinanManager(app, predictor)
-        manager.initialize(2)
+        manager.initialize()
         manager.start()
         return manager
 
@@ -60,7 +60,7 @@ def attach_firm(
 ) -> Callable[[Application], FirmManager]:
     def attach(app: Application) -> FirmManager:
         manager = FirmManager(app, dict(agents))
-        manager.initialize(2)
+        manager.initialize()
         manager.start()
         return manager
 

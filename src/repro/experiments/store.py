@@ -51,7 +51,6 @@ from repro._version import __version__
 __all__ = [
     "ResultsMismatchError",
     "RunMeta",
-    "deployment_summaries",
     "load_sidecar",
     "merged_digest",
     "present_scales",
@@ -74,10 +73,6 @@ _ROOT_SCALE = "quick"
 #: ``results/`` subdirectory holding ``--dump-traces`` output; it is a
 #: sibling of the scale directories but never a scale itself.
 _TRACES_DIR = "traces"
-
-#: Summary percentiles recorded per request class.
-_SUMMARY_PERCENTILES = (50.0, 95.0, 99.0)
-
 
 class ResultsMismatchError(RuntimeError):
     """A previously recorded run no longer reproduces.
@@ -341,28 +336,6 @@ def save_result(
     )
     os.replace(tmp, side)
     return side
-
-
-def deployment_summaries(result: Any) -> dict[str, dict[str, float]]:
-    """Per-class metric summaries of a ``DeploymentResult``.
-
-    Folds the latency histograms and violation rates the store persists
-    into plain floats (rounded so the JSON stays platform-stable).
-    """
-    summaries: dict[str, dict[str, float]] = {}
-    metrics = getattr(result, "metrics", None)
-    latency = metrics.latency_by_class if metrics is not None else {}
-    for name, hist in sorted(latency.items()):
-        stats: dict[str, float] = {"count": float(hist.count)}
-        if hist.count:
-            stats["mean_s"] = round(hist.mean, 9)
-            for q in _SUMMARY_PERCENTILES:
-                stats[f"p{q:g}_s"] = round(hist.percentile(q), 9)
-        violation = result.per_class_violation_rate.get(name)
-        if violation is not None:
-            stats["violation_rate"] = round(violation, 9)
-        summaries[name] = stats
-    return summaries
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable, Mapping
+
+import numpy as np
 
 from repro.baselines.autoscaler import StepAutoscaler, auto_a
-from repro.baselines.firm import FirmManager
+from repro.baselines.firm import STATE_DIM, FirmManager
+from repro.baselines.firm import controller as firm_controller
 from repro.baselines.sinan import SinanManager
 from repro.core.manager import UrsaManager
 from repro.experiments import artifacts
@@ -34,7 +38,12 @@ from repro.experiments.store import RunMeta
 from repro.workload.defaults import default_mix_for
 from repro.workload.patterns import ConstantLoad
 
-__all__ = ["ControlPlaneLatency", "run_table06", "experiment_meta"]
+__all__ = [
+    "ControlPlaneLatency",
+    "run_table06",
+    "time_decisions",
+    "experiment_meta",
+]
 
 #: Default seed for the warmed deployments the timings run on.
 TABLE6_SEED = 31
@@ -70,8 +79,8 @@ def run_table06(
     Each system gets its own deployment, started by
     :func:`~repro.experiments.runner.start_deployment` with constant load
     on ``seed + 1`` until ``warm_s``.  The manager is initialised at the
-    10 s warm-up, before load starts, but never started: decisions are
-    timed by hand once the run reaches ``warm_s``.
+    10 s warm-up, before load starts, but never started: once the run
+    reaches ``warm_s``, :func:`time_decisions` times its decisions.
     """
     spec = artifacts.app_spec(app_name)
     mix = default_mix_for(app_name)
@@ -97,57 +106,96 @@ def run_table06(
         return run.manager
 
     class_loads = mix.class_loads(rps)
-    deploy_ms: dict[str, float] = {}
-    update_ms: dict[str, float | None] = {}
 
-    # ---- Ursa ---------------------------------------------------------
     def init_ursa(app):
         manager = UrsaManager(app, exploration)
         manager.initialize(class_loads)
         return manager
 
-    ursa = warmed(init_ursa)
-    deploy_ms["ursa"] = ursa.time_deploy_decision(repeats=50) * 1000.0
-    update_ms["ursa"] = ursa.time_update_decision(class_loads) * 1000.0
-
-    # ---- Sinan --------------------------------------------------------
     def init_sinan(app):
         manager = SinanManager(app, predictor)
-        manager.initialize(2)
+        manager.initialize()
         return manager
 
-    sinan = warmed(init_sinan)
-    deploy_ms["sinan"] = sinan.time_decision(repeats=10) * 1000.0
-    update_ms["sinan"] = None  # full retraining; not an online operation
-
-    # ---- Firm ---------------------------------------------------------
     def init_firm(app):
         manager = FirmManager(app, agents)
-        manager.initialize(2)
+        manager.initialize()
         return manager
 
-    firm = warmed(init_firm)
-    # Fill the replay buffers so the update is representative.
-    for agent in agents.values():
-        if len(agent.buffer) < 64:
-            import numpy as np
+    return time_decisions(
+        warmed(init_ursa),
+        warmed(init_sinan),
+        warmed(init_firm),
+        warmed(lambda app: StepAutoscaler(app, auto_a())),
+        class_loads,
+    )
 
-            for _ in range(64):
-                state = np.random.default_rng(0).uniform(0, 1, 4)
-                agent.remember(state, 0.0, -1.0, state)
-    deploy_ms["firm"] = firm.time_decision(repeats=20) * 1000.0
-    update_ms["firm"] = firm.time_update(iterations=1) * 1000.0
 
-    # ---- Autoscaling ----------------------------------------------------
-    scaler = warmed(lambda app: StepAutoscaler(app, auto_a()))
+def _mean_ms(action: Callable[[], object], repeats: int) -> float:
+    """Mean host wall-clock milliseconds of one ``action()`` call."""
     start = time.perf_counter()
-    repeats = 100
     for _ in range(repeats):
+        action()
+    return (time.perf_counter() - start) / repeats * 1000.0
+
+
+def time_decisions(
+    ursa: UrsaManager,
+    sinan: SinanManager,
+    firm: FirmManager,
+    scaler: StepAutoscaler,
+    class_loads: Mapping[str, float],
+) -> ControlPlaneLatency:
+    """Time each system's decision paths on its (initialised) deployment.
+
+    Deploy: Ursa's threshold check for every service (50 passes),
+    Sinan's candidate batch (10), Firm's per-service forward passes
+    (20) and the autoscaler's comparison for every service (100).
+    Update: one Ursa MIP re-solve for ``class_loads`` and one Firm
+    online RL iteration, its replay buffers first filled to 64
+    transitions so the update trains on a full batch.
+    """
+    now = firm.app.env.now
+    t0 = max(0.0, now - firm_controller.CONTROL_INTERVAL_S)
+    rng = np.random.default_rng(0)
+    for agent in firm.agents.values():
+        if len(agent.buffer) < 64:
+            for _ in range(64):
+                state = rng.uniform(0, 1, STATE_DIM)
+                agent.remember(state, 0.0, -1.0, state)
+
+    def ursa_deploy() -> None:
+        for service in ursa.controller.thresholds:
+            ursa.controller.decide(service)
+
+    def firm_deploy() -> None:
+        for service in firm.agents:
+            firm.decide(service, t0, now)
+
+    def scaler_deploy() -> None:
         for service in scaler.app.services:
             scaler.decide(service)
-    deploy_ms["autoscaling"] = (time.perf_counter() - start) / repeats * 1000.0
-    update_ms["autoscaling"] = deploy_ms["autoscaling"]
 
+    def ursa_update() -> None:
+        ursa.engine.optimize(ursa.app.spec, ursa.exploration, class_loads)
+
+    def firm_update() -> None:
+        for agent in firm.agents.values():
+            agent.update()
+
+    deploy_ms = {
+        "ursa": _mean_ms(ursa_deploy, repeats=50),
+        "sinan": _mean_ms(sinan.decide, repeats=10),
+        "firm": _mean_ms(firm_deploy, repeats=20),
+        "autoscaling": _mean_ms(scaler_deploy, repeats=100),
+    }
+    update_ms: dict[str, float | None] = {
+        "ursa": _mean_ms(ursa_update, repeats=1),
+        "sinan": None,  # full retraining; not an online operation
+        "firm": _mean_ms(firm_update, repeats=1),
+        # Nothing to update: the same threshold check.
+        "autoscaling": deploy_ms["autoscaling"],
+    }
     return ControlPlaneLatency(deploy_ms=deploy_ms, update_ms=update_ms)
 
 

@@ -29,12 +29,9 @@ from repro.sim.random import (
     Constant,
     Distribution,
     Exponential,
-    Hyperexponential,
     LogNormal,
     Mixture,
-    Pareto,
     RandomStreams,
-    Uniform,
 )
 from repro.sim.resources import PriorityStore, Resource, Store
 from repro.sim.trace import EventTraceRecorder, RunDigest
@@ -48,11 +45,9 @@ __all__ = [
     "Event",
     "EventTraceRecorder",
     "Exponential",
-    "Hyperexponential",
     "Interrupt",
     "LogNormal",
     "Mixture",
-    "Pareto",
     "PriorityStore",
     "Process",
     "RandomStreams",
@@ -61,5 +56,4 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
-    "Uniform",
 ]

@@ -8,8 +8,7 @@ keying, so a (root_seed, name) pair always yields the same stream.
 
 Also provides the service-time distributions used by the microservice
 handler cost models (exponential, lognormal parameterised by mean and
-coefficient of variation, Pareto for heavy tails) and inter-arrival helpers
-for Poisson workloads.
+coefficient of variation, and weighted mixtures of these).
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ __all__ = [
     "Exponential",
     "LogNormal",
     "Mixture",
-    "Pareto",
-    "Uniform",
-    "Hyperexponential",
 ]
 
 
@@ -155,86 +151,6 @@ class LogNormal(Distribution):
 
     def scaled(self, factor: float) -> "LogNormal":
         return LogNormal(self.mean * factor, self.cv)
-
-
-@dataclass(frozen=True)
-class Pareto(Distribution):
-    """Lomax (shifted Pareto) with the given mean and shape ``alpha > 1``.
-
-    Heavy-tailed; models the occasional very slow ML inference or large
-    video input.
-    """
-
-    mean: float
-    alpha: float = 2.5
-
-    def __post_init__(self) -> None:
-        if self.mean <= 0:
-            raise ValueError(f"mean must be > 0, got {self.mean}")
-        if self.alpha <= 1:
-            raise ValueError(f"alpha must be > 1 for finite mean, got {self.alpha}")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        scale = self.mean * (self.alpha - 1.0)
-        return float(scale * rng.pareto(self.alpha))
-
-    def scaled(self, factor: float) -> "Pareto":
-        return Pareto(self.mean * factor, self.alpha)
-
-
-@dataclass(frozen=True)
-class Uniform(Distribution):
-    """Uniform on ``[low, high]``."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.low <= self.high:
-            raise ValueError(f"need 0 <= low <= high, got [{self.low}, {self.high}]")
-
-    @property
-    def mean(self) -> float:  # type: ignore[override]
-        return (self.low + self.high) / 2.0
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
-
-    def scaled(self, factor: float) -> "Uniform":
-        return Uniform(self.low * factor, self.high * factor)
-
-
-@dataclass(frozen=True)
-class Hyperexponential(Distribution):
-    """Two-phase hyperexponential: mixture of two exponentials.
-
-    With probability ``p_slow`` the variate is drawn from an exponential
-    with mean ``slow_mean``; otherwise from one with mean ``fast_mean``.
-    Captures bimodal handlers (cache hit vs miss).
-    """
-
-    fast_mean: float
-    slow_mean: float
-    p_slow: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.fast_mean <= 0 or self.slow_mean <= 0:
-            raise ValueError("means must be > 0")
-        if not 0 <= self.p_slow <= 1:
-            raise ValueError(f"p_slow must be in [0, 1], got {self.p_slow}")
-
-    @property
-    def mean(self) -> float:  # type: ignore[override]
-        return (1.0 - self.p_slow) * self.fast_mean + self.p_slow * self.slow_mean
-
-    def sample(self, rng: np.random.Generator) -> float:
-        mean = self.slow_mean if rng.random() < self.p_slow else self.fast_mean
-        return float(rng.exponential(mean))
-
-    def scaled(self, factor: float) -> "Hyperexponential":
-        return Hyperexponential(
-            self.fast_mean * factor, self.slow_mean * factor, self.p_slow
-        )
 
 
 class Mixture(Distribution):

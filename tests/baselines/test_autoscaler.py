@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
+from repro.baselines import autoscaler
 from repro.baselines.autoscaler import StepAutoscaler, auto_a, auto_b
 from repro.cluster import Cluster, Node
 from repro.errors import ConfigurationError
@@ -59,10 +60,11 @@ def test_scales_in_when_idle():
     assert app.services["svc"].deployment.desired_replicas < 4
 
 
-def test_respects_min_max():
+def test_respects_min_max(monkeypatch):
+    monkeypatch.setattr(autoscaler, "MAX_REPLICAS", 2)
     env = Environment()
     app = build_app(env, replicas=1)
-    scaler = StepAutoscaler(app, auto_a(), min_replicas=1, max_replicas=2)
+    scaler = StepAutoscaler(app, auto_a())
     scaler.start()
     LoadGenerator(app, ConstantLoad(300.0), RequestMix({"r": 1.0}),
                   RandomStreams(6), stop_at_s=400).start()
@@ -73,7 +75,7 @@ def test_respects_min_max():
 def test_double_start_rejected():
     env = Environment()
     app = build_app(env)
-    scaler = StepAutoscaler(app)
+    scaler = StepAutoscaler(app, auto_a())
     scaler.start()
     with pytest.raises(ConfigurationError):
         scaler.start()
@@ -82,5 +84,5 @@ def test_double_start_rejected():
 def test_decide_holds_without_data():
     env = Environment()
     app = build_app(env)
-    scaler = StepAutoscaler(app)
+    scaler = StepAutoscaler(app, auto_a())
     assert scaler.decide("svc") is None  # no utilisation samples yet

@@ -1,45 +1,27 @@
 """Integration tests for Firm's trainer and deployment controller."""
 
+import copy
 import hashlib
+import math
 
 import pytest
 
-from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
-from repro.baselines.firm import FirmManager, train_firm_agents
+from repro.apps.topology import Application
+from repro.baselines.firm import FirmManager
+from repro.baselines.firm.controller import MAX_REPLICAS
 from repro.cluster import Cluster, Node
 from repro.errors import ConfigurationError
-from repro.net.messages import Call, CallMode
-from repro.services.spec import ServiceSpec
-from repro.sim import Environment, LogNormal, RandomStreams
+from repro.sim import Environment, RandomStreams
 from repro.workload import ConstantLoad, LoadGenerator, RequestMix
+from tests.baselines import tiny
 
 
 def tiny_spec():
-    return AppSpec(
-        "tiny",
-        services=(
-            ServiceSpec("front", cpus_per_replica=1,
-                        handlers={"req": LogNormal(0.002, 0.4)}),
-            ServiceSpec("work", cpus_per_replica=1,
-                        handlers={"req": LogNormal(0.010, 0.5)}),
-        ),
-        request_classes=(
-            RequestClass("req", Call("front", CallMode.RPC, (Call("work"),)),
-                         SlaSpec(99.0, 0.15)),
-        ),
-    )
+    return tiny.tiny_spec(tiny.FIRM_SLA_S)
 
 
-@pytest.fixture(scope="module")
-def trained():
-    return train_firm_agents(
-        tiny_spec(), RequestMix({"req": 1.0}), rps=60.0,
-        streams=RandomStreams(51), n_samples=40, window_s=15.0,
-    )
-
-
-def test_training_returns_agent_per_service(trained):
-    agents, sim_time = trained
+def test_training_returns_agent_per_service(firm_trained):
+    agents, sim_time = firm_trained
     assert set(agents) == {"front", "work"}
     assert sim_time > 0
     # Agents actually learned from transitions.
@@ -57,16 +39,17 @@ def test_training_returns_agent_per_service(trained):
     assert sim_time == 600.0
 
 
-def test_deployment_with_trained_agents(trained):
-    agents, _ = trained
+def test_deployment_with_trained_agents(firm_trained):
+    # Deployment keeps training the agents: work on a copy.
+    agents = copy.deepcopy(firm_trained[0])
     env = Environment()
     app = Application(
         tiny_spec(), env=env,
         cluster=Cluster(env, nodes=[Node("n", 64, 128)]),
         streams=RandomStreams(53), initial_replicas=2,
     )
-    manager = FirmManager(app, agents, control_interval_s=20.0)
-    manager.initialize(2)
+    manager = FirmManager(app, agents)
+    manager.initialize()
     manager.start()
     LoadGenerator(app, ConstantLoad(60.0), RequestMix({"req": 1.0}),
                   RandomStreams(54), stop_at_s=300).start()
@@ -75,8 +58,8 @@ def test_deployment_with_trained_agents(trained):
     assert app.services["work"].deployment.desired_replicas >= 1
 
 
-def test_manager_requires_agent_per_service(trained):
-    agents, _ = trained
+def test_manager_requires_agent_per_service(firm_trained):
+    agents, _ = firm_trained
     env = Environment()
     app = Application(
         tiny_spec(), env=env,
@@ -87,8 +70,10 @@ def test_manager_requires_agent_per_service(trained):
         FirmManager(app, {"front": agents["front"]})
 
 
-def test_timing_probes(trained):
-    agents, _ = trained
+def test_timing_probes(firm_trained):
+    # The two paths Table VI times: one actor decision per service and
+    # one online update per agent.  The update trains: work on a copy.
+    agents = copy.deepcopy(firm_trained[0])
     env = Environment()
     app = Application(
         tiny_spec(), env=env,
@@ -97,5 +82,9 @@ def test_timing_probes(trained):
     )
     env.run(until=30)
     manager = FirmManager(app, agents)
-    assert manager.time_decision(repeats=3) > 0
-    assert manager.time_update(iterations=1) >= 0
+    for service in agents:
+        assert 1 <= manager.decide(service, 0.0, env.now) <= MAX_REPLICAS
+    for agent in agents.values():
+        assert len(agent.buffer) >= 32  # a full batch to train on
+        loss = agent.update()
+        assert math.isfinite(loss) and loss >= 0

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
+from repro.apps.topology import Application
 from repro.baselines.sinan import (
     SinanDataCollector,
     SinanManager,
@@ -13,48 +13,26 @@ from repro.baselines.sinan import (
 )
 from repro.cluster import Cluster, Node
 from repro.errors import ConfigurationError, ExplorationError
-from repro.net.messages import Call, CallMode
-from repro.services.spec import ServiceSpec
-from repro.sim import Environment, LogNormal, RandomStreams
+from repro.sim import Environment, RandomStreams
 from repro.workload import ConstantLoad, LoadGenerator, RequestMix
+from tests.baselines import tiny
 
 
 def tiny_spec():
-    return AppSpec(
-        "tiny",
-        services=(
-            ServiceSpec("front", cpus_per_replica=1,
-                        handlers={"req": LogNormal(0.002, 0.4)}),
-            ServiceSpec("work", cpus_per_replica=1,
-                        handlers={"req": LogNormal(0.010, 0.5)}),
-        ),
-        request_classes=(
-            # A tight SLA so underprovisioned windows actually violate.
-            RequestClass("req", Call("front", CallMode.RPC, (Call("work"),)),
-                         SlaSpec(99.0, 0.06)),
-        ),
-    )
+    return tiny.tiny_spec(tiny.SINAN_SLA_S)
 
 
-@pytest.fixture(scope="module")
-def dataset():
-    collector = SinanDataCollector(
-        RandomStreams(31), window_s=10.0, settle_s=5.0
-    )
-    return collector.collect(tiny_spec(), RequestMix({"req": 1.0}),
-                             rps=80.0, n_samples=60)
-
-
-def test_collection_is_balanced(dataset):
-    assert dataset.size == 60
+def test_collection_is_balanced(sinan_dataset):
+    assert sinan_dataset.size == 60
     # The 1:1 balancing keeps the ratio in a broad band around 0.5.
-    assert 0.15 <= dataset.violation_ratio() <= 0.85
-    assert dataset.collection_time_s > 0
+    _, _, violations = sinan_dataset.arrays()
+    assert 0.15 <= violations.mean() <= 0.85
+    assert sinan_dataset.collection_time_s > 0
 
 
-def test_feature_schema_round_trip(dataset):
-    schema = dataset.schema
-    x, y, v = dataset.arrays()
+def test_feature_schema_round_trip(sinan_dataset):
+    schema = sinan_dataset.schema
+    x, y, v = sinan_dataset.arrays()
     assert x.shape == (60, schema.dim)
     assert y.shape[1] == 1  # one request class
     assert set(v) <= {0, 1}
@@ -67,34 +45,29 @@ def test_feature_schema_round_trip(dataset):
     assert digest.hexdigest() == (
         "8a3ab82f9ce39903ba10a89de01ee37e97abf54e03686f0b7a0750f39ca1b4f3"
     )
-    assert dataset.collection_time_s == 915.0
+    assert sinan_dataset.collection_time_s == 915.0
 
 
-@pytest.fixture(scope="module")
-def predictor(dataset):
-    return SinanPredictor.train(dataset, epochs=25)
-
-
-def test_training_produces_usable_models(predictor, dataset):
-    x, y, v = dataset.arrays()
-    pred = predictor.predict_latency(x[:10])
+def test_training_produces_usable_models(sinan_predictor, sinan_dataset):
+    x, y, v = sinan_dataset.arrays()
+    pred = sinan_predictor.predict_latency(x[:10])
     assert pred.shape == (10, 1)
     assert (pred >= 0).all()
-    proba = predictor.predict_violation_proba(x[:10])
+    proba = sinan_predictor.predict_violation_proba(x[:10])
     assert ((proba >= 0) & (proba <= 1)).all()
     # Better than coin-flipping on its own training distribution.
-    assert predictor.violation_accuracy >= 0.4
+    assert sinan_predictor.violation_accuracy >= 0.4
 
 
-def test_scheduler_decides_and_scales(predictor):
+def test_scheduler_decides_and_scales(sinan_predictor):
     env = Environment()
     app = Application(
         tiny_spec(), env=env,
         cluster=Cluster(env, nodes=[Node("n", 64, 128)]),
         streams=RandomStreams(33), initial_replicas=2,
     )
-    manager = SinanManager(app, predictor, control_interval_s=20.0)
-    manager.initialize(2)
+    manager = SinanManager(app, sinan_predictor)
+    manager.initialize()
     manager.start()
     LoadGenerator(app, ConstantLoad(60.0), RequestMix({"req": 1.0}),
                   RandomStreams(34), stop_at_s=300).start()
@@ -104,15 +77,16 @@ def test_scheduler_decides_and_scales(predictor):
     assert app.services["work"].deployment.desired_replicas >= 1
 
 
-def test_manager_validation(predictor):
+def test_manager_validation(sinan_predictor):
+    # The predictor was trained on features of other request classes.
     env = Environment()
     app = Application(
-        tiny_spec(), env=env,
+        tiny.tiny_spec(tiny.SINAN_SLA_S, request="other"), env=env,
         cluster=Cluster(env, nodes=[Node("n", 64, 128)]),
         streams=RandomStreams(35), initial_replicas=1,
     )
-    with pytest.raises(ConfigurationError):
-        SinanManager(app, predictor, candidates=2)
+    with pytest.raises(ConfigurationError, match="schema does not match"):
+        SinanManager(app, sinan_predictor)
 
 
 def test_collector_validation():
@@ -121,9 +95,9 @@ def test_collector_validation():
         collector.collect(tiny_spec(), RequestMix({"req": 1.0}), 10.0, n_samples=1)
 
 
-def test_training_needs_samples(dataset):
+def test_training_needs_samples(sinan_dataset):
     import dataclasses
 
-    small = dataclasses.replace(dataset, samples=dataset.samples[:5])
+    small = dataclasses.replace(sinan_dataset, samples=sinan_dataset.samples[:5])
     with pytest.raises(ConfigurationError):
         SinanPredictor.train(small)

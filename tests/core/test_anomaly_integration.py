@@ -4,7 +4,13 @@ import pytest
 
 from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
 from repro.cluster import Cluster, Node
-from repro.core.anomaly import AnomalyDetector
+from repro.core.anomaly import (
+    CHECK_INTERVAL_S,
+    RATIO_DEVIATION_THRESHOLD,
+    SLA_VIOLATION_THRESHOLD,
+    AnomalyDetector,
+    request_ratio_deviation,
+)
 from repro.core.optimizer import ScalingThreshold
 from repro.errors import ConfigurationError
 from repro.net.messages import Call
@@ -12,20 +18,21 @@ from repro.services.spec import ServiceSpec
 from repro.sim import Environment, LogNormal, RandomStreams
 from repro.workload import ConstantLoad, LoadGenerator, RequestMix
 
+CLASSES = ("a", "b", "c")
+
 
 def build_app(env):
     spec = AppSpec(
-        "two-class",
+        "three-class",
         services=(
             ServiceSpec(
                 "svc",
                 cpus_per_replica=1,
-                handlers={"a": LogNormal(0.004, 0.4), "b": LogNormal(0.004, 0.4)},
+                handlers={name: LogNormal(0.004, 0.4) for name in CLASSES},
             ),
         ),
-        request_classes=(
-            RequestClass("a", Call("svc"), SlaSpec(99, 0.5)),
-            RequestClass("b", Call("svc"), SlaSpec(99, 0.5)),
+        request_classes=tuple(
+            RequestClass(name, Call("svc"), SlaSpec(99, 0.5)) for name in CLASSES
         ),
     )
     cluster = Cluster(env, nodes=[Node("n", 64, 128)])
@@ -35,16 +42,28 @@ def build_app(env):
     )
 
 
-def thresholds(lpr_a=20.0, lpr_b=20.0):
+def thresholds():
     return {
         "svc": ScalingThreshold(
             service="svc",
             cpus_per_replica=1,
-            lpr={"a": lpr_a, "b": lpr_b},
+            lpr={name: 20.0 for name in CLASSES},
             load_samples={},
             utilization=0.5,
         )
     }
+
+
+def measured_deviation(app, now):
+    """The request-ratio deviation one check at ``now`` reads."""
+    t0 = now - CHECK_INTERVAL_S
+    loads = {
+        name: app.hub.counter_rate(
+            "requests_total", t0, now, {"service": "svc", "request": name}
+        )
+        for name in CLASSES
+    }
+    return request_ratio_deviation(loads, thresholds()["svc"].lpr)
 
 
 def test_no_anomaly_under_matching_mix():
@@ -52,13 +71,15 @@ def test_no_anomaly_under_matching_mix():
     app = build_app(env)
     recalcs = []
     detector = AnomalyDetector(
-        app, thresholds(), on_recalculate=lambda: recalcs.append(1),
-        ratio_deviation_threshold=0.8,
+        app, thresholds(), on_recalculate=lambda: recalcs.append(1)
     )
     env.run(until=10)
-    LoadGenerator(app, ConstantLoad(40.0), RequestMix({"a": 0.5, "b": 0.5}),
+    LoadGenerator(app, ConstantLoad(60.0),
+                  RequestMix({"a": 1.0, "b": 1.0, "c": 1.0}),
                   RandomStreams(14), stop_at_s=200).start()
     env.run(until=200)
+    # Well under the threshold, not just under it.
+    assert measured_deviation(app, env.now) < 0.8 * RATIO_DEVIATION_THRESHOLD
     detector.step()
     assert not recalcs
     assert not detector.events
@@ -69,15 +90,15 @@ def test_skewed_mix_triggers_recalculation():
     app = build_app(env)
     recalcs = []
     detector = AnomalyDetector(
-        app, thresholds(), on_recalculate=lambda: recalcs.append(1),
-        ratio_deviation_threshold=0.5,
-        check_interval_s=60.0,
+        app, thresholds(), on_recalculate=lambda: recalcs.append(1)
     )
     env.run(until=10)
-    # 5:1 mix against 1:1 thresholds -> deviation (5/6)/(0.5) - 1 ~ 0.67.
-    LoadGenerator(app, ConstantLoad(48.0), RequestMix({"a": 5.0, "b": 1.0}),
+    # 10:1:1 against 1:1:1 thresholds -> deviation 10 / 4 - 1 = 1.5.
+    LoadGenerator(app, ConstantLoad(48.0),
+                  RequestMix({"a": 10.0, "b": 1.0, "c": 1.0}),
                   RandomStreams(15), stop_at_s=200).start()
     env.run(until=200)
+    assert measured_deviation(app, env.now) > 1.2 * RATIO_DEVIATION_THRESHOLD
     detector.step()
     assert recalcs
     assert any(e.kind == "load" for e in detector.events)
@@ -87,19 +108,16 @@ def test_latency_anomaly_triggers_reexploration():
     env = Environment()
     app = build_app(env)
     reexplored = []
-    detector = AnomalyDetector(
-        app,
-        thresholds(),
-        on_reexplore=reexplored.append,
-        sla_violation_threshold=0.05,
-        check_interval_s=60.0,
-    )
+    detector = AnomalyDetector(app, thresholds(), on_reexplore=reexplored.append)
     env.run(until=10)
     LoadGenerator(app, ConstantLoad(30.0), RequestMix({"a": 0.5, "b": 0.5}),
                   RandomStreams(16), stop_at_s=200).start()
     # Throttle the service so SLAs break.
     app.services["svc"].set_speed_factor(0.02)
     env.run(until=200)
+    assert detector.check_latency_anomaly(
+        env.now - CHECK_INTERVAL_S, env.now
+    ) > SLA_VIOLATION_THRESHOLD
     detector.step()
     assert reexplored == [["svc"]]
     assert any(e.kind == "latency" for e in detector.events)
@@ -108,12 +126,6 @@ def test_latency_anomaly_triggers_reexploration():
 def test_detector_loop_and_validation():
     env = Environment()
     app = build_app(env)
-    with pytest.raises(ConfigurationError):
-        AnomalyDetector(app, {}, check_interval_s=0)
-    with pytest.raises(ConfigurationError):
-        AnomalyDetector(app, {}, ratio_deviation_threshold=0)
-    with pytest.raises(ConfigurationError):
-        AnomalyDetector(app, {}, sla_violation_threshold=2.0)
     detector = AnomalyDetector(app, thresholds())
     detector.start()
     with pytest.raises(ConfigurationError):

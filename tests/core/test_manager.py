@@ -126,33 +126,42 @@ def test_observed_class_loads():
 
 
 def test_deploy_timing_probe():
+    # The two paths Table VI times: the per-service threshold check and
+    # the MIP re-solve (timed in table06_control_plane.time_decisions).
     env = Environment()
     app = make_app(env)
     env.run(until=10)
     manager = UrsaManager(app, synthetic_exploration())
-    manager.initialize({"req": 30.0})
-    seconds = manager.time_deploy_decision(repeats=5)
-    assert 0 < seconds < 0.1
-    update_seconds = manager.time_update_decision({"req": 30.0})
-    assert 0 < update_seconds < 5.0
+    first = manager.initialize({"req": 30.0})
+    for _ in range(5):
+        for service in manager.controller.thresholds:
+            decision = manager.controller.decide(service)
+            assert decision is None or decision.service == service
+    outcome = manager.engine.optimize(
+        app.spec, manager.exploration, {"req": 30.0}
+    )
+    assert outcome is not first
+    assert outcome.thresholds == first.thresholds
 
 
-def test_reexploration_merge_cycle():
+def test_detector_callbacks_drive_the_manager():
     env = Environment()
     app = make_app(env)
     env.run(until=10)
     manager = UrsaManager(app, synthetic_exploration())
-    manager.initialize({"req": 30.0})
+    first = manager.initialize({"req": 30.0})
     LoadGenerator(app, ConstantLoad(30.0), RequestMix({"req": 1.0}),
                   RandomStreams(12), stop_at_s=200).start()
     env.run(until=200)
-    # Simulate the detector flagging a service.
-    manager._mark_for_reexploration(["work"])
-    manager._mark_for_reexploration(["work"])  # idempotent
+    # A latency anomaly queues the services for offline re-exploration,
+    # once each.
+    manager.detector.on_reexplore(["work"])
+    manager.detector.on_reexplore(["work"])
     assert manager.pending_reexploration == ["work"]
-    # Fresh partial exploration for that service.
-    fresh = synthetic_exploration()
-    partial = ExplorationResult("tiny", {"work": fresh.profiles["work"]})
-    manager.apply_reexploration(partial)
-    assert manager.pending_reexploration == []
-    assert manager.recalculations >= 1
+    # A load anomaly re-solves the MIP for the observed loads and hands
+    # the new thresholds to both loops.
+    manager.detector.on_recalculate()
+    assert manager.recalculations == 1
+    assert manager.outcome is not first
+    assert manager.controller.thresholds == manager.outcome.thresholds
+    assert manager.detector.thresholds == manager.outcome.thresholds

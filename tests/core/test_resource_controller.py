@@ -5,6 +5,7 @@ import pytest
 from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
 from repro.cluster import Cluster, Node
 from repro.core.optimizer import ScalingThreshold
+from repro.core import resource_controller
 from repro.core.resource_controller import ResourceController
 from repro.errors import ConfigurationError
 from repro.net.messages import Call
@@ -100,9 +101,7 @@ def test_step_applies_decisions():
 def test_loop_runs_periodically():
     env = Environment()
     app = build_app(env, replicas=1)
-    controller = ResourceController(
-        app, {"svc": threshold(lpr=10.0)}, control_interval_s=15.0
-    )
+    controller = ResourceController(app, {"svc": threshold(lpr=10.0)})
     controller.start()
     drive(env, app, rps=50.0, until=200)
     assert controller.decisions  # scaled at least once
@@ -119,22 +118,17 @@ def test_unknown_service_ignored():
 def test_validation():
     env = Environment()
     app = build_app(env)
-    with pytest.raises(ConfigurationError):
-        ResourceController(app, {}, control_interval_s=0)
-    with pytest.raises(ConfigurationError):
-        ResourceController(app, {}, lookback_windows=0)
     controller = ResourceController(app, {})
     controller.start()
     with pytest.raises(ConfigurationError):
         controller.start()
 
 
-def test_min_replicas_respected():
+def test_min_replicas_respected(monkeypatch):
+    monkeypatch.setattr(resource_controller, "MIN_REPLICAS", 2)
     env = Environment()
     app = build_app(env, replicas=4)
-    controller = ResourceController(
-        app, {"svc": threshold(lpr=1000.0)}, min_replicas=2
-    )
+    controller = ResourceController(app, {"svc": threshold(lpr=1000.0)})
     env.run(until=10)
     drive(env, app, rps=5.0, until=130)
     decision = controller.decide("svc")

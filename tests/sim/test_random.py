@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from repro.sim.random import (
     Constant,
     Exponential,
-    Hyperexponential,
     LogNormal,
-    Pareto,
+    Mixture,
     RandomStreams,
-    Uniform,
 )
 
 
@@ -49,9 +47,12 @@ def test_fork_changes_streams():
         Constant(2.0),
         Exponential(2.0),
         LogNormal(2.0, cv=0.5),
-        Pareto(2.0, alpha=2.5),
-        Uniform(1.0, 3.0),
-        Hyperexponential(1.0, 11.0, p_slow=0.1),
+        # Bimodal: cache hits and misses.
+        Mixture([(0.9, Exponential(1.0)), (0.1, Exponential(11.0))]),
+        # Unnormalised weights.
+        Mixture([(3.0, Constant(1.0)), (1.0, LogNormal(5.0))]),
+        # A zero-weight component is never drawn.
+        Mixture([(1.0, Exponential(2.0)), (0.0, Constant(100.0))]),
     ],
 )
 def test_distribution_mean_close(dist):
@@ -67,9 +68,9 @@ def test_distribution_mean_close(dist):
         Constant(2.0),
         Exponential(2.0),
         LogNormal(2.0),
-        Pareto(2.0),
-        Uniform(1.0, 3.0),
-        Hyperexponential(1.0, 11.0),
+        Mixture([(0.9, Exponential(1.0)), (0.1, Exponential(11.0))]),
+        Mixture([(3.0, Constant(1.0)), (1.0, LogNormal(5.0))]),
+        Mixture([(1.0, Exponential(2.0)), (0.0, Constant(100.0))]),
     ],
 )
 def test_scaled_scales_mean(dist):
@@ -91,9 +92,9 @@ def test_lognormal_cv():
         lambda: Exponential(-1),
         lambda: LogNormal(1.0, cv=0),
         lambda: LogNormal(-1.0),
-        lambda: Pareto(1.0, alpha=1.0),
-        lambda: Uniform(3.0, 1.0),
-        lambda: Hyperexponential(1.0, 2.0, p_slow=1.5),
+        lambda: Mixture([]),
+        lambda: Mixture([(-1.0, Constant(1.0)), (2.0, Constant(1.0))]),
+        lambda: Mixture([(0.0, Constant(1.0))]),
         lambda: Constant(-0.1),
     ],
 )
