@@ -1,6 +1,6 @@
 # Convenience targets for the Ursa reproduction.
 
-.PHONY: install test test-par sanitize lint typecheck bench bench-full perf perf-check clean-cache report results results-check fleet fleet-smoke loc
+.PHONY: install test test-par pins sanitize lint typecheck bench bench-full perf perf-check clean-cache report results results-check fleet fleet-smoke loc
 
 install:
 	pip install -e .
@@ -11,6 +11,19 @@ test:
 # Unit tests across all cores (requires pytest-xdist from the dev extras).
 test-par:
 	pytest tests/ -n auto
+
+# Every byte-identity pin of the simulated event stream in one command:
+# the kernel suite (drain equivalence, determinism, trace digests), the
+# experiment protocol, manager and controller digests, the Fig. 11/12
+# prose pins, then the committed results/ sidecars.  A change to the
+# event stream fails here, naming the pin it broke.
+pins:
+	PYTHONPATH=src python -m pytest -q tests/sim \
+		tests/experiments/test_protocol_pins.py \
+		tests/baselines/test_manager_pins.py \
+		tests/experiments/test_controller_digests.py \
+		tests/experiments/test_fig11_12_prose.py
+	$(MAKE) results-check
 
 # Tier-1 under the runtime worker sanitizer: every run_many worker
 # snapshots repro.* module globals around plan execution and fails on

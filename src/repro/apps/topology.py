@@ -184,7 +184,7 @@ class Application:
         self.spec = spec
         self.env = env if env is not None else Environment()
         self.cluster = cluster if cluster is not None else Cluster(self.env)
-        self.hub = hub if hub is not None else MetricsHub(lambda: self.env.now)
+        self.hub = hub if hub is not None else MetricsHub(self.env.clock())
         self.streams = streams if streams is not None else RandomStreams(seed=0)
         self.services: dict[str, Microservice] = {}
         for svc_spec in spec.services:
@@ -240,8 +240,9 @@ class Application:
         """Subscribe ``fn(request, request_class, latency)`` to completions.
 
         Listeners are observers: they run inside the completion event's
-        existing callback chain and must not schedule engine events (the
-        same contract as ``Environment(trace=...)`` hooks).
+        existing callback chain, synchronously at the completion, and must
+        not schedule engine events (``Environment(trace=...)`` hooks obey
+        the same rule, but see rows in buffers rather than as they fire).
         """
         self._completion_listeners.append(fn)
 
@@ -429,7 +430,7 @@ def make_app(
             nodes=cluster_options.build_nodes(),
             cap_on_full=cluster_options.cap_on_full,
         ),
-        hub=MetricsHub(lambda: env.now, window_s=window_s),
+        hub=MetricsHub(env.clock(), window_s=window_s),
         streams=RandomStreams(seed),
         initial_replicas=initial_replicas,
         tracer=tracer,

@@ -388,7 +388,7 @@ def start_deployment(
     monitor = None
     if options.slo is not None:
         env = app.env
-        monitor = options.slo.build_monitor(spec, clock=lambda: env.now)
+        monitor = options.slo.build_monitor(spec, clock=env.clock())
         monitor.attach(app)
     app.env.run(until=10)
     manager = attach_manager(app)

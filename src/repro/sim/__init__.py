@@ -10,9 +10,10 @@ Public surface:
 * :class:`~repro.sim.random.RandomStreams` and the distribution classes --
   reproducible stochastic inputs.
 * :class:`~repro.sim.trace.EventTraceRecorder` /
-  :class:`~repro.sim.trace.RunDigest` -- hooks for the
-  ``Environment(trace=...)`` callback (reproducibility checks, run
-  fingerprints next to ``results/``).
+  :class:`~repro.sim.trace.RunDigest` -- hooks for
+  ``Environment(trace=...)``, which hands them buffers of
+  ``(when, priority, seq, event type)`` rows (reproducibility checks,
+  run fingerprints next to ``results/``).
 """
 
 from repro.sim.engine import (

@@ -1,9 +1,11 @@
 """Engine-level event-trace hooks: recorders and run digests.
 
-:class:`~repro.sim.engine.Environment` accepts a ``trace`` callback that
-is invoked as ``trace(when, priority, seq, event)`` for every event the
-scheduler processes, before its callbacks run.  This module provides the
-two standard hooks built on it:
+:class:`~repro.sim.engine.Environment` accepts a ``trace`` hook, a row
+sink: the drain loop buffers one ``(when, priority, seq, event type)``
+row per event it processes (before the event's callbacks run) and calls
+``trace(rows)`` with each full buffer of 256 rows and with the partial
+buffer when a drain returns.  This module provides the two standard
+hooks built on it:
 
 * :class:`EventTraceRecorder` -- records ``(when, priority, seq,
   event-type-name)`` tuples, the executable form of the engine's
@@ -22,15 +24,16 @@ Both hooks observe only what the scheduler already computed -- they never
 touch simulation state, so a traced run produces exactly the timings an
 untraced run would.
 
-Both hooks are also on the per-event hot path of every traced run, so
-they avoid per-event object churn: the recorder stores the three numeric
-columns in flat ``array`` buffers (amortised append, no tuple per event)
-and interns one name string per event *type*; the digest only appends
-one row per event and packs and hashes the rows every
-``_CHUNK_EVENTS`` events, with encoded type names cached per type.  The
+Both hooks take whole buffers, so a traced run pays no Python call per
+event: the recorder extends three flat ``array`` columns and one list of
+interned type names per buffer, and the digest packs a buffer (``<dqq``
+plus the ASCII type name per row, names encoded once per type) and
+hashes it in one update.  Rows hold the event's type, never the event,
+so tracing does not defeat the Timeout freelist's refcount guard.  The
 byte stream each exposes (``as_bytes`` / the hashed stream) is identical
-to the original pack-per-event implementation, so recorded traces and
-archived digests stay comparable across versions.
+to the original pack-per-event implementation -- BLAKE2b does not depend
+on where the stream is split -- so recorded traces and archived digests
+stay comparable across versions.
 
 Typical experiment usage::
 
@@ -47,16 +50,11 @@ import struct
 from array import array
 from typing import Mapping
 
-from repro.sim.engine import Event
+from repro.sim.engine import TraceRow
 
 __all__ = ["EventTraceRecorder", "RunDigest", "combine_digests"]
 
 _PACK = struct.Struct("<dqq").pack
-
-#: Events buffered per digest chunk before folding into the hash.  Each
-#: event contributes 24 packed bytes plus a short type name, so a packed
-#: chunk is a few kB while cutting hash-update calls ~256x.
-_CHUNK_EVENTS = 256
 
 
 class EventTraceRecorder:
@@ -84,16 +82,18 @@ class EventTraceRecorder:
         # __name__ so the hot path never re-reads the attribute.
         self._interned: dict[type, str] = {}
 
-    def __call__(self, when: float, priority: int, seq: int, event: Event) -> None:
-        self._when.append(when)
-        self._priority.append(priority)
-        self._seq.append(seq)
-        cls = event.__class__
+    def __call__(self, rows: list[TraceRow]) -> None:
+        if not rows:
+            return
+        whens, priorities, seqs, classes = zip(*rows)
+        self._when.extend(whens)
+        self._priority.extend(priorities)
+        self._seq.extend(seqs)
         interned = self._interned
-        name = interned.get(cls)
-        if name is None:
-            name = interned[cls] = cls.__name__
-        self._names.append(name)
+        for cls in dict.fromkeys(classes):
+            if cls not in interned:
+                interned[cls] = cls.__name__
+        self._names.extend(map(interned.__getitem__, classes))
 
     def __len__(self) -> int:
         return len(self._seq)
@@ -117,38 +117,21 @@ class RunDigest:
     sequence number, and event type name -- i.e. two runs have equal
     digests iff their event traces are identical.
 
-    The per-event call only appends a ``(when, priority, seq, type)``
-    row; every ``_CHUNK_EVENTS`` rows are packed (``<dqq`` plus the
-    ASCII type name) and folded into the hash in one update, so the
-    hashed byte stream is the one a per-event pack would produce.  A row
-    holds the event's *type*, never the event: a hook that kept a
-    reference would defeat the Timeout freelist's refcount guard.
+    Each call packs one buffer of rows (``<dqq`` plus the ASCII type
+    name per row) and folds it into the hash in one update, so the hashed
+    byte stream is the one a per-event pack would produce.
     """
 
-    __slots__ = ("_hash", "_rows", "_folded", "_name_bytes")
+    __slots__ = ("_hash", "_events", "_name_bytes")
 
     def __init__(self) -> None:
         self._hash = hashlib.blake2b(digest_size=16)
-        self._rows: list[tuple[float, int, int, type]] = []
-        #: Events already folded into ``_hash``.
-        self._folded = 0
+        #: Events folded into ``_hash``.
+        self._events = 0
         # Encoded type names, cached per event type (ascii encode once).
         self._name_bytes: dict[type, bytes] = {}
 
-    def __call__(self, when: float, priority: int, seq: int, event: Event) -> None:
-        rows = self._rows
-        rows.append((when, priority, seq, event.__class__))
-        if len(rows) >= _CHUNK_EVENTS:
-            self._fold()
-
-    @property
-    def events(self) -> int:
-        """Events seen so far."""
-        return self._folded + len(self._rows)
-
-    def _fold(self) -> None:
-        """Pack the buffered rows and fold them into the hash."""
-        rows = self._rows
+    def __call__(self, rows: list[TraceRow]) -> None:
         names = self._name_bytes
         chunk = []
         for when, priority, seq, cls in rows:
@@ -158,12 +141,15 @@ class RunDigest:
             chunk.append(_PACK(when, priority, seq))
             chunk.append(name)
         self._hash.update(b"".join(chunk))
-        self._folded += len(rows)
-        rows.clear()
+        self._events += len(rows)
+
+    @property
+    def events(self) -> int:
+        """Events seen so far."""
+        return self._events
 
     def hexdigest(self) -> str:
         """Hex checksum of the trace so far (does not finalise the hook)."""
-        self._fold()
         return self._hash.copy().hexdigest()
 
 

@@ -128,7 +128,8 @@ class MetricsHub:
     """Time-windowed metric aggregation for one simulation.
 
     The hub needs the current simulation time on every write; callers pass
-    a clock function (usually ``lambda: env.now``) at construction.
+    a clock function at construction, usually ``env.clock()``, which
+    reads the simulated time without running a Python frame.
 
     Every series is validated against
     :data:`~repro.telemetry.registry.DEFAULT_REGISTRY` when a handle

@@ -64,12 +64,25 @@ def test_respects_min_max(monkeypatch):
     monkeypatch.setattr(autoscaler, "MAX_REPLICAS", 2)
     env = Environment()
     app = build_app(env, replicas=1)
-    scaler = StepAutoscaler(app, auto_a())
+    config = auto_a()
+    scaler = StepAutoscaler(app, config)
     scaler.start()
-    LoadGenerator(app, ConstantLoad(300.0), RequestMix({"r": 1.0}),
-                  RandomStreams(6), stop_at_s=400).start()
-    env.run(until=400)
-    assert app.services["svc"].deployment.desired_replicas <= 2
+    # 150 rps x 10 ms = 1.5 busy cores: 75 % of the 2-replica cap, above
+    # the 60 % scale-out threshold, yet within what 2 replicas can serve.
+    LoadGenerator(app, ConstantLoad(150.0), RequestMix({"r": 1.0}),
+                  RandomStreams(6), stop_at_s=130).start()
+    env.run(until=125)
+    # Steps at 60 s (1 -> 2), 90 s and 120 s (held at the cap).
+    assert app.services["svc"].deployment.desired_replicas == 2
+    assert scaler.decisions == 1
+    # The scaler still wants more: the last interval ran above the
+    # scale-out threshold, and the capped decision is the cap itself.
+    utilization = app.hub.gauge_mean(
+        "cpu_utilization", env.now - autoscaler.CONTROL_INTERVAL_S, env.now,
+        {"service": "svc"},
+    )
+    assert utilization > config.scale_out_above
+    assert scaler.decide("svc") == 2
 
 
 def test_double_start_rejected():

@@ -26,8 +26,8 @@ class CountingHook:
     def __init__(self):
         self.events = 0
 
-    def __call__(self, when, priority, seq, event):
-        self.events += 1
+    def __call__(self, rows):
+        self.events += len(rows)
 
 
 def quick_profiler():

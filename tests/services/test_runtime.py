@@ -274,3 +274,36 @@ def test_mean_cpu_allocation_accounting():
     app.env.run(until=100)
     # 2 replicas x 2 cpus x 2 services
     assert app.mean_cpu_allocation(20, 100) == pytest.approx(8.0, abs=0.5)
+
+
+def test_requests_wait_for_a_replica_then_keep_round_robin():
+    spec = AppSpec(
+        name="solo",
+        services=(
+            ServiceSpec("svc", cpus_per_replica=1, handlers={"req": Constant(0.01)}),
+        ),
+        request_classes=(
+            RequestClass("req", Call("svc"), SlaSpec(percentile=99.0, target_s=1.0)),
+        ),
+    )
+    app = make_app(spec, replicas=0)
+    service = app.services["svc"]
+    assert service.replicas == 0
+    waiting = [app.submit("req") for _ in range(4)]
+    app.env.run(until=app.env.now + 1.0)
+    assert all(request.completion_time is None for request, _done in waiting)
+
+    service.scale_to(2)
+    for _request, done in waiting:
+        app.env.run(until=done)
+    startup = spec.services[0].startup_delay_s
+    assert all(request.latency >= startup for request, _done in waiting)
+    # Served by the picker the waiters fell back to, then by the inline
+    # pick once replicas run: one rotation shared by both paths.
+    later = [app.submit("req") for _ in range(2)]
+    for _request, done in later:
+        app.env.run(until=done)
+    assert all(request.latency < 0.1 for request, _done in later)
+    assert service._rr == 6
+    busy = sorted(replica.busy_time for replica in service._running)
+    assert busy == pytest.approx([0.03, 0.03])

@@ -5,12 +5,12 @@ import struct
 
 import pytest
 
-from repro.sim.engine import AnyOf, Environment
+from repro.sim.engine import _TRACE_CHUNK, AnyOf, Environment, Event
 from repro.sim.resources import Resource
 from repro.sim.trace import EventTraceRecorder, RunDigest, combine_digests
 
 
-def _workload(env: Environment, seed: int) -> None:
+def _workload(env: Environment, seed: int, drain=Environment.run) -> None:
     """A small deterministic mix of timeouts, events, and contention."""
     resource = Resource(env, capacity=2)
 
@@ -30,7 +30,7 @@ def _workload(env: Environment, seed: int) -> None:
         env.process(looper(env, 0.1 + 0.01 * ((seed + i) % 5)))
     for i in range(3):
         env.process(contender(env, resource, i % 2))
-    env.run()
+    drain(env)
 
 
 def test_trace_hook_sees_every_processed_event():
@@ -74,9 +74,9 @@ def test_digest_matches_iff_traces_match():
         recorder = EventTraceRecorder()
         digest = RunDigest()
 
-        def both(when, priority, seq, event):
-            recorder(when, priority, seq, event)
-            digest(when, priority, seq, event)
+        def both(rows):
+            recorder(rows)
+            digest(rows)
 
         env = Environment(trace=both)
         _workload(env, seed=seed)
@@ -98,7 +98,7 @@ def test_digest_counts_events_and_does_not_finalise():
     first = digest.hexdigest()
     # hexdigest() must not finalise: the hook can keep updating after.
     assert digest.hexdigest() == first
-    digest(env.now + 1.0, 0, 10**6, env.event())
+    digest([(env.now + 1.0, 0, 10**6, Event)])
     assert digest.hexdigest() != first
 
 
@@ -166,22 +166,63 @@ def test_batched_digest_hashes_the_per_event_byte_stream(n_events):
             assert digest.hexdigest() == _reference_digest(recorder.entries)
         if i == n_events:
             break
-        args = (i * 0.25, i % 2, i + 1, kinds[i % 3])
-        recorder(*args)
-        digest(*args)
+        rows = [(i * 0.25, i % 2, i + 1, type(kinds[i % 3]))]
+        recorder(rows)
+        digest(rows)
     assert digest.events == n_events
+
+
+def _no_drain(env: Environment) -> None:
+    """Leave the processes pending (several workloads, one drain)."""
+
+
+def _stepped(env: Environment) -> None:
+    """Drain ``env`` one ``step()`` at a time: one row per hook call."""
+    while env.peek() < float("inf"):
+        env.step()
 
 
 def test_batched_digest_matches_reference_on_a_real_run():
     recorder = EventTraceRecorder()
     digest = RunDigest()
+    calls = []
 
-    def both(when, priority, seq, event):
-        recorder(when, priority, seq, event)
-        digest(when, priority, seq, event)
+    def both(rows):
+        calls.append(len(rows))
+        recorder(rows)
+        digest(rows)
 
     env = Environment(trace=both)
     for seed in range(3):
-        _workload(env, seed=seed)
+        _workload(env, seed=seed, drain=_no_drain)
+    env.run()
     assert digest.events == len(recorder) > 256
     assert digest.hexdigest() == _reference_digest(recorder.entries)
+    # One drain: full buffers, then the partial one when it returns.
+    assert sum(calls) == len(recorder)
+    assert calls[:-1] == [_TRACE_CHUNK] * (len(calls) - 1)
+    assert 0 < calls[-1] <= _TRACE_CHUNK
+
+    # The same workloads drained one event per hook call give the same
+    # rows, so the kernel's buffering is invisible in the stream.
+    per_event, per_event_digest = EventTraceRecorder(), RunDigest()
+
+    def one_at_a_time(rows):
+        assert len(rows) == 1
+        per_event(rows)
+        per_event_digest(rows)
+
+    stepped = Environment(trace=one_at_a_time)
+    for seed in range(3):
+        _workload(stepped, seed=seed, drain=_no_drain)
+    _stepped(stepped)
+    assert per_event.entries == recorder.entries
+    assert per_event_digest.hexdigest() == digest.hexdigest()
+
+
+def test_hook_rows_hold_event_types():
+    seen = []
+    env = Environment(trace=seen.extend)
+    _workload(env, seed=0)
+    assert seen and all(isinstance(cls, type) for _w, _p, _s, cls in seen)
+    assert {cls.__name__ for _w, _p, _s, cls in seen} >= {"Timeout", "_Request"}

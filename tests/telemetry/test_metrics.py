@@ -193,3 +193,42 @@ def test_unsorted_label_tuple_names_the_dict_series(hub, clock):
     )
     assert dist.samples() == [0.5]
     assert hub.label_sets("service_latency") == [{"request": "r", "service": "post"}]
+
+
+
+def _env_clocked_hubs(window_s):
+    """(env, hub) pairs clocked by ``env.clock()``: a bare hub, and the
+    hubs both application constructors build."""
+    from repro.apps.social_network import build_social_network_spec
+    from repro.apps.topology import Application, make_app
+    from repro.sim import Environment
+
+    env = Environment()
+    pairs = [(env, MetricsHub(env.clock(), window_s=window_s))]
+    app = make_app(build_social_network_spec(), 0, window_s=window_s)
+    pairs.append((app.env, app.hub))
+    if window_s == 60.0:  # Application's own hub has the default window
+        app = Application(build_social_network_spec())
+        pairs.append((app.env, app.hub))
+    return pairs
+
+
+@pytest.mark.parametrize("window_s", [60.0, 0.25])
+def test_env_clock_write_at_a_window_boundary_lands_in_that_window(window_s):
+    labels = {"request": "r", "service": "s"}
+    for env, hub in _env_clocked_hubs(window_s):
+        counter = hub.counter_handle("requests_total", labels)
+        latency = hub.latency_handle("service_latency", labels)
+        for k in range(1, 4):
+            boundary = k * window_s
+            env.run(until=boundary)
+            assert env.clock()() == env.now == boundary
+            counter.inc()
+            latency.record(float(k))
+            after = hub.counter_total("requests_total", boundary, boundary + window_s, labels)
+            before = hub.counter_total("requests_total", boundary - window_s, boundary, labels)
+            assert (before, after) == (0.0 if k == 1 else 1.0, 1.0)
+            pooled = hub.latency_distribution(
+                "service_latency", boundary, boundary + window_s, labels
+            )
+            assert len(pooled) == 1 and pooled.percentile(50) == float(k)
