@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import traceback
+
 import pytest
 
 from repro.sim import (
@@ -175,6 +177,63 @@ def test_unhandled_failure_propagates_to_run():
     env.process(bad(env))
     with pytest.raises(RuntimeError, match="unhandled"):
         env.run()
+
+
+def test_unhandled_failure_prints_the_lines_it_passed_through():
+    env = Environment()
+
+    def bad(env):
+        yield env.timeout(1)
+        raise RuntimeError("unhandled")  # raised here
+
+    def waiter(env):
+        yield env.process(bad(env))  # passed through here
+
+    env.process(waiter(env))
+    with pytest.raises(RuntimeError) as info:
+        env.run()
+    printed = "".join(traceback.format_exception(info.value))
+    assert 'raise RuntimeError("unhandled")  # raised here' in printed
+    assert "yield env.process(bad(env))  # passed through here" in printed
+
+
+def test_uncaught_interrupt_prints_the_interrupted_yield():
+    env = Environment()
+
+    def sleeper(env):
+        yield env.timeout(100)  # interrupted here
+
+    def interrupter(env, victim):
+        yield env.timeout(1)
+        victim.interrupt("stop")
+
+    env.process(interrupter(env, env.process(sleeper(env))))
+    with pytest.raises(Interrupt) as info:
+        env.run()
+    assert "yield env.timeout(100)  # interrupted here" in "".join(
+        traceback.format_exception(info.value)
+    )
+
+
+def test_caught_failure_keeps_the_traceback_of_its_raise():
+    env = Environment()
+    caught = []
+
+    def bad(env):
+        yield env.timeout(1)
+        raise RuntimeError("boom")
+
+    def waiter(env):
+        try:
+            yield env.process(bad(env))
+        except RuntimeError as exc:
+            caught.append(exc)
+        yield env.timeout(1)  # handled: the waiter runs on
+
+    env.process(waiter(env))
+    env.run()
+    frames = traceback.extract_tb(caught[0].__traceback__)
+    assert [frame.name for frame in frames] == ["bad"]
 
 
 def test_yielding_non_event_fails_process():
