@@ -54,6 +54,13 @@ __all__ = [
     "start_deployment",
 ]
 
+#: Simulated seconds of empty warm-up before :func:`start_deployment`
+#: attaches the manager and starts the load.
+WARMUP_S = 10.0
+#: :func:`run_deployment` stops the load this long before the run ends,
+#: so queues drain.
+DRAIN_S = 30.0
+
 
 @dataclass(frozen=True)
 class ScaleProfile:
@@ -390,7 +397,7 @@ def start_deployment(
         env = app.env
         monitor = options.slo.build_monitor(spec, clock=env.clock())
         monitor.attach(app)
-    app.env.run(until=10)
+    app.env.run(until=WARMUP_S)
     manager = attach_manager(app)
     LoadGenerator(
         app,
@@ -430,7 +437,7 @@ def run_deployment(
         attach_manager,
         options,
         load_seed=options.seed + 7,
-        load_stop_s=duration - 30.0,
+        load_stop_s=duration - DRAIN_S,
     )
     app = run.app
     wall_start = time.perf_counter()

@@ -759,5 +759,10 @@ class Environment:
                 if event is stop:
                     return
         finally:
+            # On CPython 3.12+ a failure's traceback keeps this frame
+            # (through the finished generator's f_back chain) with the
+            # locals it exits with; drop the last event's so a failed
+            # process handled just before returning is freed by refcount.
+            event = callbacks = callback = None
             if rows:
                 trace(rows)

@@ -202,14 +202,17 @@ class MetricsHub:
         t1: float,
         labels: Labels = None,
     ) -> EmpiricalDistribution:
-        """Pooled latency distribution for ``name`` over ``[t0, t1)``."""
+        """Pooled latency distribution for ``name`` over ``[t0, t1)``.
+
+        The windows are pooled in one concatenation and one sort, in
+        window order (see :meth:`EmpiricalDistribution.pooled`).
+        """
         series = self._latency.get(name, {}).get(labels_key(labels), {})
-        pooled = EmpiricalDistribution()
-        for window in self._window_range(t0, t1):
-            dist = series.get(window)
-            if dist is not None:
-                pooled = pooled.merge(dist)
-        return pooled
+        return EmpiricalDistribution.pooled(
+            series[window]
+            for window in self._window_range(t0, t1)
+            if window in series
+        )
 
     def latency_percentile(
         self,

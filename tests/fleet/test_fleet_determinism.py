@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import RunOptions, SLOOptions, simulate_fleet
 from repro.errors import TelemetryError
+from repro.experiments.runner import DRAIN_S, WARMUP_S
 from repro.fleet import (
     CellSpec,
     FleetSpec,
@@ -114,6 +115,20 @@ def test_plan_lowering(baseline):
     for budgets in by_allocator.values():
         for name, nodes in budgets.items():
             assert mains[name, nodes].kwargs["options"].cluster.nodes == nodes
+
+
+def test_production_probe_measures_under_load():
+    """At the ``fleet`` profile's own length (360-s cells) the probe epoch
+    runs 150 s and offers load from the warm-up to ``DRAIN_S`` before its
+    end, so it measures a loaded cell from 60 s until the load stops.  A
+    probe shorter than ``WARMUP_S + DRAIN_S`` offers no load at all."""
+    plan = plan_fleet(_spec(), RunOptions(scale="fleet"))
+    probe = plan.probe_options
+    load_stop = probe.resolved_duration_s() - DRAIN_S
+    measure_from = probe.resolved_measure_from_s()
+    assert (probe.resolved_duration_s(), measure_from) == (150.0, 60.0)
+    assert WARMUP_S < load_stop == 120.0
+    assert measure_from < load_stop
 
 
 def test_fleet_runs_each_distinct_deployment_once(baseline_runs):

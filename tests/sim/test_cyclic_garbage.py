@@ -119,6 +119,32 @@ def test_failed_process_is_freed_by_refcount(gc_disabled):
     assert all(ref() is None for ref in refs)
 
 
+def test_failed_process_handled_as_the_drain_returns_is_freed(gc_disabled):
+    """The drain stops right after a waiter handled a failure.  On CPython
+    3.12+ the failure's traceback keeps the drain's frame with its exit
+    locals, so the last event's locals must not keep the failed process."""
+    env = Environment()
+
+    def raises(env):
+        yield env.timeout(1.0)
+        raise ValueError("boom")
+
+    def waiter(env, refs):
+        process = env.process(raises(env))
+        refs.append(weakref.ref(process))
+        try:
+            yield process
+        except ValueError:
+            pass
+        del process
+        yield env.timeout(10.0)
+
+    refs: list[weakref.ref] = []
+    env.process(waiter(env, refs))
+    env.run(until=2.0)
+    assert refs[0]() is None
+
+
 def test_fired_anyof_detaches_from_pending_events():
     env = Environment()
     first, long_lived = env.event(), env.event()
