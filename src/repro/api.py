@@ -19,26 +19,25 @@ from the top-level :mod:`repro` package::
 
     result = simulate("social-network", options=RunOptions(seed=23))
     print(result.windowed_violation_rate, result.mean_cpu_allocation)
+
+Loading this module imports what :func:`simulate` and
+:func:`simulate_grid` run -- :mod:`repro.experiments.fig11_12_performance`
+and the run loop under it -- and nothing else.  Every other entry point
+and the fleet types resolve on first access (see :data:`_LAZY`), so a
+run pays start-up only for the code it can reach.  The first access
+imports the name's module, so fetch entry points before a timed call.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.cluster.cluster import ClusterOptions
-from repro.experiments.ablations import (
-    run_backpressure_ablation,
-    run_grid_ablation,
-    run_ttest_ablation,
-)
-from repro.experiments.fig02_backpressure import run_all_chains
-from repro.experiments.fig04_thresholds import run_threshold_profiling
-from repro.experiments.fig09_10_model_accuracy import run_model_accuracy
 from repro.experiments.fig11_12_performance import (
     PerformanceGrid,
     run_cell,
     run_performance_grid,
 )
-from repro.experiments.fig13_diurnal import run_diurnal_trace
-from repro.experiments.fig14_service_change import run_service_change
 from repro.experiments.runner import (
     DeploymentMetrics,
     DeploymentResult,
@@ -51,18 +50,10 @@ from repro.experiments.runner import (
     run_deployment,
     scale_profile,
 )
-from repro.experiments.table05_exploration import run_table05
-from repro.experiments.table06_control_plane import run_table06
-from repro.fleet import (
-    CellSignal,
-    CellSpec,
-    FleetOutcome,
-    FleetResult,
-    FleetSpec,
-    default_fleet,
-    run_fleet,
-)
 from repro.workload.mixes import RequestMix
+
+if TYPE_CHECKING:
+    from repro.fleet import FleetResult, FleetSpec
 
 __all__ = [
     # config types
@@ -104,6 +95,46 @@ __all__ = [
     "simulate_fleet",
     "simulate_grid",
 ]
+
+#: Re-exported name -> the module that defines it, imported on first access.
+_LAZY = {
+    "run_all_chains": "repro.experiments.fig02_backpressure",
+    "run_threshold_profiling": "repro.experiments.fig04_thresholds",
+    "run_table05": "repro.experiments.table05_exploration",
+    "run_model_accuracy": "repro.experiments.fig09_10_model_accuracy",
+    "run_diurnal_trace": "repro.experiments.fig13_diurnal",
+    "run_table06": "repro.experiments.table06_control_plane",
+    "run_service_change": "repro.experiments.fig14_service_change",
+    "run_backpressure_ablation": "repro.experiments.ablations",
+    "run_grid_ablation": "repro.experiments.ablations",
+    "run_ttest_ablation": "repro.experiments.ablations",
+    "CellSignal": "repro.fleet",
+    "CellSpec": "repro.fleet",
+    "FleetOutcome": "repro.fleet",
+    "FleetResult": "repro.fleet",
+    "FleetSpec": "repro.fleet",
+    "default_fleet": "repro.fleet",
+    "run_fleet": "repro.fleet",
+}
+
+
+def __getattr__(name: str):
+    """Resolve a :data:`_LAZY` name by importing its module.
+
+    Writes nothing to this module's globals, so the worker sanitizer
+    (``REPRO_SANITIZE=1``) never sees them change; ``sys.modules``
+    already makes a repeated access cheap.
+    """
+    import importlib
+
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(__all__) | set(globals()))
 
 
 def simulate(
@@ -153,8 +184,10 @@ def simulate_fleet(
 
     ``spec`` may be a full :class:`FleetSpec`, an int (a
     :func:`default_fleet` of that many cells), or ``None`` (the default
-    8-cell fleet).
+    8-cell fleet).  The fleet package is imported on the first call.
     """
+    from repro.fleet import default_fleet, run_fleet
+
     if isinstance(spec, int):
         spec = default_fleet(spec)
     return run_fleet(spec, options=options, jobs=jobs, on_complete=on_complete)

@@ -1,5 +1,9 @@
-"""Competing approaches (§VII-B): step autoscaling, Sinan, Firm."""
+"""Competing approaches (§VII-B): step autoscaling, Sinan, Firm.
 
-from repro.baselines.autoscaler import StepAutoscaler, auto_a, auto_b
+* :mod:`repro.baselines.autoscaler` -- threshold-based step autoscaling
+  (Auto-a, Auto-b).
+* :mod:`repro.baselines.sinan` -- Sinan's ML-driven manager.
+* :mod:`repro.baselines.firm` -- Firm's RL-driven manager.
 
-__all__ = ["StepAutoscaler", "auto_a", "auto_b"]
+Import from those modules: the package itself re-exports nothing.
+"""

@@ -12,33 +12,19 @@ Modules:
 * :mod:`repro.experiments.fig14_service_change` -- Fig. 14 / §VII-G.
 * :mod:`repro.experiments.registry` -- one record per experiment
   (CLI name, results stem, summary title, accepted flags, runner), read
-  by the CLI, ``summary`` and ``benchmarks/``.  This package does not
-  import it, so ``import repro.api`` never loads it.
+  by the CLI, ``summary`` and ``benchmarks/``.  Nothing on the
+  ``import repro.api`` path imports it.
 
 Shared infrastructure: :mod:`repro.experiments.runner` (deployment loop,
 scale profiles), :mod:`repro.experiments.parallel` (process-pool fan-out
 for independent runs), :mod:`repro.experiments.artifacts` (cached
 exploration data and trained baselines), :mod:`repro.experiments.managers`
 (manager factories), :mod:`repro.experiments.report` (table/series
-rendering), :mod:`repro.experiments.ablations` (design-knockout sweeps).
+rendering), :mod:`repro.experiments.store` (results sidecars),
+:mod:`repro.experiments.ablations` (design-knockout sweeps).
+
+The package itself imports nothing and re-exports nothing: importing
+one submodule (``from repro.experiments import cli``) loads that module
+and its own imports only, so ``python -m repro --help`` never loads the
+simulator or numpy.  The supported entry points are in :mod:`repro.api`.
 """
-
-from repro.experiments.parallel import RunPlan, partition_seeds, run_many
-from repro.experiments.runner import (
-    DeploymentMetrics,
-    DeploymentResult,
-    ScaleProfile,
-    run_deployment,
-    scale_profile,
-)
-
-__all__ = [
-    "DeploymentMetrics",
-    "DeploymentResult",
-    "RunPlan",
-    "ScaleProfile",
-    "partition_seeds",
-    "run_deployment",
-    "run_many",
-    "scale_profile",
-]

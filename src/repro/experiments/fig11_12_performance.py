@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.experiments import artifacts
 from repro.experiments.managers import (
@@ -30,22 +31,18 @@ from repro.experiments.managers import (
     attach_ursa,
 )
 from repro.experiments.parallel import RunPlan, partition_seeds, run_many
-from repro.experiments.report import (
-    build_dashboard,
-    render_dashboard_html,
-    render_dashboard_text,
-    render_table,
-)
 from repro.experiments.runner import (
     DeploymentResult,
     RunOptions,
     run_deployment,
     scale_profile,
 )
-from repro.experiments.store import RunMeta
 from repro.workload.defaults import default_mix_for, skewed_mixes
 from repro.workload.mixes import RequestMix
 from repro.workload.patterns import ConstantLoad, DiurnalLoad
+
+if TYPE_CHECKING:
+    from repro.experiments.store import RunMeta
 
 __all__ = [
     "PerformanceGrid",
@@ -93,6 +90,8 @@ class PerformanceGrid:
         return self._table("mean_cpu_allocation", "Fig.12 mean CPU allocation")
 
     def _table(self, attr: str, title: str) -> str:
+        from repro.experiments.report import render_table
+
         keys = sorted(self.results)
         apps = sorted({k[0] for k in keys})
         loads = sorted({k[1] for k in keys})
@@ -281,6 +280,12 @@ def report_artifacts(grid: PerformanceGrid) -> tuple[str, str, RunMeta]:
     grid, so the store pins both (the HTML travels as a sidecar-recorded
     artifact file).
     """
+    from repro.experiments.report import (
+        build_dashboard,
+        render_dashboard_html,
+        render_dashboard_text,
+    )
+    from repro.experiments.store import RunMeta
     from repro.telemetry.audit import verdicts_payload
     from repro.telemetry.slo import alerts_digest
 
@@ -321,6 +326,8 @@ def report_artifacts(grid: PerformanceGrid) -> tuple[str, str, RunMeta]:
 
 def experiment_meta(grid: PerformanceGrid) -> RunMeta:
     """Provenance sidecar for the Fig. 11/12 grid (one run per cell)."""
+    from repro.experiments.store import RunMeta
+
     summaries = {}
     digests = {}
     for (app, load, manager), result in sorted(grid.results.items()):

@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from repro.telemetry.audit import AuditVerdict, render_audit
 from repro.telemetry.slo import Alert, alerts_from_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.runner import DeploymentResult
-    from repro.telemetry.audit import AuditVerdict
     from repro.telemetry.tracing import CriticalPathSummary
 
 __all__ = [
@@ -288,8 +288,6 @@ def build_dashboard(
 
 def render_dashboard_text(dash: RunDashboard) -> str:
     """Terminal rendering of a dashboard (diff-friendly, deterministic)."""
-    from repro.telemetry.audit import render_audit
-
     parts = [dash.title, "=" * len(dash.title), ""]
     for table_title, headers, rows in dash.extra_tables:
         parts.append(render_table(headers, rows, title=table_title))

@@ -37,7 +37,6 @@ output dir -- is never treated as a scale).
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -472,6 +471,8 @@ def check_results(
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.store",
         description=(

@@ -2,11 +2,8 @@
 
 The RPC semantics themselves (worker-thread holding for nested RPC, daemon
 pools for event-driven RPC) are implemented by the service runtime in
-:mod:`repro.services.base`; this package defines the shared vocabulary and
-the message-queue primitive.
+:mod:`repro.services.base`; this package defines the shared vocabulary
+(:mod:`repro.net.messages`) and the message-queue primitive
+(:mod:`repro.net.mq`).  Import from those modules: the package itself
+re-exports nothing.
 """
-
-from repro.net.messages import Call, CallMode, Request
-from repro.net.mq import MessageQueue
-
-__all__ = ["Call", "CallMode", "MessageQueue", "Request"]

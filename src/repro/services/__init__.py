@@ -1,6 +1,8 @@
-"""Microservice runtime: specs, replicas and call-execution semantics."""
+"""Microservice runtime: specs, replicas and call-execution semantics.
 
-from repro.services.base import Microservice, Replica
-from repro.services.spec import ServiceSpec
-
-__all__ = ["Microservice", "Replica", "ServiceSpec"]
+:mod:`repro.services.spec` holds :class:`~repro.services.spec.ServiceSpec`;
+:mod:`repro.services.base` holds the runtime
+(:class:`~repro.services.base.Microservice`,
+:class:`~repro.services.base.Replica`).  Import from those modules: the
+package itself re-exports nothing.
+"""

@@ -1,20 +1,10 @@
-"""Statistical utilities: Welch's t-test, empirical distributions."""
+"""Statistical utilities: Welch's t-test, empirical distributions.
 
-from repro.stats.distributions import (
-    DEFAULT_PERCENTILE_GRID,
-    EmpiricalDistribution,
-    percentile,
-)
-from repro.stats.histogram import FixedHistogram
-from repro.stats.ttest import TTestResult, mean_exceeds, means_differ, welch_t_test
+* :mod:`repro.stats.ttest` -- Welch's t-test with its own Student-t
+  tails.
+* :mod:`repro.stats.distributions` -- empirical distributions and
+  percentiles.
+* :mod:`repro.stats.histogram` -- mergeable fixed-bucket histograms.
 
-__all__ = [
-    "DEFAULT_PERCENTILE_GRID",
-    "EmpiricalDistribution",
-    "FixedHistogram",
-    "TTestResult",
-    "mean_exceeds",
-    "means_differ",
-    "percentile",
-    "welch_t_test",
-]
+Import from those modules: the package itself re-exports nothing.
+"""

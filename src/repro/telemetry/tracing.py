@@ -11,8 +11,9 @@ Span model
 
 Each sampled request carries a :class:`Trace`: a tree of :class:`Span`
 nodes, one per call-tree hop, created as the request propagates through
-``repro.net.rpc`` semantics (nested calls holding the caller thread,
-event-driven daemon-pool calls), MQ consumer groups, and replica queues.
+the RPC semantics of :mod:`repro.services.base` (nested calls holding
+the caller thread, event-driven daemon-pool calls), MQ consumer groups,
+and replica queues.
 A span records absolute timestamps for every *segment* of its residency:
 
 * ``queue``  -- waiting for a resource: replica availability, a thread
