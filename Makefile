@@ -6,11 +6,11 @@ install:
 	pip install -e .
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest tests/
 
 # Unit tests across all cores (requires pytest-xdist from the dev extras).
 test-par:
-	pytest tests/ -n auto
+	PYTHONPATH=src python -m pytest tests/ -n auto
 
 # Every byte-identity pin of the simulated event stream in one command:
 # the kernel suite (drain equivalence, determinism, trace digests), the
@@ -29,7 +29,7 @@ pins:
 # snapshots repro.* module globals around plan execution and fails on
 # drift (docs/static_analysis.md).
 sanitize:
-	REPRO_SANITIZE=1 pytest tests/
+	REPRO_SANITIZE=1 PYTHONPATH=src python -m pytest tests/
 
 # Style (ruff) + determinism invariants (ursalint per-file rules plus the
 # whole-program PAR pass, see docs/static_analysis.md).

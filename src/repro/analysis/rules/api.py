@@ -100,7 +100,6 @@ FACADE_ENTRYPOINTS = frozenset(
         "run_ttest_ablation",
         "simulate",
         "simulate_fleet",
-        "simulate_grid",
     }
 )
 

@@ -2,11 +2,10 @@
 
 Everything an experiment, benchmark, test, or notebook needs rides
 through this module -- frozen config types (:class:`RunOptions` and
-friends), the run entry points (``run_*``), and the three high-level
+friends), the run entry points (``run_*``), and the two high-level
 verbs:
 
 * :func:`simulate` -- one managed deployment (one grid cell).
-* :func:`simulate_grid` -- the (app x load x manager) performance grid.
 * :func:`simulate_fleet` -- N budgeted tenant cells under a fleet-level
   node allocator.
 
@@ -21,10 +20,11 @@ from the top-level :mod:`repro` package::
     print(result.windowed_violation_rate, result.mean_cpu_allocation)
 
 Loading this module imports what :func:`simulate` and
-:func:`simulate_grid` run -- :mod:`repro.experiments.fig11_12_performance`
-and the run loop under it -- and nothing else.  Every other entry point
-and the fleet types resolve on first access (see :data:`_LAZY`), so a
-run pays start-up only for the code it can reach.  The first access
+:func:`run_performance_grid` run --
+:mod:`repro.experiments.fig11_12_performance` and the run loop under it
+-- and nothing else.  Every other entry point and the fleet types
+resolve on first access (see :data:`_LAZY`), so a run pays start-up
+only for the code it can reach.  The first access
 imports the name's module, so fetch entry points before a timed call.
 """
 
@@ -93,7 +93,6 @@ __all__ = [
     "scale_profile",
     "simulate",
     "simulate_fleet",
-    "simulate_grid",
 ]
 
 #: Re-exported name -> the module that defines it, imported on first access.
@@ -150,28 +149,6 @@ def simulate(
     chosen manager is attached, and the run executes under ``options``.
     """
     return run_cell(app_name, load_kind, manager, options)
-
-
-def simulate_grid(
-    apps: tuple[str, ...],
-    loads: tuple[str, ...] | None = None,
-    managers: tuple[str, ...] | None = None,
-    options: RunOptions | None = None,
-    jobs: int | None = None,
-    on_complete=None,
-) -> PerformanceGrid:
-    """The (app x load x manager) grid, fanned out across ``jobs``.
-
-    ``None`` for ``loads``/``managers`` means the full Fig. 11/12 axes.
-    """
-    kwargs: dict = {}
-    if loads is not None:
-        kwargs["loads"] = loads
-    if managers is not None:
-        kwargs["managers"] = managers
-    return run_performance_grid(
-        apps, options=options, jobs=jobs, on_complete=on_complete, **kwargs
-    )
 
 
 def simulate_fleet(

@@ -1,7 +1,7 @@
 """Benchmark applications (§VI) and topology types.
 
 Builders return :class:`~repro.apps.topology.AppSpec` objects; deploy
-them on a fresh simulated cluster with :func:`~repro.apps.topology.make_app`.
+them on a fresh simulated cluster with :class:`~repro.apps.topology.Application`.
 """
 
 from repro.apps.chains import CHAIN_CLASS, build_chain_spec, tier_name
@@ -18,7 +18,6 @@ from repro.apps.topology import (
     AppSpec,
     RequestClass,
     SlaSpec,
-    make_app,
 )
 from repro.apps.video_pipeline import VIDEO_PIPELINE_SLAS, build_video_pipeline_spec
 
@@ -37,7 +36,6 @@ __all__ = [
     "build_social_network_spec",
     "build_vanilla_social_network_spec",
     "build_video_pipeline_spec",
-    "make_app",
     "profiling_harness_spec",
     "swap_object_detect_model",
     "tier_name",

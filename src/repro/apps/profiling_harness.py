@@ -3,7 +3,7 @@
 ``client -> proxy -> tested service``: the proxy acts as the parent
 service and simply forwards requests via nested RPC.  The backpressure
 profiler (:mod:`repro.core.backpressure`) deploys this spec through
-:func:`~repro.apps.topology.make_app` once per CPU limit, ramps the
+:class:`~repro.apps.topology.Application` once per CPU limit, ramps the
 tested service's limit while watching the *proxy's* latency, and reads
 the tested service's CPU utilisation just before the proxy latency
 converges as its backpressure-free threshold.

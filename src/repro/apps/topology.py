@@ -5,9 +5,8 @@ its microservices, and its request classes -- each a call tree with an SLA
 (percentile + target latency, Tables II-IV) and a priority.  An
 :class:`Application` instantiates the spec on a simulated cluster and is
 the object workload generators and resource managers interact with.
-:func:`make_app` stands a spec up on a fresh environment, cluster and
-metrics hub -- the one constructor every simulated run in ``repro``
-deploys through.
+Its constructor stands a spec up on a fresh environment, cluster and
+metrics hub -- the one way every simulated run in ``repro`` deploys.
 """
 
 from __future__ import annotations
@@ -18,14 +17,14 @@ from typing import Callable, Mapping
 from repro.cluster.cluster import Cluster, ClusterOptions
 from repro.errors import ConfigurationError, TopologyError
 from repro.net.messages import Call, CallMode, Request
-from repro.services.base import Microservice
+from repro.services.base import UTILIZATION_SAMPLE_INTERVAL_S, Microservice
 from repro.services.spec import ServiceSpec
 from repro.sim.engine import Environment, Event
 from repro.sim.random import RandomStreams
 from repro.telemetry.metrics import CounterHandle, LatencyHandle, MetricsHub
 from repro.telemetry.tracing import Tracer
 
-__all__ = ["SlaSpec", "RequestClass", "AppSpec", "Application", "make_app"]
+__all__ = ["SlaSpec", "RequestClass", "AppSpec", "Application"]
 
 
 @dataclass(frozen=True)
@@ -123,10 +122,6 @@ class AppSpec:
                 return rc
         raise TopologyError(f"{self.name}: unknown request class {name!r}")
 
-    def sla_table(self) -> dict[str, SlaSpec]:
-        """Request class -> SLA (the paper's Tables II-IV)."""
-        return {rc.name: rc.sla for rc in self.request_classes}
-
     def rpc_called_services(self) -> tuple[str, ...]:
         """Services invoked via RPC or event-driven RPC somewhere, sorted.
 
@@ -156,7 +151,7 @@ class AppSpec:
 
 
 class Application:
-    """A running application: services deployed on a cluster.
+    """A running application: services deployed on a fresh cluster.
 
     This is the facade everything else uses:
 
@@ -164,28 +159,45 @@ class Application:
     * resource managers call :meth:`scale` / :meth:`replicas` and read the
       metrics hub;
     * experiments read :attr:`hub` for latency/violation/allocation series
-      and may attach a :class:`~repro.telemetry.tracing.Tracer` (at
-      construction or via :meth:`attach_tracer`) to collect span trees for
-      sampled requests.
+      and may pass a :class:`~repro.telemetry.tracing.Tracer` to collect
+      span trees for sampled requests.
+
+    The constructor builds the environment, cluster, metrics hub and
+    random streams itself; it is the one way a simulated deployment is
+    stood up.  ``seed`` seeds the application's :class:`RandomStreams`
+    (``Application(spec, streams.fork(salt).seed)`` draws from the same
+    generator as ``streams.fork(salt)``).  ``trace`` is the engine-level
+    event hook (e.g. a :class:`~repro.sim.trace.RunDigest`); ``tracer``
+    the request-level span sampler.  ``cluster_options`` reshapes the
+    cluster (node count, node size, capacity capping; default: 8 nodes
+    of 96 CPUs) -- the knob fleet cells use to enforce a per-tenant node
+    budget.  ``window_s`` is the metrics hub's aggregation window;
+    profiling runs match it to their sampling window so per-sample
+    distributions and rates are exact.
     """
 
     def __init__(
         self,
         spec: AppSpec,
-        env: Environment | None = None,
-        cluster: Cluster | None = None,
-        hub: MetricsHub | None = None,
-        streams: RandomStreams | None = None,
+        seed: int,
+        *,
         initial_replicas: Mapping[str, int] | int = 2,
-        network_delay_s: float = 0.0005,
-        utilization_sample_interval_s: float = 5.0,
+        trace: Callable | None = None,
         tracer: Tracer | None = None,
+        cluster_options: ClusterOptions | None = None,
+        window_s: float = 60.0,
     ) -> None:
+        if cluster_options is None:
+            cluster_options = ClusterOptions()
         self.spec = spec
-        self.env = env if env is not None else Environment()
-        self.cluster = cluster if cluster is not None else Cluster(self.env)
-        self.hub = hub if hub is not None else MetricsHub(self.env.clock())
-        self.streams = streams if streams is not None else RandomStreams(seed=0)
+        self.env = Environment(trace=trace)
+        self.cluster = Cluster(
+            self.env,
+            nodes=cluster_options.build_nodes(),
+            cap_on_full=cluster_options.cap_on_full,
+        )
+        self.hub = MetricsHub(self.env.clock(), window_s=window_s)
+        self.streams = RandomStreams(seed)
         self.services: dict[str, Microservice] = {}
         for svc_spec in spec.services:
             if isinstance(initial_replicas, int):
@@ -199,8 +211,6 @@ class Application:
                 hub=self.hub,
                 streams=self.streams,
                 initial_replicas=replicas,
-                network_delay_s=network_delay_s,
-                utilization_sample_interval_s=utilization_sample_interval_s,
             )
         # Wire peers: every service can reach every other (the mesh).
         for service in self.services.values():
@@ -227,14 +237,7 @@ class Application:
         #: (inside an already-scheduled event's callback -- subscribing
         #: never adds engine events, so the run digest is unchanged).
         self._completion_listeners: list = []
-        if utilization_sample_interval_s > 0:
-            self.env.process(
-                self._cluster_monitor(utilization_sample_interval_s)
-            )
-
-    def attach_tracer(self, tracer: Tracer | None) -> None:
-        """Install (or remove, with ``None``) the tracer for new requests."""
-        self.tracer = tracer
+        self.env.process(self._cluster_monitor())
 
     def add_completion_listener(self, fn) -> None:
         """Subscribe ``fn(request, request_class, latency)`` to completions.
@@ -318,13 +321,13 @@ class Application:
         except KeyError:
             raise TopologyError(f"unknown service {name!r}") from None
 
-    def _cluster_monitor(self, interval: float):
+    def _cluster_monitor(self):
         """Sample cluster-wide allocation gauges (pure observer process)."""
         env = self.env
         allocated = self.hub.gauge_handle("cluster_allocated_cpus")
         free = self.hub.gauge_handle("cluster_free_cpus")
         while True:
-            yield env.timeout(interval)
+            yield env.timeout(UTILIZATION_SAMPLE_INTERVAL_S)
             allocated.observe(float(self.cluster.allocated_cpus()))
             free.observe(float(self.cluster.free_cpus()))
 
@@ -396,42 +399,3 @@ class Application:
             )
         return total
 
-
-def make_app(
-    spec: AppSpec,
-    seed: int,
-    initial_replicas: Mapping[str, int] | int = 2,
-    trace: Callable | None = None,
-    tracer: Tracer | None = None,
-    cluster_options: ClusterOptions | None = None,
-    window_s: float = 60.0,
-) -> Application:
-    """An application on a fresh cluster (default: the 8-node testbed).
-
-    ``seed`` seeds the application's :class:`RandomStreams`
-    (``RandomStreams(streams.fork(salt).seed)`` is the same generator as
-    ``streams.fork(salt)``).  ``trace`` is the engine-level event hook
-    (e.g. a :class:`~repro.sim.trace.RunDigest`); ``tracer`` the
-    request-level span sampler.  ``cluster_options`` reshapes the cluster
-    (node count, node size, capacity capping) -- the knob fleet cells use
-    to enforce a per-tenant node budget.  ``window_s`` is the metrics
-    hub's aggregation window; profiling runs match it to their sampling
-    window so per-sample distributions and rates are exact.
-    """
-    cluster_options = (
-        cluster_options if cluster_options is not None else ClusterOptions()
-    )
-    env = Environment(trace=trace)
-    return Application(
-        spec,
-        env=env,
-        cluster=Cluster(
-            env,
-            nodes=cluster_options.build_nodes(),
-            cap_on_full=cluster_options.cap_on_full,
-        ),
-        hub=MetricsHub(env.clock(), window_s=window_s),
-        streams=RandomStreams(seed),
-        initial_replicas=initial_replicas,
-        tracer=tracer,
-    )

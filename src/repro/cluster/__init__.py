@@ -2,7 +2,7 @@
 
 from repro.cluster.cluster import Cluster, ClusterOptions
 from repro.cluster.deployment import Deployment, Pod, PodState
-from repro.cluster.node import Node, default_testbed_nodes
+from repro.cluster.node import Node
 from repro.cluster.scheduler import Scheduler
 
 __all__ = [
@@ -13,5 +13,4 @@ __all__ = [
     "Pod",
     "PodState",
     "Scheduler",
-    "default_testbed_nodes",
 ]

@@ -8,7 +8,7 @@ Ursa and the baselines use:
 * ``allocated_cpus()`` / ``replicas()`` -- observability for accounting.
 
 :class:`ClusterOptions` is the plain-data shape of the cluster a run
-deploys onto; :func:`repro.apps.topology.make_app` builds it.
+deploys onto; :class:`repro.apps.topology.Application` builds it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.cluster.deployment import Deployment, Pod
-from repro.cluster.node import Node, default_testbed_nodes
+from repro.cluster.node import Node
 from repro.cluster.scheduler import Scheduler
 from repro.errors import SchedulingError
 from repro.sim.engine import Environment
@@ -29,10 +29,10 @@ __all__ = ["Cluster", "ClusterOptions"]
 class ClusterOptions:
     """Shape of the cluster a run deploys onto (plain data, picklable).
 
-    The default matches the historical harness testbed: 8 homogeneous
-    96-CPU nodes.  Fleet cells (:mod:`repro.fleet`) shrink this to a
-    per-tenant node budget and turn on ``cap_on_full`` so a tight budget
-    degrades to queueing (SLA violations) instead of raising
+    The default is the testbed every run deploys onto: 8 homogeneous
+    96-CPU / 256-GB nodes.  Fleet cells (:mod:`repro.fleet`) shrink this
+    to a per-tenant node budget and turn on ``cap_on_full`` so a tight
+    budget degrades to queueing (SLA violations) instead of raising
     :class:`~repro.errors.SchedulingError` out of the manager.
     """
 
@@ -55,11 +55,11 @@ class Cluster:
     def __init__(
         self,
         env: Environment,
-        nodes: list[Node] | None = None,
+        nodes: list[Node],
         cap_on_full: bool = False,
     ) -> None:
         self.env = env
-        self.nodes = nodes if nodes is not None else default_testbed_nodes()
+        self.nodes = nodes
         self.scheduler = Scheduler(self.nodes)
         #: When True, deployments cap scale-ups at cluster capacity
         #: instead of raising SchedulingError (budgeted fleet cells).
@@ -100,9 +100,6 @@ class Cluster:
             return self._deployments[name]
         except KeyError:
             raise SchedulingError(f"unknown deployment {name!r}") from None
-
-    def deployments(self) -> list[Deployment]:
-        return list(self._deployments.values())
 
     def scale(self, name: str, replicas: int) -> None:
         """Set the replica count of deployment ``name``."""

@@ -135,10 +135,6 @@ class Deployment:
             for pod in victims:
                 self._stop_pod(pod)
 
-    def scale_by(self, delta: int) -> None:
-        """Adjust desired replicas by ``delta`` (floored at zero)."""
-        self.scale_to(max(0, self.desired_replicas + delta))
-
     def _start_pod(self) -> bool:
         """Place one pod; returns False when a capped cluster is full."""
         if self.cap_on_full:

@@ -1,9 +1,11 @@
 """Cluster nodes (machines) with CPU and memory capacity.
 
-Models the paper's testbed: 8 machines with 40-88 CPUs and 126-188 GB of
-memory each.  Under Kubernetes's *static* CPU-management policy a container
-with an integer CPU request gets exclusive cores, so allocation here is
-whole-core and exclusive.
+The paper's testbed has 8 machines with 40-88 CPUs and 126-188 GB of
+memory each; runs here deploy onto the homogeneous shape
+:class:`~repro.cluster.cluster.ClusterOptions` describes (8 x 96 CPUs /
+256 GB by default).  Under Kubernetes's *static* CPU-management policy a
+container with an integer CPU request gets exclusive cores, so allocation
+here is whole-core and exclusive.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import SchedulingError
 
-__all__ = ["Node", "default_testbed_nodes"]
+__all__ = ["Node"]
 
 
 @dataclass
@@ -66,23 +68,3 @@ class Node:
         self._cpus_used -= cpus
         self._memory_used = max(0.0, self._memory_used - memory_gb)
 
-
-def default_testbed_nodes() -> list[Node]:
-    """The paper's 8-machine local cluster (§VII-A).
-
-    Machines have 40-88 CPUs and 126-188 GB; we spread the range evenly.
-    """
-    specs = [
-        (88, 188.0),
-        (80, 188.0),
-        (72, 160.0),
-        (64, 160.0),
-        (56, 126.0),
-        (48, 126.0),
-        (40, 126.0),
-        (40, 126.0),
-    ]
-    return [
-        Node(name=f"node-{i}", cpus=cpus, memory_gb=mem)
-        for i, (cpus, mem) in enumerate(specs)
-    ]

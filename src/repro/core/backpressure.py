@@ -5,7 +5,7 @@ Fig. 3 (client -> proxy -> tested service, nested RPC).  It ramps the
 tested service's CPU limit upward while replaying a fixed workload; each
 limit is a fresh deployment of
 :func:`~repro.apps.profiling_harness.profiling_harness_spec` through
-:func:`~repro.apps.topology.make_app` on a two-node 64-CPU cluster, where
+:class:`~repro.apps.topology.Application` on a two-node 64-CPU cluster, where
 it records the proxy's p99 latency (one sample per measurement window)
 and the tested service's CPU utilisation.  The proxy latency has
 *converged* when Welch's t-test can no longer distinguish the samples
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.apps.profiling_harness import PROFILE_CLASS, profiling_harness_spec
-from repro.apps.topology import make_app
+from repro.apps.topology import Application
 from repro.cluster.cluster import ClusterOptions
 from repro.errors import ExplorationError
 from repro.services.spec import ServiceSpec
@@ -152,7 +152,7 @@ class BackpressureProfiler:
         for one window before the measured windows.
         """
         salt = (zlib.crc32(service_name.encode()) + cpu_limit * 7919) % 2**31
-        app = make_app(
+        app = Application(
             profiling_harness_spec(service_name, work, tested_cpus=cpu_limit),
             self.streams.fork(salt).seed,
             initial_replicas=1,

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from repro.apps.topology import Application, AppSpec, make_app
+from repro.apps.topology import Application, AppSpec
 from repro.errors import ExplorationError
 from repro.sim.random import RandomStreams
 from repro.sim.trace import RunDigest, combine_digests
@@ -208,7 +208,7 @@ def start_profiling_run(
     provisioning.
     """
     provisioning = provisioning_for(spec, mix, rps)
-    app = make_app(
+    app = Application(
         spec,
         streams.fork(seed_salt).seed,
         initial_replicas=provisioning,

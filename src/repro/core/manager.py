@@ -9,7 +9,7 @@
 Typical lifecycle::
 
     exploration = ExplorationController(streams).explore_app(spec, mix, rps, bp)
-    app = make_app(spec, seed)
+    app = Application(spec, seed)
     manager = UrsaManager(app, exploration)
     manager.initialize(class_loads={"read-timeline": 25.0, ...})
     manager.start()

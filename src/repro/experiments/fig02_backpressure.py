@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.chains import CHAIN_CLASS, build_chain_spec, tier_name
-from repro.apps.topology import make_app
+from repro.apps.topology import Application
 from repro.experiments.report import render_heatmap
 from repro.experiments.runner import scale_profile
 from repro.experiments.store import RunMeta
@@ -77,7 +77,7 @@ def run_chain(
     """One chain's ten-minute stress test with mid-run leaf throttling."""
     spec = build_chain_spec(mode, tiers=tiers, work_mean_s=work_mean_s)
     run_digest = RunDigest() if digest else None
-    app = make_app(spec, seed=seed, initial_replicas=replicas, trace=run_digest)
+    app = Application(spec, seed, initial_replicas=replicas, trace=run_digest)
     app.env.run(until=10)
     # A Locust-style bounded user pool: under overload the backlog queues
     # at the client, so per-tier response times reflect backpressure, not

@@ -169,9 +169,7 @@ def run_model_accuracy(
         t += window_s
     critical_path = None
     if run.tracer is not None:
-        critical_path = render_attribution(
-            run.tracer.summary(window_s=window_s), title=None
-        )
+        critical_path = render_attribution(run.tracer.summary(), title=None)
     trace_artifacts = run.trace_artifacts()
     return ModelAccuracyResult(
         app_name=app_name,

@@ -2,7 +2,7 @@
 
 Every managed §VII experiment starts its run the same way, in
 :func:`start_deployment`: build the application on a fresh cluster
-with :func:`repro.apps.topology.make_app` (with the run digest, span
+as an :class:`repro.apps.topology.Application` (with the run digest, span
 tracer, cluster shape and SLO monitor ``RunOptions`` asks for), run the
 empty deployment to the 10 s warm-up, attach the resource manager, and
 only then start the load generator.  The load generator's seed and stop
@@ -11,10 +11,10 @@ own (``load_seed``, ``load_stop_s``).  What a run measures after that is
 the caller's: :func:`run_deployment` takes the violation/allocation
 summary the Fig. 11/12 grid and fleet cells use.
 
-``make_app`` is the one deployment constructor in ``repro``: Fig. 2 and
-the artifact builders (backpressure profiling, Algorithm 1 exploration,
-Sinan/Firm training) call it directly, since they run their own
-unmanaged protocols.
+``Application(spec, seed, ...)`` is the one deployment constructor in
+``repro``: Fig. 2 and the artifact builders (backpressure profiling,
+Algorithm 1 exploration, Sinan/Firm training) call it directly, since
+they run their own unmanaged protocols.
 
 Scale profiles: the ``REPRO_SCALE`` environment variable selects ``quick``
 (default -- minutes of simulated time per run, suitable for CI) or
@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.apps.topology import Application, AppSpec, make_app
+from repro.apps.topology import Application, AppSpec
 from repro.cluster.cluster import ClusterOptions
 from repro.sim.random import RandomStreams
 from repro.sim.trace import RunDigest
@@ -385,7 +385,7 @@ def start_deployment(
     tracer = (
         options.tracing.build_tracer() if options.tracing is not None else None
     )
-    app = make_app(
+    app = Application(
         spec,
         options.seed,
         trace=digest,

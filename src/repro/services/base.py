@@ -58,6 +58,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Microservice", "Replica"]
 
+#: One-way network delay of an RPC hop (s); each call pays it twice,
+#: request and response, in one event.
+NETWORK_DELAY_S = 0.0005
+#: Period (s) of the per-service and cluster-wide allocation gauges.
+UTILIZATION_SAMPLE_INTERVAL_S = 5.0
+
 
 class Replica:
     """One running replica: thread pool, CPU cores, daemon pool."""
@@ -105,8 +111,6 @@ class Microservice:
         hub: MetricsHub,
         streams: "RandomStreams",
         initial_replicas: int = 1,
-        network_delay_s: float = 0.0005,
-        utilization_sample_interval_s: float = 5.0,
     ) -> None:
         self.env = env
         self.spec = spec
@@ -114,8 +118,7 @@ class Microservice:
         self.hub = hub
         self.name = spec.name
         self._rng = streams.stream(f"service:{spec.name}")
-        self._work = dict(spec.handlers)
-        self.network_delay_s = float(network_delay_s)
+        self._work = spec.handlers
         #: CPU throttling factor in (0, 1]; Fig. 2 injects anomalies here.
         self.speed_factor = 1.0
         self._cpu_limit_override: int | None = None
@@ -138,8 +141,7 @@ class Microservice:
             on_pod_running=self._on_pod_running,
             on_pod_stopping=self._on_pod_stopping,
         )
-        if utilization_sample_interval_s > 0:
-            env.process(self._monitor(utilization_sample_interval_s))
+        env.process(self._monitor())
 
     # ------------------------------------------------------------------
     # Replica lifecycle
@@ -201,18 +203,6 @@ class Microservice:
         for replica in self._replicas.values():
             if not replica.stopping:
                 replica.set_cpu_limit(cpus, self.spec)
-
-    def set_handler(self, request_class: str, work) -> None:
-        """Swap a handler's work distribution (§VII-G logic update)."""
-        self._work[request_class] = work
-
-    def utilization(self) -> float:
-        """Instantaneous view: busy cores / cores across replicas."""
-        capacity = sum(r.cpu.capacity for r in self._running)
-        if capacity == 0:
-            return 0.0
-        busy = sum(r.cpu.in_use for r in self._running)
-        return busy / capacity
 
     def queue_depth(self) -> int:
         """Pending work: MQ backlog plus thread-queue waiters."""
@@ -404,9 +394,8 @@ class Microservice:
                 mark = env._now
 
         replica.threads.release()
-        if self.network_delay_s > 0:
-            # Both network legs (request + response) in one event.
-            yield env.timeout(2.0 * self.network_delay_s)
+        # Both network legs (request + response) in one event.
+        yield env.timeout(2.0 * NETWORK_DELAY_S)
         service_latency_h.record(env._now - t_submit - downstream_wait)
         if span is not None:
             span.record(PHASE_SERVICE, mark, env._now)
@@ -486,8 +475,9 @@ class Microservice:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def _monitor(self, interval: float):
+    def _monitor(self):
         env = self.env
+        interval = UTILIZATION_SAMPLE_INTERVAL_S
         last_busy = 0.0
         labels = {"service": self.name}
         utilization_gauge = self.hub.gauge_handle("cpu_utilization", labels)

@@ -38,8 +38,8 @@ completion).  The segment durations sum to the request's end-to-end
 latency to float precision; :class:`Tracer` verifies this for every
 finished request.
 
-:class:`CriticalPathSummary` aggregates attributions per request class
-(optionally per completion window), so experiments can print
+:class:`CriticalPathSummary` aggregates attributions per request class,
+so experiments can print
 "p99 of class A is 62 % queue wait at nginx, 23 % service time at
 post-storage" -- the direct cross-check of §IV's per-service latency
 targets used by ``fig09_10_model_accuracy``.
@@ -335,7 +335,7 @@ def attribute_latency(trace: Trace) -> dict[tuple[str, str], float]:
 
 @dataclass
 class _ClassAggregate:
-    """Attribution totals for one request class (one window bucket)."""
+    """Attribution totals for one request class."""
 
     requests: int = 0
     total_latency: float = 0.0
@@ -360,63 +360,27 @@ class _ClassAggregate:
 
 
 class CriticalPathSummary:
-    """Aggregated critical-path attributions, per class (and window).
+    """Aggregated critical-path attributions, one aggregate per class."""
 
-    ``window_s=None`` pools everything per request class;  with a window
-    size, traces are bucketed by *completion* window so experiments can
-    line attributions up against their per-window percentile series.
-    """
-
-    def __init__(self, window_s: float | None = None) -> None:
-        if window_s is not None and window_s <= 0:
-            raise TelemetryError(f"window must be > 0, got {window_s}")
-        self.window_s = window_s
-        #: (request class, window index or None) -> aggregate
-        self._aggregates: dict[tuple[str, int | None], _ClassAggregate] = {}
+    def __init__(self) -> None:
+        #: request class -> aggregate
+        self._aggregates: dict[str, _ClassAggregate] = {}
 
     def add(self, trace: Trace) -> dict[tuple[str, str], float]:
         """Fold one finished trace in; returns its attribution."""
         attribution = attribute_latency(trace)
-        window = (
-            int(trace.completion // self.window_s)
-            if self.window_s is not None
-            else None
-        )
-        key = (trace.request_class, window)
-        agg = self._aggregates.get(key)
+        agg = self._aggregates.get(trace.request_class)
         if agg is None:
-            agg = self._aggregates[key] = _ClassAggregate()
+            agg = self._aggregates[trace.request_class] = _ClassAggregate()
         agg.add(trace.latency, attribution)
         return attribution
 
     def classes(self) -> list[str]:
-        return sorted({cls for cls, _w in self._aggregates})
-
-    def windows(self, request_class: str) -> list[int]:
-        return sorted(
-            w
-            for cls, w in self._aggregates
-            if cls == request_class and w is not None
-        )
-
-    def aggregate(
-        self, request_class: str, window: int | None = None
-    ) -> _ClassAggregate | None:
-        return self._aggregates.get((request_class, window))
+        return sorted(self._aggregates)
 
     def pooled(self, request_class: str) -> _ClassAggregate:
-        """All windows of one class folded together."""
-        pooled = _ClassAggregate()
-        for (cls, _w), agg in sorted(self._aggregates.items(), key=lambda kv: (
-            kv[0][0], -1 if kv[0][1] is None else kv[0][1],
-        )):
-            if cls != request_class:
-                continue
-            pooled.requests += agg.requests
-            pooled.total_latency += agg.total_latency
-            for key, seconds in agg.by_location.items():
-                pooled.by_location[key] = pooled.by_location.get(key, 0.0) + seconds
-        return pooled
+        """Every trace of one class folded together (empty if none)."""
+        return self._aggregates.get(request_class, _ClassAggregate())
 
     def render(self, top: int = 4) -> str:
         """Per-class one-liners: where the latency mass sits."""
@@ -498,9 +462,9 @@ class Tracer:
             )
         self.finished.append(trace)
 
-    def summary(self, window_s: float | None = None) -> CriticalPathSummary:
+    def summary(self) -> CriticalPathSummary:
         """Critical-path attribution over all finished traces."""
-        summary = CriticalPathSummary(window_s=window_s)
+        summary = CriticalPathSummary()
         for trace in self.finished:
             summary.add(trace)
         return summary

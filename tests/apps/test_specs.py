@@ -19,7 +19,7 @@ from repro.net.messages import CallMode
 
 def test_social_network_matches_table2():
     spec = build_social_network_spec()
-    slas = spec.sla_table()
+    slas = {rc.name: rc.sla for rc in spec.request_classes}
     assert set(slas) == set(SOCIAL_NETWORK_SLAS)
     for name, target in SOCIAL_NETWORK_SLAS.items():
         assert slas[name].target_s == target
@@ -52,7 +52,7 @@ def test_vanilla_variant_drops_ml_services():
 
 def test_media_service_matches_table3():
     spec = build_media_service_spec()
-    slas = spec.sla_table()
+    slas = {rc.name: rc.sla for rc in spec.request_classes}
     assert set(slas) == set(MEDIA_SERVICE_SLAS)
     for name, target in MEDIA_SERVICE_SLAS.items():
         assert slas[name].target_s == target
@@ -60,7 +60,7 @@ def test_media_service_matches_table3():
 
 def test_video_pipeline_matches_table4():
     spec = build_video_pipeline_spec()
-    slas = spec.sla_table()
+    slas = {rc.name: rc.sla for rc in spec.request_classes}
     assert slas["high-priority"].percentile == 99.0
     assert slas["high-priority"].target_s == 20.0
     assert slas["low-priority"].percentile == 50.0

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.apps.topology import Application, AppSpec, RequestClass, SlaSpec
-from repro.cluster import Cluster, Node
+from repro.cluster import ClusterOptions
 from repro.errors import ConfigurationError, TopologyError
 from repro.net.messages import Call
 from repro.services.spec import ServiceSpec
-from repro.sim import Constant, Environment, RandomStreams
+from repro.sim import Constant
 
 
 def test_access_counts_multiplicative():
@@ -76,14 +76,11 @@ def test_windowed_violation_rate_handles_p50_sla():
             RequestClass("r", Call("a"), SlaSpec(50.0, 0.150)),
         ),
     )
-    env = Environment()
     app = Application(
-        spec,
-        env=env,
-        cluster=Cluster(env, nodes=[Node("n", 16, 32)]),
-        streams=RandomStreams(0),
-        initial_replicas=1,
+        spec, 0, initial_replicas=1,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=16, node_memory_gb=32),
     )
+    env = app.env
     env.run(until=10)
     for _ in range(40):
         app.submit("r")
@@ -108,14 +105,11 @@ def test_request_ids_are_run_local_and_sequential():
     )
 
     def fresh_app():
-        env = Environment()
         app = Application(
-            spec,
-            env=env,
-            cluster=Cluster(env, nodes=[Node("n", 16, 32)]),
-            streams=RandomStreams(0),
-            initial_replicas=1,
+            spec, 0, initial_replicas=1,
+            cluster_options=ClusterOptions(nodes=1, node_cpus=16, node_memory_gb=32),
         )
+        env = app.env
         env.run(until=1)
         return app
 
@@ -137,14 +131,11 @@ def test_mean_cpu_allocation_sums_services():
             RequestClass("r", Call("a", children=(Call("b"),)), SlaSpec(99, 1.0)),
         ),
     )
-    env = Environment()
     app = Application(
-        spec,
-        env=env,
-        cluster=Cluster(env, nodes=[Node("n", 16, 32)]),
-        streams=RandomStreams(0),
-        initial_replicas=1,
+        spec, 0, initial_replicas=1,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=16, node_memory_gb=32),
     )
+    env = app.env
     env.run(until=100)
     assert app.mean_cpu_allocation(20, 100) == pytest.approx(5.0, abs=0.3)
 

@@ -5,15 +5,15 @@ import pytest
 from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
 from repro.baselines import autoscaler
 from repro.baselines.autoscaler import StepAutoscaler, auto_a, auto_b
-from repro.cluster import Cluster, Node
+from repro.cluster import ClusterOptions
 from repro.errors import ConfigurationError
 from repro.net.messages import Call
 from repro.services.spec import ServiceSpec
-from repro.sim import Environment, LogNormal, RandomStreams
+from repro.sim import LogNormal, RandomStreams
 from repro.workload import ConstantLoad, LoadGenerator, RequestMix
 
 
-def build_app(env, replicas=1):
+def build_app(replicas=1):
     spec = AppSpec(
         "one",
         services=(
@@ -23,10 +23,9 @@ def build_app(env, replicas=1):
         ),
         request_classes=(RequestClass("r", Call("svc"), SlaSpec(99, 1.0)),),
     )
-    cluster = Cluster(env, nodes=[Node("n", 64, 128)])
     return Application(
-        spec, env=env, cluster=cluster, streams=RandomStreams(3),
-        initial_replicas=replicas,
+        spec, 3, initial_replicas=replicas,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=64, node_memory_gb=128),
     )
 
 
@@ -37,8 +36,8 @@ def test_configs():
 
 
 def test_scales_out_under_high_utilization():
-    env = Environment()
-    app = build_app(env, replicas=1)
+    app = build_app(replicas=1)
+    env = app.env
     scaler = StepAutoscaler(app, auto_a())
     scaler.start()
     # 80 rps x 10ms = 0.8 busy cores on 1 core: util > 60%.
@@ -50,8 +49,8 @@ def test_scales_out_under_high_utilization():
 
 
 def test_scales_in_when_idle():
-    env = Environment()
-    app = build_app(env, replicas=4)
+    app = build_app(replicas=4)
+    env = app.env
     scaler = StepAutoscaler(app, auto_a())
     scaler.start()
     LoadGenerator(app, ConstantLoad(5.0), RequestMix({"r": 1.0}),
@@ -62,8 +61,8 @@ def test_scales_in_when_idle():
 
 def test_respects_min_max(monkeypatch):
     monkeypatch.setattr(autoscaler, "MAX_REPLICAS", 2)
-    env = Environment()
-    app = build_app(env, replicas=1)
+    app = build_app(replicas=1)
+    env = app.env
     config = auto_a()
     scaler = StepAutoscaler(app, config)
     scaler.start()
@@ -86,8 +85,7 @@ def test_respects_min_max(monkeypatch):
 
 
 def test_double_start_rejected():
-    env = Environment()
-    app = build_app(env)
+    app = build_app()
     scaler = StepAutoscaler(app, auto_a())
     scaler.start()
     with pytest.raises(ConfigurationError):
@@ -95,7 +93,6 @@ def test_double_start_rejected():
 
 
 def test_decide_holds_without_data():
-    env = Environment()
-    app = build_app(env)
+    app = build_app()
     scaler = StepAutoscaler(app, auto_a())
     assert scaler.decide("svc") is None  # no utilisation samples yet

@@ -9,9 +9,9 @@ import pytest
 from repro.apps.topology import Application
 from repro.baselines.firm import FirmManager
 from repro.baselines.firm.controller import MAX_REPLICAS
-from repro.cluster import Cluster, Node
+from repro.cluster import ClusterOptions
 from repro.errors import ConfigurationError
-from repro.sim import Environment, RandomStreams
+from repro.sim import RandomStreams
 from repro.workload import ConstantLoad, LoadGenerator, RequestMix
 from tests.baselines import tiny
 
@@ -42,12 +42,11 @@ def test_training_returns_agent_per_service(firm_trained):
 def test_deployment_with_trained_agents(firm_trained):
     # Deployment keeps training the agents: work on a copy.
     agents = copy.deepcopy(firm_trained[0])
-    env = Environment()
     app = Application(
-        tiny_spec(), env=env,
-        cluster=Cluster(env, nodes=[Node("n", 64, 128)]),
-        streams=RandomStreams(53), initial_replicas=2,
+        tiny_spec(), 53, initial_replicas=2,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=64, node_memory_gb=128),
     )
+    env = app.env
     manager = FirmManager(app, agents)
     manager.initialize()
     manager.start()
@@ -60,11 +59,9 @@ def test_deployment_with_trained_agents(firm_trained):
 
 def test_manager_requires_agent_per_service(firm_trained):
     agents, _ = firm_trained
-    env = Environment()
     app = Application(
-        tiny_spec(), env=env,
-        cluster=Cluster(env, nodes=[Node("n", 64, 128)]),
-        streams=RandomStreams(55), initial_replicas=1,
+        tiny_spec(), 55, initial_replicas=1,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=64, node_memory_gb=128),
     )
     with pytest.raises(ConfigurationError):
         FirmManager(app, {"front": agents["front"]})
@@ -74,12 +71,11 @@ def test_timing_probes(firm_trained):
     # The two paths Table VI times: one actor decision per service and
     # one online update per agent.  The update trains: work on a copy.
     agents = copy.deepcopy(firm_trained[0])
-    env = Environment()
     app = Application(
-        tiny_spec(), env=env,
-        cluster=Cluster(env, nodes=[Node("n", 64, 128)]),
-        streams=RandomStreams(56), initial_replicas=1,
+        tiny_spec(), 56, initial_replicas=1,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=64, node_memory_gb=128),
     )
+    env = app.env
     env.run(until=30)
     manager = FirmManager(app, agents)
     for service in agents:

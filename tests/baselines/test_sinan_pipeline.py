@@ -11,9 +11,9 @@ from repro.baselines.sinan import (
     SinanManager,
     SinanPredictor,
 )
-from repro.cluster import Cluster, Node
+from repro.cluster import ClusterOptions
 from repro.errors import ConfigurationError, ExplorationError
-from repro.sim import Environment, RandomStreams
+from repro.sim import RandomStreams
 from repro.workload import ConstantLoad, LoadGenerator, RequestMix
 from tests.baselines import tiny
 
@@ -60,12 +60,11 @@ def test_training_produces_usable_models(sinan_predictor, sinan_dataset):
 
 
 def test_scheduler_decides_and_scales(sinan_predictor):
-    env = Environment()
     app = Application(
-        tiny_spec(), env=env,
-        cluster=Cluster(env, nodes=[Node("n", 64, 128)]),
-        streams=RandomStreams(33), initial_replicas=2,
+        tiny_spec(), 33, initial_replicas=2,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=64, node_memory_gb=128),
     )
+    env = app.env
     manager = SinanManager(app, sinan_predictor)
     manager.initialize()
     manager.start()
@@ -79,11 +78,9 @@ def test_scheduler_decides_and_scales(sinan_predictor):
 
 def test_manager_validation(sinan_predictor):
     # The predictor was trained on features of other request classes.
-    env = Environment()
     app = Application(
-        tiny.tiny_spec(tiny.SINAN_SLA_S, request="other"), env=env,
-        cluster=Cluster(env, nodes=[Node("n", 64, 128)]),
-        streams=RandomStreams(35), initial_replicas=1,
+        tiny.tiny_spec(tiny.SINAN_SLA_S, request="other"), 35, initial_replicas=1,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=64, node_memory_gb=128),
     )
     with pytest.raises(ConfigurationError, match="schema does not match"):
         SinanManager(app, sinan_predictor)

@@ -89,17 +89,6 @@ def test_scale_down_cancels_pending_first(env, cluster):
     assert dep.allocated_cpus == 1
 
 
-def test_scale_by(env, cluster):
-    dep = cluster.create_deployment("svc", cpus_per_replica=1, replicas=2)
-    env.run(until=10)
-    dep.scale_by(2)
-    env.run(until=20)
-    assert dep.replicas == 4
-    dep.scale_by(-10)
-    env.run(until=30)
-    assert dep.replicas == 0
-
-
 def test_negative_scale_rejected(env, cluster):
     cluster.create_deployment("svc", cpus_per_replica=1)
     with pytest.raises(SchedulingError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.node import Node, default_testbed_nodes
+from repro.cluster.node import Node
 from repro.errors import SchedulingError
 
 
@@ -49,9 +49,3 @@ def test_invalid_node_specs():
     with pytest.raises(ValueError):
         Node("n", cpus=4, memory_gb=0)
 
-
-def test_default_testbed_matches_paper():
-    nodes = default_testbed_nodes()
-    assert len(nodes) == 8
-    assert all(40 <= n.cpus <= 88 for n in nodes)
-    assert all(126 <= n.memory_gb <= 188 for n in nodes)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
-from repro.cluster import Cluster, Node
+from repro.cluster import ClusterOptions
 from repro.core.anomaly import (
     CHECK_INTERVAL_S,
     RATIO_DEVIATION_THRESHOLD,
@@ -15,13 +15,13 @@ from repro.core.optimizer import ScalingThreshold
 from repro.errors import ConfigurationError
 from repro.net.messages import Call
 from repro.services.spec import ServiceSpec
-from repro.sim import Environment, LogNormal, RandomStreams
+from repro.sim import LogNormal, RandomStreams
 from repro.workload import ConstantLoad, LoadGenerator, RequestMix
 
 CLASSES = ("a", "b", "c")
 
 
-def build_app(env):
+def build_app():
     spec = AppSpec(
         "three-class",
         services=(
@@ -35,10 +35,9 @@ def build_app(env):
             RequestClass(name, Call("svc"), SlaSpec(99, 0.5)) for name in CLASSES
         ),
     )
-    cluster = Cluster(env, nodes=[Node("n", 64, 128)])
     return Application(
-        spec, env=env, cluster=cluster, streams=RandomStreams(13),
-        initial_replicas=2,
+        spec, 13, initial_replicas=2,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=64, node_memory_gb=128),
     )
 
 
@@ -67,8 +66,8 @@ def measured_deviation(app, now):
 
 
 def test_no_anomaly_under_matching_mix():
-    env = Environment()
-    app = build_app(env)
+    app = build_app()
+    env = app.env
     recalcs = []
     detector = AnomalyDetector(
         app, thresholds(), on_recalculate=lambda: recalcs.append(1)
@@ -86,8 +85,8 @@ def test_no_anomaly_under_matching_mix():
 
 
 def test_skewed_mix_triggers_recalculation():
-    env = Environment()
-    app = build_app(env)
+    app = build_app()
+    env = app.env
     recalcs = []
     detector = AnomalyDetector(
         app, thresholds(), on_recalculate=lambda: recalcs.append(1)
@@ -105,8 +104,8 @@ def test_skewed_mix_triggers_recalculation():
 
 
 def test_latency_anomaly_triggers_reexploration():
-    env = Environment()
-    app = build_app(env)
+    app = build_app()
+    env = app.env
     reexplored = []
     detector = AnomalyDetector(app, thresholds(), on_reexplore=reexplored.append)
     env.run(until=10)
@@ -124,8 +123,7 @@ def test_latency_anomaly_triggers_reexploration():
 
 
 def test_detector_loop_and_validation():
-    env = Environment()
-    app = build_app(env)
+    app = build_app()
     detector = AnomalyDetector(app, thresholds())
     detector.start()
     with pytest.raises(ConfigurationError):

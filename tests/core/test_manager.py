@@ -3,13 +3,13 @@
 import pytest
 
 from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
-from repro.cluster import Cluster, Node
+from repro.cluster import ClusterOptions
 from repro.core.exploration import ExplorationResult, LprOption, ServiceProfile
 from repro.core.manager import UrsaManager
 from repro.errors import ConfigurationError
 from repro.net.messages import Call, CallMode
 from repro.services.spec import ServiceSpec
-from repro.sim import Environment, LogNormal, RandomStreams
+from repro.sim import LogNormal, RandomStreams
 from repro.stats.distributions import DEFAULT_PERCENTILE_GRID
 from repro.workload import ConstantLoad, LoadGenerator, RequestMix
 
@@ -57,19 +57,16 @@ def synthetic_exploration():
     return ExplorationResult("tiny", profiles)
 
 
-def make_app(env):
+def make_app():
     return Application(
-        tiny_spec(),
-        env=env,
-        cluster=Cluster(env, nodes=[Node("n", 64, 128)]),
-        streams=RandomStreams(9),
-        initial_replicas=1,
+        tiny_spec(), 9, initial_replicas=1,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=64, node_memory_gb=128),
     )
 
 
 def test_initialize_scales_to_mip_solution():
-    env = Environment()
-    app = make_app(env)
+    app = make_app()
+    env = app.env
     env.run(until=10)
     manager = UrsaManager(app, synthetic_exploration())
     outcome = manager.initialize({"req": 50.0})
@@ -81,16 +78,15 @@ def test_initialize_scales_to_mip_solution():
 
 
 def test_start_requires_initialize():
-    env = Environment()
-    app = make_app(env)
+    app = make_app()
     manager = UrsaManager(app, synthetic_exploration())
     with pytest.raises(ConfigurationError):
         manager.start()
 
 
 def test_double_start_rejected():
-    env = Environment()
-    app = make_app(env)
+    app = make_app()
+    env = app.env
     env.run(until=10)
     manager = UrsaManager(app, synthetic_exploration())
     manager.initialize({"req": 30.0})
@@ -100,8 +96,8 @@ def test_double_start_rejected():
 
 
 def test_managed_deployment_meets_sla():
-    env = Environment()
-    app = make_app(env)
+    app = make_app()
+    env = app.env
     env.run(until=10)
     manager = UrsaManager(app, synthetic_exploration())
     manager.initialize({"req": 60.0})
@@ -113,8 +109,8 @@ def test_managed_deployment_meets_sla():
 
 
 def test_observed_class_loads():
-    env = Environment()
-    app = make_app(env)
+    app = make_app()
+    env = app.env
     env.run(until=10)
     manager = UrsaManager(app, synthetic_exploration())
     manager.initialize({"req": 40.0})
@@ -128,8 +124,8 @@ def test_observed_class_loads():
 def test_deploy_timing_probe():
     # The two paths Table VI times: the per-service threshold check and
     # the MIP re-solve (timed in table06_control_plane.time_decisions).
-    env = Environment()
-    app = make_app(env)
+    app = make_app()
+    env = app.env
     env.run(until=10)
     manager = UrsaManager(app, synthetic_exploration())
     first = manager.initialize({"req": 30.0})
@@ -145,8 +141,8 @@ def test_deploy_timing_probe():
 
 
 def test_detector_callbacks_drive_the_manager():
-    env = Environment()
-    app = make_app(env)
+    app = make_app()
+    env = app.env
     env.run(until=10)
     manager = UrsaManager(app, synthetic_exploration())
     first = manager.initialize({"req": 30.0})

@@ -3,18 +3,18 @@
 import pytest
 
 from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
-from repro.cluster import Cluster, Node
+from repro.cluster import ClusterOptions
 from repro.core.optimizer import ScalingThreshold
 from repro.core import resource_controller
 from repro.core.resource_controller import ResourceController
 from repro.errors import ConfigurationError
 from repro.net.messages import Call
 from repro.services.spec import ServiceSpec
-from repro.sim import Constant, Environment, RandomStreams
+from repro.sim import Constant, RandomStreams
 from repro.workload import ConstantLoad, LoadGenerator, RequestMix
 
 
-def build_app(env, replicas=2):
+def build_app(replicas=2):
     spec = AppSpec(
         name="one",
         services=(
@@ -24,10 +24,9 @@ def build_app(env, replicas=2):
             RequestClass("req", Call("svc"), SlaSpec(99.0, 1.0)),
         ),
     )
-    cluster = Cluster(env, nodes=[Node("n", 64, 128)])
     return Application(
-        spec, env=env, cluster=cluster, streams=RandomStreams(1),
-        initial_replicas=replicas,
+        spec, 1, initial_replicas=replicas,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=64, node_memory_gb=128),
     )
 
 
@@ -51,8 +50,8 @@ def drive(env, app, rps, until):
 
 
 def test_scales_out_when_load_exceeds_threshold():
-    env = Environment()
-    app = build_app(env, replicas=1)
+    app = build_app(replicas=1)
+    env = app.env
     controller = ResourceController(app, {"svc": threshold(lpr=20.0)})
     env.run(until=10)
     drive(env, app, rps=60.0, until=130)  # 3x the per-replica threshold
@@ -63,8 +62,8 @@ def test_scales_out_when_load_exceeds_threshold():
 
 
 def test_holds_when_load_matches_threshold_noise():
-    env = Environment()
-    app = build_app(env, replicas=2)
+    app = build_app(replicas=2)
+    env = app.env
     controller = ResourceController(app, {"svc": threshold(lpr=20.0)})
     env.run(until=10)
     drive(env, app, rps=40.0, until=130)  # exactly at threshold
@@ -75,8 +74,8 @@ def test_holds_when_load_matches_threshold_noise():
 
 
 def test_scales_in_when_overprovisioned():
-    env = Environment()
-    app = build_app(env, replicas=5)
+    app = build_app(replicas=5)
+    env = app.env
     controller = ResourceController(app, {"svc": threshold(lpr=20.0)})
     env.run(until=10)
     drive(env, app, rps=20.0, until=130)  # needs just one replica
@@ -87,8 +86,8 @@ def test_scales_in_when_overprovisioned():
 
 
 def test_step_applies_decisions():
-    env = Environment()
-    app = build_app(env, replicas=1)
+    app = build_app(replicas=1)
+    env = app.env
     controller = ResourceController(app, {"svc": threshold(lpr=10.0)})
     env.run(until=10)
     drive(env, app, rps=50.0, until=130)
@@ -99,8 +98,8 @@ def test_step_applies_decisions():
 
 
 def test_loop_runs_periodically():
-    env = Environment()
-    app = build_app(env, replicas=1)
+    app = build_app(replicas=1)
+    env = app.env
     controller = ResourceController(app, {"svc": threshold(lpr=10.0)})
     controller.start()
     drive(env, app, rps=50.0, until=200)
@@ -109,15 +108,13 @@ def test_loop_runs_periodically():
 
 
 def test_unknown_service_ignored():
-    env = Environment()
-    app = build_app(env)
+    app = build_app()
     controller = ResourceController(app, {})
     assert controller.decide("svc") is None
 
 
 def test_validation():
-    env = Environment()
-    app = build_app(env)
+    app = build_app()
     controller = ResourceController(app, {})
     controller.start()
     with pytest.raises(ConfigurationError):
@@ -126,8 +123,8 @@ def test_validation():
 
 def test_min_replicas_respected(monkeypatch):
     monkeypatch.setattr(resource_controller, "MIN_REPLICAS", 2)
-    env = Environment()
-    app = build_app(env, replicas=4)
+    app = build_app(replicas=4)
+    env = app.env
     controller = ResourceController(app, {"svc": threshold(lpr=1000.0)})
     env.run(until=10)
     drive(env, app, rps=5.0, until=130)

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
-from repro.cluster import Cluster, Node
+from repro.cluster import ClusterOptions
 from repro.core.exploration import ExplorationResult, LprOption, ServiceProfile
 from repro.experiments.managers import MANAGER_NAMES, attach_autoscaler, attach_ursa
 from repro.net.messages import Call, CallMode
 from repro.services.spec import ServiceSpec
-from repro.sim import Environment, LogNormal, RandomStreams
+from repro.sim import LogNormal
 from repro.stats.distributions import DEFAULT_PERCENTILE_GRID
 from repro.workload.mixes import RequestMix
 
@@ -48,11 +48,9 @@ def synthetic_exploration():
 
 
 def make_app():
-    env = Environment()
     return Application(
-        tiny_spec(), env=env,
-        cluster=Cluster(env, nodes=[Node("n", 64, 128)]),
-        streams=RandomStreams(61), initial_replicas=1,
+        tiny_spec(), 61, initial_replicas=1,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=64, node_memory_gb=128),
     )
 
 

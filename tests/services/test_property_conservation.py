@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
-from repro.cluster import Cluster, Node
+from repro.cluster import ClusterOptions
 from repro.net.messages import Call, CallMode
 from repro.services.spec import ServiceSpec
-from repro.sim import Constant, Environment, RandomStreams
+from repro.sim import Constant
 
 MODES = [CallMode.RPC, CallMode.EVENT, CallMode.MQ]
 
@@ -66,12 +66,11 @@ def test_every_request_completes(data, n_requests):
         services=services,
         request_classes=(RequestClass("r", tree, SlaSpec(99, 30.0)),),
     )
-    env = Environment()
     app = Application(
-        spec, env=env, cluster=Cluster(env, nodes=[Node("n", 64, 128)]),
-        streams=RandomStreams(0), initial_replicas=1,
-        utilization_sample_interval_s=0,
+        spec, 0, initial_replicas=1,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=64, node_memory_gb=128),
     )
+    env = app.env
     env.run(until=5)
     requests = []
     dones = []

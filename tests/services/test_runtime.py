@@ -3,11 +3,11 @@
 import pytest
 
 from repro.apps.topology import Application, AppSpec, RequestClass, SlaSpec
-from repro.cluster import Cluster, Node
+from repro.cluster import ClusterOptions
 from repro.errors import TopologyError
 from repro.net.messages import Call, CallMode
 from repro.services.spec import ServiceSpec
-from repro.sim import Constant, Environment, Exponential, RandomStreams
+from repro.sim import Constant, Exponential, RandomStreams
 from repro.workload import ConstantLoad, LoadGenerator, RequestMix
 
 
@@ -33,18 +33,12 @@ def two_tier_spec(mode=CallMode.RPC, work_front=0.002, work_back=0.005):
     )
 
 
-def make_app(spec, seed=0, replicas=1, **kwargs):
-    env = Environment()
-    cluster = Cluster(env, nodes=[Node("n0", 64, 128), Node("n1", 64, 128)])
+def make_app(spec, seed=0, replicas=1):
     app = Application(
-        spec,
-        env=env,
-        cluster=cluster,
-        streams=RandomStreams(seed=seed),
-        initial_replicas=replicas,
-        **kwargs,
+        spec, seed, initial_replicas=replicas,
+        cluster_options=ClusterOptions(nodes=2, node_cpus=64, node_memory_gb=128),
     )
-    env.run(until=10)  # let initial replicas start
+    app.env.run(until=10)  # let initial replicas start
     return app
 
 

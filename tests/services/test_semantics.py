@@ -3,19 +3,18 @@
 import pytest
 
 from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
-from repro.cluster import Cluster, Node
+from repro.cluster import ClusterOptions
 from repro.net.messages import Call, CallMode
 from repro.services.spec import ServiceSpec
-from repro.sim import Constant, Environment, RandomStreams
+from repro.sim import Constant
 
 
 def build(spec, seed=0, replicas=1):
-    env = Environment()
     app = Application(
-        spec, env=env, cluster=Cluster(env, nodes=[Node("n", 64, 128)]),
-        streams=RandomStreams(seed), initial_replicas=replicas,
+        spec, seed, initial_replicas=replicas,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=64, node_memory_gb=128),
     )
-    env.run(until=10)
+    app.env.run(until=10)
     return app
 
 
@@ -162,22 +161,3 @@ def test_all_submitted_requests_complete_under_churn():
             app.scale("back", 1)
     env.run(until=env.now + 30)
     assert all(d.processed for d in submitted)
-
-
-def test_set_handler_swaps_work_distribution():
-    """§VII-G hook: swapping a handler changes processing cost in place."""
-    spec = AppSpec(
-        "swap",
-        services=(
-            ServiceSpec("svc", cpus_per_replica=1, handlers={"r": Constant(0.2)}),
-        ),
-        request_classes=(RequestClass("r", Call("svc"), SlaSpec(99, 10)),),
-    )
-    app = build(spec)
-    request, done = app.submit("r")
-    app.env.run(until=done)
-    assert request.latency >= 0.2
-    app.services["svc"].set_handler("r", Constant(0.01))
-    request2, done2 = app.submit("r")
-    app.env.run(until=done2)
-    assert request2.latency < 0.05

@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 from repro.apps.social_network import build_social_network_spec
-from repro.apps.topology import make_app
+from repro.apps.topology import Application
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -179,7 +179,7 @@ def test_condition_fired_at_construction_attaches_nothing():
 def _mq_app(seed: int = 5):
     """Social network serving only its MQ-rooted class (sentiment-ml)."""
     spec = build_social_network_spec()
-    app = make_app(spec, seed, initial_replicas=1)
+    app = Application(spec, seed, initial_replicas=1)
     LoadGenerator(
         app,
         pattern=ConstantLoad(20.0),

@@ -10,8 +10,7 @@ reproducible") that every benchmark shape target and t-test relies on.
 
 from repro.apps.social_network import build_social_network_spec
 from repro.apps.topology import Application
-from repro.cluster.cluster import Cluster
-from repro.cluster.node import Node
+from repro.cluster.cluster import ClusterOptions
 from repro.sim.engine import Environment, SimulationError
 from repro.sim.random import RandomStreams
 from repro.sim.resources import Resource
@@ -25,15 +24,14 @@ import pytest
 
 def _run_social_network(seed: int, until: float = 20.0) -> bytes:
     recorder = EventTraceRecorder()
-    env = Environment(trace=recorder)
-    cluster = Cluster(env, nodes=[Node(f"n{i}", 96, 256) for i in range(4)])
     app = Application(
         build_social_network_spec(),
-        env=env,
-        cluster=cluster,
-        streams=RandomStreams(seed),
+        seed,
         initial_replicas=1,
+        trace=recorder,
+        cluster_options=ClusterOptions(nodes=4),
     )
+    env = app.env
     generator = LoadGenerator(
         app,
         pattern=ConstantLoad(20.0),

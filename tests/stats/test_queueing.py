@@ -3,11 +3,12 @@
 import pytest
 
 from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
-from repro.cluster import Cluster, Node
+from repro.cluster import ClusterOptions
 from repro.errors import ConfigurationError
 from repro.net.messages import Call
 from repro.services.spec import ServiceSpec
-from repro.sim import Environment, Exponential, RandomStreams
+from repro.services import base
+from repro.sim import Exponential, RandomStreams
 from tests.stats.queueing_oracle import (
     erlang_c,
     mm1_response_percentile,
@@ -72,7 +73,7 @@ def test_mm1_percentile():
 @pytest.mark.parametrize(
     "cpus,rps", [(1, 60.0), (2, 140.0), (4, 300.0)]
 )
-def test_simulator_matches_erlang_c(cpus, rps):
+def test_simulator_matches_erlang_c(cpus, rps, monkeypatch):
     """A single service with exponential work is an M/M/c queue; the
     simulated mean response must match theory within sampling error."""
     service_time = 0.010  # mean seconds -> mu = 100/s per core
@@ -88,12 +89,12 @@ def test_simulator_matches_erlang_c(cpus, rps):
         ),
         request_classes=(RequestClass("r", Call("svc"), SlaSpec(99, 60)),),
     )
-    env = Environment()
+    monkeypatch.setattr(base, "NETWORK_DELAY_S", 0.0)  # a pure M/M/c queue
     app = Application(
-        spec, env=env, cluster=Cluster(env, nodes=[Node("n", 32, 64)]),
-        streams=RandomStreams(17), initial_replicas=1, network_delay_s=0.0,
-        utilization_sample_interval_s=0,
+        spec, 17, initial_replicas=1,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=32, node_memory_gb=64),
     )
+    env = app.env
     env.run(until=10)
     LoadGenerator(app, ConstantLoad(rps), RequestMix({"r": 1.0}),
                   RandomStreams(18), stop_at_s=400).start()

@@ -198,19 +198,14 @@ def test_unsorted_label_tuple_names_the_dict_series(hub, clock):
 
 def _env_clocked_hubs(window_s):
     """(env, hub) pairs clocked by ``env.clock()``: a bare hub, and the
-    hubs both application constructors build."""
+    hub the application constructor builds."""
     from repro.apps.social_network import build_social_network_spec
-    from repro.apps.topology import Application, make_app
+    from repro.apps.topology import Application
     from repro.sim import Environment
 
     env = Environment()
-    pairs = [(env, MetricsHub(env.clock(), window_s=window_s))]
-    app = make_app(build_social_network_spec(), 0, window_s=window_s)
-    pairs.append((app.env, app.hub))
-    if window_s == 60.0:  # Application's own hub has the default window
-        app = Application(build_social_network_spec())
-        pairs.append((app.env, app.hub))
-    return pairs
+    app = Application(build_social_network_spec(), 0, window_s=window_s)
+    return [(env, MetricsHub(env.clock(), window_s=window_s)), (app.env, app.hub)]
 
 
 @pytest.mark.parametrize("window_s", [60.0, 0.25])

@@ -128,7 +128,7 @@ def test_hub_raises_on_undeclared_label_key():
 
 
 def test_application_default_hub_raises_on_unregistered_write():
-    app = Application(app_spec("social-network"))
+    app = Application(app_spec("social-network"), 0)
     with pytest.raises(TelemetryError, match="not declared"):
         app.hub.counter_handle("no_such_metric")
 

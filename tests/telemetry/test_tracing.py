@@ -212,20 +212,6 @@ def test_summary_pooled_fractions_and_render():
     assert "service at frontend" in text
 
 
-def test_summary_windowing_by_completion():
-    summary = CriticalPathSummary(window_s=2.0)
-    summary.add(_leaf_trace())  # completes at t=3 -> window 1
-    assert summary.windows("read") == [1]
-    assert summary.aggregate("read", 1).requests == 1
-    assert summary.aggregate("read", 0) is None
-    assert summary.pooled("read").requests == 1
-
-
-def test_summary_rejects_bad_window():
-    with pytest.raises(TelemetryError):
-        CriticalPathSummary(window_s=0.0)
-
-
 def test_empty_summary_renders_placeholder():
     assert CriticalPathSummary().render() == "(no traces collected)"
 

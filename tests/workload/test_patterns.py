@@ -123,10 +123,10 @@ def test_social_mix_read_dominated():
 def test_generator_bounded_outstanding():
     """Client-side shedding: outstanding requests never exceed the cap."""
     from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
-    from repro.cluster import Cluster, Node
+    from repro.cluster import ClusterOptions
     from repro.net.messages import Call
     from repro.services.spec import ServiceSpec
-    from repro.sim import Constant, Environment, RandomStreams
+    from repro.sim import Constant, RandomStreams
     from repro.workload import LoadGenerator
 
     spec = AppSpec(
@@ -138,10 +138,11 @@ def test_generator_bounded_outstanding():
         ),
         request_classes=(RequestClass("r", Call("svc"), SlaSpec(99, 60)),),
     )
-    env = Environment()
-    app = Application(spec, env=env,
-                      cluster=Cluster(env, nodes=[Node("n", 16, 32)]),
-                      streams=RandomStreams(0), initial_replicas=1)
+    app = Application(
+        spec, 0, initial_replicas=1,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=16, node_memory_gb=32),
+    )
+    env = app.env
     env.run(until=10)
     gen = LoadGenerator(app, ConstantLoad(100.0), RequestMix({"r": 1.0}),
                         RandomStreams(1), stop_at_s=60, max_outstanding=8)
@@ -155,10 +156,10 @@ def test_generator_bounded_outstanding():
 
 def test_rate_multiplier_scales_arrivals():
     from repro.apps.topology import AppSpec, Application, RequestClass, SlaSpec
-    from repro.cluster import Cluster, Node
+    from repro.cluster import ClusterOptions
     from repro.net.messages import Call
     from repro.services.spec import ServiceSpec
-    from repro.sim import Constant, Environment, RandomStreams
+    from repro.sim import Constant, RandomStreams
     from repro.workload import LoadGenerator
 
     spec = AppSpec(
@@ -168,10 +169,11 @@ def test_rate_multiplier_scales_arrivals():
         ),
         request_classes=(RequestClass("r", Call("svc"), SlaSpec(99, 60)),),
     )
-    env = Environment()
-    app = Application(spec, env=env,
-                      cluster=Cluster(env, nodes=[Node("n", 16, 32)]),
-                      streams=RandomStreams(2), initial_replicas=1)
+    app = Application(
+        spec, 2, initial_replicas=1,
+        cluster_options=ClusterOptions(nodes=1, node_cpus=16, node_memory_gb=32),
+    )
+    env = app.env
     env.run(until=10)
     gen = LoadGenerator(app, ConstantLoad(20.0), RequestMix({"r": 1.0}),
                         RandomStreams(3), stop_at_s=1e9)
