@@ -34,13 +34,20 @@ keeps the frames of the generators it propagated out of with their
 locals cleared (see :class:`Process`).  A real run therefore triggers a
 handful of collections instead of hundreds (docs/performance.md).
 
-The schedule is one binary heap of ``(time, priority, seq, event)``
-tuples, owned by this module: every trigger -- ``succeed``, ``fail``,
-timeouts, process bootstraps, priority-0 interrupts -- is one
-``heappush``, and every pop is one ``heappop``, so the global order is
-exactly ``(time, priority, seq)``.  Other modules trigger events only
-through the :class:`Event` API.  Real runs keep a few dozen events
-pending, where heapq's C sift is hard to beat (docs/performance.md).
+The schedule holds ``(time, priority, seq, event)`` entries, owned by
+this module, in two lanes.  ``succeed``, ``fail`` and process
+bootstraps trigger at the current instant with the default priority:
+they append to the *ready lane*, a FIFO deque, which stays sorted
+because every entry in it is at ``now`` and ``seq`` only grows.
+Timeouts (at any delay, zero included) and priority-0 interrupts go to
+a binary heap.  The drain loop pops the lane's head unless the heap's
+front sorts before it, which only a heap entry at the same instant can
+do, so pops stay in exactly ``(time, priority, seq)`` order and
+sequence numbers are those of a single heap; the clock advances only
+from the heap, once the lane is empty.  Most pops in a real run are
+same-instant triggers, which then cost a deque append and pop instead
+of a sift through a few dozen pending timeouts.  Other modules trigger
+events only through the :class:`Event` API (docs/performance.md).
 
 There is one drain loop, :meth:`Environment._drain`: it serves all
 three ``until`` forms of :meth:`Environment.run`, and
@@ -71,6 +78,7 @@ in ``BENCH_engine.json``; the allocation probe is described in
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Generator, Iterable
 from functools import partial
 from heapq import heappop as _heappop, heappush as _heappush
@@ -184,7 +192,7 @@ class Event:
         self._state = _TRIGGERED
         env = self.env
         env._seq = seq = env._seq + 1
-        _heappush(env._queue, (env._now, 1, seq, self))
+        env._ready.append((env._now, 1, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -198,7 +206,7 @@ class Event:
         self._state = _TRIGGERED
         env = self.env
         env._seq = seq = env._seq + 1
-        _heappush(env._queue, (env._now, 1, seq, self))
+        env._ready.append((env._now, 1, seq, self))
         return self
 
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -363,13 +371,14 @@ class Process(Event):
         self._throw = generator.throw
         self._resume_cb = resume = self._resume
         # Bootstrap: resume the process at the current time.  The entry
-        # is pushed here rather than through ``succeed()``: the same
-        # ``(now, 1, seq, Event)`` row, one call fewer per process.
+        # is appended to the ready lane here rather than through
+        # ``succeed()``: the same ``(now, 1, seq, Event)`` row, one call
+        # fewer per process.
         init = Event(env)
         init.callbacks.append(resume)
         init._state = _TRIGGERED
         env._seq = seq = env._seq + 1
-        _heappush(env._queue, (env._now, 1, seq, init))
+        env._ready.append((env._now, 1, seq, init))
 
     @property
     def is_alive(self) -> bool:
@@ -393,7 +402,8 @@ class Process(Event):
         interrupt_event._defused = True
         interrupt_event._state = _TRIGGERED
         env._seq = seq = env._seq + 1
-        # Priority 0 beats every same-time, default-priority event.
+        # Priority 0 beats every same-time, default-priority event, so
+        # it goes to the heap, never the priority-1 ready lane.
         _heappush(env._queue, (env._now, 0, seq, interrupt_event))
         interrupt_event.callbacks.append(self._resume_cb)
 
@@ -506,7 +516,7 @@ def _detach_traceback(exc: BaseException, resume_frame: Any) -> BaseException:
 
 
 class Environment:
-    """The simulation environment: clock plus a one-heap schedule.
+    """The simulation environment: clock plus a two-lane schedule.
 
     Typical use::
 
@@ -514,7 +524,8 @@ class Environment:
         env.process(my_generator(env))
         env.run(until=100.0)
 
-    Pending events live in one binary heap of ``(time, priority, seq,
+    Pending events live in a FIFO ready lane (same-instant triggers) and
+    a binary heap (timeouts and interrupts) of ``(time, priority, seq,
     event)`` entries; see the module docstring.  ``trace`` installs an
     optional event-trace hook (:mod:`repro.sim.trace`).
     """
@@ -525,8 +536,12 @@ class Environment:
         trace: TraceHook | None = None,
     ) -> None:
         self._now = float(initial_time)
-        #: Every pending event, as a heapq of (time, priority, seq, event).
+        #: Pending timeouts and interrupts, as a heapq of (time,
+        #: priority, seq, event).
         self._queue: list[tuple[float, int, int, Event]] = []
+        #: The ready lane: pending succeed/fail triggers and process
+        #: bootstraps, all at (now, 1), in seq order.
+        self._ready: deque[tuple[float, int, int, Event]] = deque()
         self._seq = 0
         self._active_process: Process | None = None
         #: Optional event-trace hook, a row sink: the drain loop appends
@@ -652,6 +667,8 @@ class Environment:
     # -- scheduling -------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
+        if self._ready:
+            return self._now
         return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
@@ -662,9 +679,14 @@ class Environment:
         silently vanish.  A timeout processed here is never recycled: the
         loop's reference to it fails the freelist's refcount guard.
         """
-        if not self._queue:
+        ready = self._ready
+        queue = self._queue
+        if ready and not (queue and queue[0] < ready[0]):
+            self._drain(ready[0][3], _INF)
+        elif queue:
+            self._drain(queue[0][3], _INF)
+        else:
             raise SimulationError("step() on an empty schedule")
-        self._drain(self._queue[0][3], _INF)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
@@ -706,24 +728,40 @@ class Environment:
     def _drain(self, stop: Event | None, horizon: float) -> None:
         """The kernel's only event loop, behind both :meth:`run` and :meth:`step`.
 
-        Pops entries in ``(time, priority, seq)`` order, buffers each
+        Pops entries in ``(time, priority, seq)`` order -- the ready
+        lane's head unless the heap's front sorts before it -- buffers each
         one's trace row if a hook is installed (handing the hook every
         full buffer, and the partial one on the way out), runs the
         event's callbacks, raises an unhandled failure, and recycles a
         timeout nothing else holds.  Returns once the schedule is empty,
         the next event lies past ``horizon``, or ``stop`` has been
-        processed.
+        processed.  Ready-lane entries are at ``now <= horizon``, so only
+        a heap pop with the lane empty checks the horizon or moves the
+        clock.  No local keeps a front entry, or the refcount guard
+        would see an extra reference to the timeout it holds.
         """
         if stop is not None and stop._state == _PROCESSED:
             return
         trace = self._trace
         queue = self._queue
+        ready = self._ready
+        popleft = ready.popleft
         pool = self._pool
         rows: list[TraceRow] = []
         try:
-            while queue and queue[0][0] <= horizon:
-                when, priority, seq, event = _heappop(queue)
-                self._now = when
+            while True:
+                if ready:
+                    # Only a same-instant timeout with a smaller seq, or
+                    # an interrupt, sorts before the lane's head.
+                    if queue and queue[0] < ready[0]:
+                        when, priority, seq, event = _heappop(queue)
+                    else:
+                        when, priority, seq, event = popleft()
+                elif queue and queue[0][0] <= horizon:
+                    when, priority, seq, event = _heappop(queue)
+                    self._now = when
+                else:
+                    break
                 if trace is not None:
                     # The row holds the event's type, never the event: a
                     # buffered reference would fail the freelist's

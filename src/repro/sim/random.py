@@ -110,7 +110,9 @@ class Exponential(Distribution):
             raise ValueError(f"mean must be > 0, got {self.mean}")
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mean))
+        # numpy's own definition of exponential(scale): the same draw,
+        # without the scalar-argument broadcast.
+        return self.mean * rng.standard_exponential()
 
     def scaled(self, factor: float) -> "Exponential":
         return Exponential(self.mean * factor)
@@ -147,7 +149,9 @@ class LogNormal(Distribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         mu, sigma = self._params
-        return float(rng.lognormal(mu, sigma))
+        # numpy's own definition of lognormal(mu, sigma), bit for bit:
+        # the same standard-normal draw, without the argument broadcast.
+        return math.exp(mu + sigma * rng.standard_normal())
 
     def scaled(self, factor: float) -> "LogNormal":
         return LogNormal(self.mean * factor, self.cv)

@@ -129,8 +129,10 @@ class LoadGenerator:
         env = self.app.env
         rng = self.streams.stream(f"workload:{class_name}")
         envelope = self.pattern.peak * fraction * MAX_MULTIPLIER
+        scale = 1.0 / envelope
         while True:
-            gap = rng.exponential(1.0 / envelope)
+            # exponential(scale) as numpy defines it, bit for bit.
+            gap = scale * rng.standard_exponential()
             yield env.timeout(gap)
             if self.stop_at_s is not None and env.now >= self.stop_at_s:
                 return
@@ -172,7 +174,7 @@ class LoadGenerator:
         envelope = self.pattern.peak * fraction * MAX_MULTIPLIER
         scale = 1.0 / envelope
         pattern = self.pattern
-        exponential = rng.exponential
+        standard_exponential = rng.standard_exponential
         uniform = rng.random
         chunk = self.batch_candidates
         stop_at = self.stop_at_s
@@ -182,7 +184,7 @@ class LoadGenerator:
             multiplier = self.rate_multiplier
             accepted = False
             for _ in range(chunk):
-                t += exponential(scale)
+                t += scale * standard_exponential()
                 if stop_at is not None and t >= stop_at:
                     # The per-candidate loop wakes at the crossing candidate
                     # and returns without drawing its acceptance uniform.

@@ -15,9 +15,14 @@ order), the final sequence number and the next pending time must match.
 The two drivers agreeing with each other does not show that they agree
 with an earlier kernel, so each ``(seed, until)`` run's
 :class:`RunDigest` is also pinned (``PINNED_DIGESTS``) and checked
-through both drivers.  The pins were recorded with the two-level
-schedule (a same-time FIFO in front of the heap) that the single heap
-replaced; any change to the pop order moves them.
+through both drivers.  Those pins were recorded with an earlier
+two-level schedule (a same-time FIFO in front of the heap); any change
+to the pop order moves them.
+
+A second randomized workload, :func:`_merge_workload`, concentrates on
+the same-instant merge of the ready lane and the heap, and its digests
+(``MERGE_PINNED_DIGESTS``) were recorded with a heap-only schedule, so
+the lane is checked against an order it took no part in.
 """
 
 import pytest
@@ -134,7 +139,7 @@ def _random_workload(env: Environment, seed: int, log) -> Event:
 
 
 #: ``RunDigest`` hex of each ``(seed, until)`` run of ``_random_workload``,
-#: recorded with the two-level schedule the single heap replaced.
+#: recorded with an earlier two-level schedule (see the module docstring).
 PINNED_DIGESTS = {
     (0, "none"): "c5b8db062517e6af936b079082203449",
     (0, "time"): "80cb943a764509d343cdca71e27ca501",
@@ -257,3 +262,161 @@ def test_seeded_run_is_stable():
     """Same seed, same driver -> identical logs (no hidden state)."""
     for drive in (_run, _step_run):
         assert drive(Environment(), 21, "none") == drive(Environment(), 21, "none")
+
+
+def _merge_workload(env: Environment, seed: int, log) -> Event:
+    """A randomized mix of same-instant triggers around shared instants.
+
+    Every process wakes on a coarse grid of shared future instants, so
+    several timeouts land on each one, and at each instant it mixes
+    ``succeed()`` chains (callbacks and relay processes that trigger the
+    next link at the same instant), zero-delay timeouts, process
+    bootstraps and priority-0 interrupts.  A same-instant trigger and a
+    zero-delay timeout or an interrupt issued around it must pop in
+    ``(time, priority, seq)`` order whatever structure holds them.
+    Returns a bare event that a signaller triggers mid-instant, with
+    more same-instant triggers issued after it, so ``run(until=event)``
+    returns while entries at ``now`` are still pending.
+    """
+    streams = RandomStreams(seed)
+    stop = env.event()
+
+    def grid(r) -> float:
+        # A shared future instant, 1-3 grid steps (of 0.5) ahead.
+        return (int(env.now * 2) + 1 + int(r.integers(3))) / 2
+
+    def chain(depth: int, tag) -> Event:
+        # depth events, each triggering the next from its callback.
+        links = [env.event() for _ in range(depth)]
+        for link, following in zip(links, links[1:]):
+            link.callbacks.append(
+                lambda ev, nxt=following: nxt.succeed(ev.value + 1)
+            )
+        links[0].succeed(0)
+        log.append(("chain", env.now, tag, depth))
+        return links[-1]
+
+    def relay(env, name, hops):
+        # A bootstrapped process that passes the instant on through
+        # zero-delay timeouts and fresh events.
+        for hop in range(hops):
+            if hop % 2:
+                yield env.timeout(0.0)
+            else:
+                yield env.event().succeed(hop)
+        log.append((name, env.now, "relayed"))
+        return hops
+
+    def worker(env, name, r):
+        for i in range(25):
+            yield env.timeout_at(grid(r))
+            roll = r.random()
+            if roll < 0.3:
+                value = yield chain(1 + int(r.integers(4)), (name, i))
+                log.append((name, env.now, value))
+            elif roll < 0.5:
+                # A zero-delay timeout scheduled before a same-instant
+                # trigger: it holds the smaller seq, so it fires first.
+                zero = env.timeout(0.0, value="zero")
+                ev = env.event().succeed("event")
+                first = yield ev
+                log.append((name, env.now, first, zero.processed))
+                yield zero
+            elif roll < 0.75:
+                child = env.process(relay(env, f"{name}-relay{i}", 1 + int(r.integers(4))))
+                hops = yield child
+                log.append((name, env.now, "child", hops))
+            else:
+                yield env.timeout(0.0)
+                log.append((name, env.now, "zero"))
+
+    def sleeper(env, name):
+        for _ in range(10):
+            try:
+                yield env.timeout(7.0)
+                log.append((name, env.now, "woke"))
+            except Interrupt as intr:
+                log.append((name, env.now, intr.cause))
+
+    def interrupter(env, name, victims, r):
+        for i in range(12):
+            yield env.timeout_at(grid(r))
+            # Triggers issued first, the interrupt after: priority 0
+            # still pops ahead of them.
+            chain(1 + int(r.integers(3)), (name, i))
+            index = int(r.integers(len(victims)))
+            if victims[index].is_alive:
+                victims[index].interrupt(f"poke-{i}")
+                log.append((name, env.now, index))
+            yield env.timeout(0.0)
+
+    def signaller(env, r):
+        yield env.timeout_at(grid(r) + 3.0)
+        chain(2, "before-stop")
+        stop.succeed("stop")
+        # Issued after the stop event: still pending when
+        # run(until=stop) returns.
+        chain(3, "after-stop")
+        env.process(relay(env, "after-stop-relay", 2))
+        log.append(("signaller", env.now, "signalled"))
+
+    victims = [env.process(sleeper(env, f"sleeper-{i}")) for i in range(2)]
+    for i in range(5):
+        name = f"worker-{i}"
+        env.process(worker(env, name, streams.stream(name)))
+    env.process(interrupter(env, "interrupter", victims, streams.stream("interrupter")))
+    env.process(signaller(env, streams.stream("signaller")))
+    return stop
+
+
+#: ``RunDigest`` hex of each seed's :func:`_merge_workload` run, recorded
+#: with the heap-only schedule (every trigger one ``heappush``).
+MERGE_PINNED_DIGESTS = {
+    0: "9746f2bf4c67a7e0867e5f39388f8259",
+    7: "24d7bafda529283cac30006525f1b44d",
+    1234: "6b23e5e85f37e5145de95ecc7394df17",
+}
+
+
+def _merge_run(seed: int, drive: str):
+    """Run :func:`_merge_workload` to exhaustion with one of three drivers.
+
+    ``"run"`` is one ``run()``; ``"step"`` a plain ``step()`` loop;
+    ``"stop"`` a ``run(until=stop)`` that must return with same-instant
+    entries still pending, then a ``step()`` loop for the rest.
+    """
+    digest = RunDigest()
+    env = Environment(trace=digest)
+    log: list[tuple] = []
+    stop = _merge_workload(env, seed, log)
+    steps = 0
+    if drive == "run":
+        env.run()
+    else:
+        if drive == "stop":
+            assert env.run(until=stop) == "stop"
+            assert env.peek() == env.now
+            assert ("signaller", env.now, "signalled") in log
+            assert ("after-stop-relay", env.now, "relayed") not in log
+        while env.peek() < float("inf"):
+            before = digest.events
+            env.step()
+            # step() hands the hook its one row on return.
+            assert digest.events == before + 1
+            steps += 1
+    return digest.hexdigest(), digest.events, log, env.now, env._seq, steps
+
+
+@pytest.mark.parametrize("seed", sorted(MERGE_PINNED_DIGESTS))
+def test_same_instant_merge_order_is_pinned(seed):
+    ran = _merge_run(seed, "run")
+    stepped = _merge_run(seed, "step")
+    stopped = _merge_run(seed, "stop")
+    assert ran[0] == MERGE_PINNED_DIGESTS[seed]
+    for other in (stepped, stopped):
+        assert other[:5] == ran[:5]
+    assert stepped[5] == ran[1]
+    assert 0 < stopped[5] < ran[1]
+    names = {entry[0] for entry in ran[2]}
+    assert {"chain", "interrupter", "sleeper-0", "signaller", "worker-0"} <= names
+    assert any(entry[-1] == "relayed" for entry in ran[2])

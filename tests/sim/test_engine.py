@@ -8,6 +8,7 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Environment,
+    EventTraceRecorder,
     Interrupt,
     SimulationError,
 )
@@ -395,6 +396,66 @@ def test_peek_reports_next_event_time():
     assert env.peek() == 4.0
     env2 = Environment()
     assert env2.peek() == float("inf")
+
+
+def test_peek_reports_now_for_same_instant_triggers():
+    env = Environment()
+    env.timeout(4)
+    env.run(until=2.5)
+    env.event().succeed()
+    assert env.peek() == 2.5
+    env.step()
+    assert env.peek() == 4.0
+    env.process(_zero_wait(env))
+    assert env.peek() == 2.5
+
+
+def _zero_wait(env):
+    yield env.timeout(0)
+
+
+def test_step_pops_one_event_in_merged_order():
+    recorder = EventTraceRecorder()
+    env = Environment(trace=recorder)
+    woken = []
+
+    def sleeper(env):
+        try:
+            yield env.timeout(10)
+        except Interrupt:
+            woken.append(env.now)
+
+    victim = env.process(sleeper(env))
+    env.step()  # the bootstrap: victim now waits on its timeout
+    env.timeout(1.0)
+    env.timeout(0.0)
+    env.event().succeed()
+    env.process(_zero_wait(env))
+    victim.interrupt()
+    env.timeout(0.0)
+    env.event().succeed()
+    order = []
+    while env.peek() == 0.0:
+        before = len(recorder)
+        env.step()
+        assert len(recorder) == before + 1
+        order.append(recorder.entries[-1][1:])
+    # The interrupt (seq 7) first, then seq order across zero-delay
+    # timeouts, triggers and bootstraps, including those issued while
+    # stepping: the victim's finish (10), _zero_wait's timeout (11) and
+    # its finish (12).
+    assert order == [
+        (0, 7, "Event"),
+        (1, 4, "Timeout"),
+        (1, 5, "Event"),
+        (1, 6, "Event"),
+        (1, 8, "Timeout"),
+        (1, 9, "Event"),
+        (1, 10, "Process"),
+        (1, 11, "Timeout"),
+        (1, 12, "Process"),
+    ]
+    assert woken == [0.0]
 
 
 def test_deterministic_many_processes():

@@ -10,12 +10,19 @@ contract around that optimization:
   refcount guard keeps live handles out of the pool;
 * a stale handle that mutates a pooled timeout is detected loudly at
   reuse time instead of corrupting the schedule;
-* the generation counter distinguishes reuses of the same object.
+* the generation counter distinguishes reuses of the same object;
+* on a real deployment run, nearly every timeout is a reuse: a drain
+  loop that kept a popped or peeked schedule entry in a local would fail
+  the refcount guard for most of them.
 """
 
 import pytest
 
+from repro.apps.topology import Application
+from repro.sim import RandomStreams
 from repro.sim.engine import Environment, SimulationError, Timeout
+from repro.workload import ConstantLoad, LoadGenerator, RequestMix
+from tests.baselines import tiny
 
 
 def _spin(env: Environment, rounds: int) -> None:
@@ -153,3 +160,15 @@ def test_recycled_runs_match_fresh_runs():
     env.process(worker(env))
     env.run()
     assert observed == [(0.25 * (i + 1), i) for i in range(30)]
+
+
+def test_real_run_recycles_nearly_every_timeout():
+    app = Application(tiny.tiny_spec(0.3), 5, initial_replicas=1)
+    LoadGenerator(
+        app, ConstantLoad(60.0), RequestMix({"req": 1.0}), RandomStreams(6),
+        stop_at_s=60.0,
+    ).start()
+    app.env.run(until=60.0)
+    stats = app.env.timeout_pool_stats()
+    assert stats["reuses"] > 10_000
+    assert stats["reuses"] / (stats["allocs"] + stats["reuses"]) >= 0.99
