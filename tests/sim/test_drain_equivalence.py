@@ -5,9 +5,8 @@
 Driving a run by hand with ``step()`` must therefore pop the exact same
 ``(time, priority, seq)`` order and hand the trace hook the same
 entries.  This file is the executable form of that promise: randomized
-workloads mixing zero-delay triggers, far-future timeouts, priority
-interrupts, resource contention, a bounded store's blocked puts and
-handoffs, and abandoned (interrupt-detached) timeouts run through
+workloads mixing zero-delay triggers, far-future timeouts, resource
+contention, and a bounded store's blocked puts and handoffs run through
 ``run()`` and through a plain ``step()`` loop, for each ``until`` form,
 and the observation log (every process's observations, in global
 order), the final sequence number and the next pending time must match.
@@ -15,19 +14,18 @@ order), the final sequence number and the next pending time must match.
 The two drivers agreeing with each other does not show that they agree
 with an earlier kernel, so each ``(seed, until)`` run's
 :class:`RunDigest` is also pinned (``PINNED_DIGESTS``) and checked
-through both drivers.  Those pins were recorded with an earlier
-two-level schedule (a same-time FIFO in front of the heap); any change
-to the pop order moves them.
+through both drivers.  Any change to the pop order moves them.
 
 A second randomized workload, :func:`_merge_workload`, concentrates on
-the same-instant merge of the ready lane and the heap, and its digests
-(``MERGE_PINNED_DIGESTS``) were recorded with a heap-only schedule, so
-the lane is checked against an order it took no part in.
+the same-instant merge of the ready lane and the heap
+(``MERGE_PINNED_DIGESTS``).  Both sets of pins were recorded with the
+two-lane kernel that still supported process interrupts, once the
+workloads no longer used them.
 """
 
 import pytest
 
-from repro.sim.engine import Environment, Event, Interrupt
+from repro.sim.engine import Environment, Event
 from repro.sim.random import RandomStreams
 from repro.sim.resources import Resource, Store
 from repro.sim.trace import EventTraceRecorder, RunDigest
@@ -42,8 +40,8 @@ def _random_workload(env: Environment, seed: int, log) -> Event:
     All randomness comes from named :class:`RandomStreams` streams keyed
     only by the seed, so every environment given the same seed issues the
     identical schedule.  Processes append ``(name, now, observation)`` to
-    ``log``.  Returns the interrupter process, which finishes while
-    other events are still pending (the ``run(until=event)`` target).
+    ``log``.  Returns the pacer process, which finishes while other
+    events are still pending (the ``run(until=event)`` target).
     """
     streams = RandomStreams(seed)
     resource = Resource(env, capacity=3)
@@ -72,27 +70,19 @@ def _random_workload(env: Environment, seed: int, log) -> Event:
                 resource.release()
 
     def sleeper(env, name):
-        # Interrupt target: its pending timeouts get detached mid-flight,
-        # leaving callback-less entries to drain from the queue.
+        # Evenly spaced wake-ups that tie with other processes' timeouts.
         for _ in range(12):
-            try:
-                yield env.timeout(5.0)
-                log.append((name, env.now, "woke"))
-            except Interrupt as intr:
-                log.append((name, env.now, intr.cause))
+            yield env.timeout(5.0)
+            log.append((name, env.now, "woke"))
 
-    def interrupter(env, name, victims, r):
+    def pacer(env, name, r):
         for i in range(8):
             yield env.timeout(0.1 + r.random() * 3.0)
-            index = int(r.integers(len(victims)))
-            if victims[index].is_alive:
-                victims[index].interrupt(f"poke-{i}")
-                log.append((name, env.now, index))
-                # The priority-0 interrupt must beat this same-time,
-                # default-priority wake-up despite its later seq.
-                yield env.timeout(0.0)
-                log.append((name, env.now, "resumed"))
-        return "interrupter done"
+            log.append((name, env.now, i))
+            # A zero-delay timeout: same instant, later seq.
+            yield env.timeout(0.0)
+            log.append((name, env.now, "resumed"))
+        return "pacer done"
 
     def producer(env, name, r):
         # Mostly faster than the consumer, so puts block on the full
@@ -118,7 +108,8 @@ def _random_workload(env: Environment, seed: int, log) -> Event:
     def standing(event):
         log.append(("standing", env.now, event.value))
 
-    victims = [env.process(sleeper(env, f"sleeper-{i}")) for i in range(3)]
+    for i in range(3):
+        env.process(sleeper(env, f"sleeper-{i}"))
     for i in range(6):
         env.process(burst(env, f"burst-{i}", streams.stream(f"burst-{i}")))
     for i in range(4):
@@ -127,9 +118,7 @@ def _random_workload(env: Environment, seed: int, log) -> Event:
     for name in ("producer-0", "producer-1"):
         env.process(producer(env, name, streams.stream(name)))
     env.process(consumer(env, "consumer", streams.stream("consumer")))
-    stop = env.process(
-        interrupter(env, "interrupter", victims, streams.stream("interrupter"))
-    )
+    stop = env.process(pacer(env, "pacer", streams.stream("pacer")))
     # Unconsumed far-future timeouts: a standing heap population that
     # outlives every process.
     r = streams.stream("standing")
@@ -139,20 +128,20 @@ def _random_workload(env: Environment, seed: int, log) -> Event:
 
 
 #: ``RunDigest`` hex of each ``(seed, until)`` run of ``_random_workload``,
-#: recorded with an earlier two-level schedule (see the module docstring).
+#: recorded with the two-lane kernel (see the module docstring).
 PINNED_DIGESTS = {
-    (0, "none"): "c5b8db062517e6af936b079082203449",
-    (0, "time"): "80cb943a764509d343cdca71e27ca501",
-    (0, "event"): "378cea7f5279045902e454ff0484d353",
-    (7, "none"): "b13789cdc79e9bea0c02944970e85956",
-    (7, "time"): "893180d517542a574a32c09311b8d2a5",
-    (7, "event"): "1fcccfd1d52a64a5c56bfcea3572dfdc",
-    (1234, "none"): "d8825977c3105308e4d17e43812e6bce",
-    (1234, "time"): "63e5b005d4e1ac4a763c984fce74c8f5",
-    (1234, "event"): "8134a433c13dd8f0acd9e6587aaf39df",
-    (99991, "none"): "4301d4314f55480fad11921592526ffa",
-    (99991, "time"): "fed39eb47668d6dde26c6e3ed7660286",
-    (99991, "event"): "32a46ca339410a36a30f2f6ddc419c69",
+    (0, "none"): "d8d683475394a4c55fd6a432214f441b",
+    (0, "time"): "4b3ced4e29fadf2d59aece544d9329a8",
+    (0, "event"): "bc9f595a8db362c16dce786762c71835",
+    (7, "none"): "af9dee3ca0b22a375c59f9e9a6f9cc5c",
+    (7, "time"): "1ad75f192ebdbeb92b38da87be8cca55",
+    (7, "event"): "808decf358eb7a9f8944435a260ae039",
+    (1234, "none"): "3f095ea308399ac90f0a73f667c3ffb2",
+    (1234, "time"): "e247e6b15a50f2728648ad3c3d056758",
+    (1234, "event"): "ed57f41b21e02927adee3f62b6ffb33b",
+    (99991, "none"): "5de360e27089450703e85c264d3feb87",
+    (99991, "time"): "b262e98720fd5abf14292d1f3f192f57",
+    (99991, "event"): "4e728920809d29048829da755db84ee3",
 }
 
 
@@ -218,7 +207,7 @@ def test_inlined_and_step_drains_are_identical(seed, until):
     log, result, now, _seq, next_time = inlined
     names = {name for name, _now, _obs in log}
     assert {
-        "interrupter", "standing", "sleeper-0", "contender-0",
+        "pacer", "standing", "sleeper-0", "contender-0",
         "producer-0", "consumer",
     } <= names
     if until == "none":
@@ -226,8 +215,8 @@ def test_inlined_and_step_drains_are_identical(seed, until):
     elif until == "time":
         assert now == HORIZON < next_time < float("inf")
     else:
-        # Stopped at the interrupter's finish, with events still pending.
-        assert result == "interrupter done"
+        # Stopped at the pacer's finish, with events still pending.
+        assert result == "pacer done"
         assert now <= next_time < float("inf")
 
 
@@ -270,10 +259,10 @@ def _merge_workload(env: Environment, seed: int, log) -> Event:
     Every process wakes on a coarse grid of shared future instants, so
     several timeouts land on each one, and at each instant it mixes
     ``succeed()`` chains (callbacks and relay processes that trigger the
-    next link at the same instant), zero-delay timeouts, process
-    bootstraps and priority-0 interrupts.  A same-instant trigger and a
-    zero-delay timeout or an interrupt issued around it must pop in
-    ``(time, priority, seq)`` order whatever structure holds them.
+    next link at the same instant), zero-delay timeouts and process
+    bootstraps.  A same-instant trigger and a zero-delay timeout issued
+    around it must pop in ``(time, priority, seq)`` order whatever
+    structure holds them.
     Returns a bare event that a signaller triggers mid-instant, with
     more same-instant triggers issued after it, so ``run(until=event)``
     returns while entries at ``now`` are still pending.
@@ -332,23 +321,17 @@ def _merge_workload(env: Environment, seed: int, log) -> Event:
 
     def sleeper(env, name):
         for _ in range(10):
-            try:
-                yield env.timeout(7.0)
-                log.append((name, env.now, "woke"))
-            except Interrupt as intr:
-                log.append((name, env.now, intr.cause))
+            yield env.timeout(7.0)
+            log.append((name, env.now, "woke"))
 
-    def interrupter(env, name, victims, r):
+    def chainer(env, name, r):
         for i in range(12):
             yield env.timeout_at(grid(r))
-            # Triggers issued first, the interrupt after: priority 0
-            # still pops ahead of them.
+            # Triggers issued first, a zero-delay timeout after: the
+            # triggers hold the smaller seqs, so they fire first.
             chain(1 + int(r.integers(3)), (name, i))
-            index = int(r.integers(len(victims)))
-            if victims[index].is_alive:
-                victims[index].interrupt(f"poke-{i}")
-                log.append((name, env.now, index))
             yield env.timeout(0.0)
+            log.append((name, env.now, "zero"))
 
     def signaller(env, r):
         yield env.timeout_at(grid(r) + 3.0)
@@ -360,21 +343,22 @@ def _merge_workload(env: Environment, seed: int, log) -> Event:
         env.process(relay(env, "after-stop-relay", 2))
         log.append(("signaller", env.now, "signalled"))
 
-    victims = [env.process(sleeper(env, f"sleeper-{i}")) for i in range(2)]
+    for i in range(2):
+        env.process(sleeper(env, f"sleeper-{i}"))
     for i in range(5):
         name = f"worker-{i}"
         env.process(worker(env, name, streams.stream(name)))
-    env.process(interrupter(env, "interrupter", victims, streams.stream("interrupter")))
+    env.process(chainer(env, "chainer", streams.stream("chainer")))
     env.process(signaller(env, streams.stream("signaller")))
     return stop
 
 
 #: ``RunDigest`` hex of each seed's :func:`_merge_workload` run, recorded
-#: with the heap-only schedule (every trigger one ``heappush``).
+#: with the two-lane kernel (see the module docstring).
 MERGE_PINNED_DIGESTS = {
-    0: "9746f2bf4c67a7e0867e5f39388f8259",
-    7: "24d7bafda529283cac30006525f1b44d",
-    1234: "6b23e5e85f37e5145de95ecc7394df17",
+    0: "8144fa627ab54e2fa205dbb732b92a4f",
+    7: "74c1c37f86df952d536e038b9faf1888",
+    1234: "b6162334cd40e59788fc940ee6c1f5d7",
 }
 
 
@@ -383,28 +367,37 @@ def _merge_run(seed: int, drive: str):
 
     ``"run"`` is one ``run()``; ``"step"`` a plain ``step()`` loop;
     ``"stop"`` a ``run(until=stop)`` that must return with same-instant
-    entries still pending, then a ``step()`` loop for the rest.
+    entries still pending, then a ``run()`` for the rest.  The last
+    element is the number of events processed by the time ``stop`` was
+    (all of them for ``"run"``).
     """
     digest = RunDigest()
     env = Environment(trace=digest)
     log: list[tuple] = []
     stop = _merge_workload(env, seed, log)
-    steps = 0
     if drive == "run":
         env.run()
+        at_stop = digest.events
+    elif drive == "stop":
+        assert env.run(until=stop) == "stop"
+        at_stop = digest.events
+        # The relay bootstrapped after the stop event is still pending
+        # at this very instant, and relays at it once the run resumes.
+        stopped_at = env.now
+        assert ("signaller", stopped_at, "signalled") in log
+        assert ("after-stop-relay", stopped_at, "relayed") not in log
+        env.run()
+        assert ("after-stop-relay", stopped_at, "relayed") in log
     else:
-        if drive == "stop":
-            assert env.run(until=stop) == "stop"
-            assert env.peek() == env.now
-            assert ("signaller", env.now, "signalled") in log
-            assert ("after-stop-relay", env.now, "relayed") not in log
+        steps = 0
         while env.peek() < float("inf"):
             before = digest.events
             env.step()
             # step() hands the hook its one row on return.
             assert digest.events == before + 1
             steps += 1
-    return digest.hexdigest(), digest.events, log, env.now, env._seq, steps
+        at_stop = steps
+    return digest.hexdigest(), digest.events, log, env.now, env._seq, at_stop
 
 
 @pytest.mark.parametrize("seed", sorted(MERGE_PINNED_DIGESTS))
@@ -418,5 +411,5 @@ def test_same_instant_merge_order_is_pinned(seed):
     assert stepped[5] == ran[1]
     assert 0 < stopped[5] < ran[1]
     names = {entry[0] for entry in ran[2]}
-    assert {"chain", "interrupter", "sleeper-0", "signaller", "worker-0"} <= names
+    assert {"chain", "chainer", "sleeper-0", "signaller", "worker-0"} <= names
     assert any(entry[-1] == "relayed" for entry in ran[2])
