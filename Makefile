@@ -32,10 +32,13 @@ sanitize:
 	REPRO_SANITIZE=1 PYTHONPATH=src python -m pytest tests/
 
 # Style (ruff) + determinism invariants (ursalint per-file rules plus the
-# whole-program PAR pass, see docs/static_analysis.md).
+# whole-program PAR pass, see docs/static_analysis.md).  Both halves always
+# run; the target fails if either does (ruff missing counts as a failure).
 lint:
-	ruff check src tests benchmarks
-	PYTHONPATH=src python -m repro.analysis src/ benchmarks/ tests/
+	status=0; \
+	ruff check src tests benchmarks || status=1; \
+	PYTHONPATH=src python -m repro.analysis src/ benchmarks/ tests/ || status=1; \
+	exit $$status
 
 # Static types for the provenance-critical modules (results store,
 # histogram, metrics hub and registry).  Requires mypy from the dev extras; CI runs this gate.

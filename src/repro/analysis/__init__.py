@@ -10,7 +10,7 @@ SIM002    no global RNG (``random.*``, ``np.random.*``); use
           :class:`repro.sim.random.RandomStreams`
 SIM003    no iteration over unordered ``set`` / ``frozenset`` values
 SIM004    no bare/broad ``except`` in generator processes (swallows
-          :class:`repro.sim.engine.Interrupt`)
+          the failed events thrown into them)
 SIM005    every ``acquire()`` in a process releases in a ``finally``
           (or declares a checked ``transfers=`` ownership handoff)
 SIM006    no ``==`` / ``!=`` against the float ``env.now``

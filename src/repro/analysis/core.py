@@ -4,7 +4,7 @@ The simulation engine promises that "runs with the same seed are exactly
 reproducible" (:mod:`repro.sim.engine`).  That promise rests on coding
 rules -- named :class:`~repro.sim.random.RandomStreams` instead of global
 RNG, no wall-clock reads on simulated paths, no iteration over unordered
-sets, no broad ``except`` swallowing :class:`~repro.sim.engine.Interrupt`
+sets, no broad ``except`` swallowing a failed event thrown into a process
 -- which this package turns from convention into checked invariants.
 
 This module provides the pieces shared by every rule:

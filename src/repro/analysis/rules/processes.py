@@ -1,4 +1,4 @@
-"""Process-body rules: Interrupt safety and resource leak detection.
+"""Process-body rules: failure propagation and resource leak detection.
 
 Simulation processes are plain generator functions, so both rules key on
 "does this function's own body yield" (:func:`is_generator_function`) --
@@ -50,19 +50,21 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
 class BroadExceptRule(Rule):
     """Flag broad ``except`` clauses inside generator processes.
 
-    :class:`repro.sim.engine.Interrupt` subclasses ``Exception``, so a
-    ``try: ... except Exception: pass`` inside a process silently eats the
-    interrupt another process threw -- the interrupted process keeps
-    running and the interruptor's assumption is violated.  Catch specific
-    exceptions, or re-raise with a bare ``raise``.
+    The engine throws a failed event into the process waiting on it -- a
+    failed child process's exception, say -- so a ``try: ... except
+    Exception: pass`` inside a process silently eats that failure: the
+    waiter keeps running, and the run carries on past a bug instead of
+    stopping at it.  Catch specific exceptions, or re-raise with a bare
+    ``raise``.
     """
 
     id = "SIM004"
     title = "broad except in a simulation process"
     rationale = (
-        "Interrupt subclasses Exception; a bare/broad except inside a "
-        "generator process swallows interrupts thrown by other processes. "
-        "Catch specific exceptions or re-raise."
+        "A failed event (a failed child process, say) is thrown into the "
+        "process waiting on it; a bare/broad except there swallows the "
+        "failure, so the run carries on past a bug. Catch specific "
+        "exceptions or re-raise."
     )
 
     def _visit_function(self, node) -> None:
@@ -82,9 +84,9 @@ class BroadExceptRule(Rule):
                     )
                     self.report(
                         child,
-                        f"{what} in a generator process would swallow "
-                        "sim.engine.Interrupt; catch specific exceptions or "
-                        "re-raise",
+                        f"{what} in a generator process would swallow a "
+                        "failed event thrown into it; catch specific "
+                        "exceptions or re-raise",
                     )
         self.generic_visit(node)
 
@@ -96,8 +98,7 @@ class BroadExceptRule(Rule):
 class AcquireReleaseRule(Rule):
     """Flag ``x.acquire()`` in a process with no ``x.release()`` in a finally.
 
-    If the process fails (or is interrupted) between acquire and release,
-    the slot leaks for the rest of the run: capacity shrinks and every
+    If the process fails between acquire and release, the slot leaks for the rest of the run: capacity shrinks and every
     later sample of queue depth and latency is silently skewed.  The safe
     shape is::
 
@@ -205,8 +206,8 @@ class AcquireReleaseRule(Rule):
                 self.report(
                     call,
                     f"{receiver}.acquire() has no {receiver}.release() "
-                    "in a finally block of this process; a failure or "
-                    "interrupt between them leaks the slot",
+                    "in a finally block of this process; a failure "
+                    "between them leaks the slot",
                 )
         self.generic_visit(node)
 

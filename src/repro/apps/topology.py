@@ -362,24 +362,6 @@ class Application:
             return 0.0
         return failures / checks
 
-    def sla_violation_rate(self, t0: float, t1: float) -> float:
-        """Overall fraction of completed requests violating their SLA.
-
-        Computed from completed-request latencies recorded in ``[t0, t1)``
-        across all request classes.
-        """
-        violations = 0.0
-        completed = 0
-        for rc in self.spec.request_classes:
-            labels = {"request": rc.name}
-            dist = self.hub.latency_distribution("request_latency", t0, t1, labels)
-            if dist:
-                completed += dist.count
-                violations += dist.fraction_above(rc.sla.target_s) * dist.count
-        if completed == 0:
-            return 0.0
-        return violations / completed
-
     def per_class_violation_rate(self, t0: float, t1: float) -> dict[str, float]:
         """Per-request-class SLA violation rates over ``[t0, t1)``."""
         rates: dict[str, float] = {}

@@ -61,10 +61,6 @@ class MlpRegressor:
         self._y_std = np.ones(output_dim)
         self._fitted = False
 
-    @property
-    def num_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
     # ------------------------------------------------------------------
     def _forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         activations = [x]

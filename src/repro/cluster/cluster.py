@@ -118,8 +118,5 @@ class Cluster:
         """Scale-up pods refused at capacity (capped clusters only)."""
         return sum(d.capped_scale_ups for d in self._deployments.values())
 
-    def total_cpus(self) -> int:
-        return self.scheduler.total_cpus()
-
     def free_cpus(self) -> int:
         return self.scheduler.free_cpus()

@@ -50,8 +50,5 @@ class Scheduler:
         chosen.allocate(cpus, memory_gb)
         return chosen
 
-    def total_cpus(self) -> int:
-        return sum(node.cpus for node in self.nodes)
-
     def free_cpus(self) -> int:
         return sum(node.cpus_free for node in self.nodes)

@@ -26,7 +26,6 @@ class OverestimationTracker:
 
     alpha: float = 0.3
     _ratios: dict[str, float] = field(default_factory=dict)
-    _counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:
@@ -46,7 +45,6 @@ class OverestimationTracker:
             self._ratios[request_class] = (
                 self.alpha * ratio + (1.0 - self.alpha) * previous
             )
-        self._counts[request_class] = self._counts.get(request_class, 0) + 1
 
     def ratio(self, request_class: str) -> float:
         """Expected measured/bound ratio (1.0 when nothing observed)."""
@@ -57,6 +55,3 @@ class OverestimationTracker:
         if bound <= 0:
             raise ConfigurationError(f"bound must be > 0: {bound}")
         return bound * self.ratio(request_class)
-
-    def observations(self, request_class: str) -> int:
-        return self._counts.get(request_class, 0)

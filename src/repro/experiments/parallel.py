@@ -82,7 +82,6 @@ __all__ = [
     "default_jobs",
     "warm_pool",
     "shutdown_pool",
-    "pool_stats",
 ]
 
 #: Environment variable overriding the default worker count (useful for
@@ -249,11 +248,6 @@ def shutdown_pool() -> None:
 
 
 atexit.register(shutdown_pool)
-
-
-def pool_stats() -> dict[str, Any]:
-    """Introspection for tests: is the pool warm, and how many workers?"""
-    return {"alive": _pool is not None, "workers": _pool_workers}
 
 
 def run_many(

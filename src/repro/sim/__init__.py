@@ -3,15 +3,14 @@
 Public surface:
 
 * :class:`~repro.sim.engine.Environment`, :class:`~repro.sim.engine.Event`,
-  :class:`~repro.sim.engine.Process`, :class:`~repro.sim.engine.Timeout`,
-  :class:`~repro.sim.engine.Interrupt` -- the event loop.
+  :class:`~repro.sim.engine.Process`, :class:`~repro.sim.engine.Timeout`
+  -- the event loop.
 * :class:`~repro.sim.resources.Resource`, :class:`~repro.sim.resources.Store`,
   :class:`~repro.sim.resources.PriorityStore` -- shared resources.
 * :class:`~repro.sim.random.RandomStreams` and the distribution classes --
   reproducible stochastic inputs.
-* :class:`~repro.sim.trace.EventTraceRecorder` /
-  :class:`~repro.sim.trace.RunDigest` -- hooks for
-  ``Environment(trace=...)``, which hands them buffers of
+* :class:`~repro.sim.trace.RunDigest` -- the hook for
+  ``Environment(trace=...)``, which hands it buffers of
   ``(when, priority, seq, event type)`` rows (reproducibility checks,
   run fingerprints next to ``results/``).
 """
@@ -21,7 +20,6 @@ from repro.sim.engine import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -29,13 +27,12 @@ from repro.sim.engine import (
 from repro.sim.random import (
     Constant,
     Distribution,
-    Exponential,
     LogNormal,
     Mixture,
     RandomStreams,
 )
 from repro.sim.resources import PriorityStore, Resource, Store
-from repro.sim.trace import EventTraceRecorder, RunDigest
+from repro.sim.trace import RunDigest
 
 __all__ = [
     "AllOf",
@@ -44,9 +41,6 @@ __all__ = [
     "Distribution",
     "Environment",
     "Event",
-    "EventTraceRecorder",
-    "Exponential",
-    "Interrupt",
     "LogNormal",
     "Mixture",
     "PriorityStore",

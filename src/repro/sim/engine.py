@@ -10,7 +10,6 @@ when the event it waits on fires.  The engine provides:
 * :class:`Timeout` -- an event that fires after a simulated delay.
 * :class:`Process` -- a running generator, itself awaitable as an event.
 * :class:`AnyOf` / :class:`AllOf` -- condition events over several events.
-* :class:`Interrupt` -- exception thrown into a process by another process.
 
 The engine is deterministic: events scheduled at the same simulated time
 fire in scheduling order (a monotonically increasing sequence number breaks
@@ -35,27 +34,27 @@ locals cleared (see :class:`Process`).  A real run therefore triggers a
 handful of collections instead of hundreds (docs/performance.md).
 
 The schedule holds ``(time, priority, seq, event)`` entries, owned by
-this module, in two lanes.  ``succeed``, ``fail`` and process
-bootstraps trigger at the current instant with the default priority:
-they append to the *ready lane*, a FIFO deque, which stays sorted
-because every entry in it is at ``now`` and ``seq`` only grows.
-Timeouts (at any delay, zero included) and priority-0 interrupts go to
-a binary heap.  The drain loop pops the lane's head unless the heap's
-front sorts before it, which only a heap entry at the same instant can
-do, so pops stay in exactly ``(time, priority, seq)`` order and
-sequence numbers are those of a single heap; the clock advances only
-from the heap, once the lane is empty.  Most pops in a real run are
-same-instant triggers, which then cost a deque append and pop instead
-of a sift through a few dozen pending timeouts.  Other modules trigger
-events only through the :class:`Event` API (docs/performance.md).
+this module, in two lanes.  Every entry has priority 1; the column
+stays because trace rows, and so run digests, carry it.  ``succeed``,
+``fail`` and process bootstraps trigger at the current instant: they
+append to the *ready lane*, a FIFO deque, which stays sorted because
+every entry in it is at ``now`` and ``seq`` only grows.  Timeouts, at
+any delay including zero, go to a binary heap.  The drain loop pops the
+lane's head unless the heap's front sorts before it, which only a
+timeout at the same instant with a smaller ``seq`` can do, so pops stay
+in exactly ``(time, priority, seq)`` order and sequence numbers are
+those of a single heap; the clock advances only from the heap, once the
+lane is empty.  Most pops in a real run are same-instant triggers,
+which then cost a deque append and pop instead of a sift through a few
+dozen pending timeouts.  Other modules trigger events only through the
+:class:`Event` API (docs/performance.md).
 
 There is one drain loop, :meth:`Environment._drain`: it serves all
-three ``until`` forms of :meth:`Environment.run`, and
-:meth:`Environment.step` is one iteration of it.  The pop, the trace
+three ``until`` forms of :meth:`Environment.run`, so the pop, the trace
 rows, the callbacks, the unhandled-failure raise and the timeout
-recycle therefore exist once.  ``tests/sim/test_drain_equivalence.py``
-pins that ``run()`` and a loop of ``step()`` calls produce identical
-runs, traced or not.
+recycle exist once.  ``tests/sim/test_drain_equivalence.py`` pins the
+event stream of each form, traced or not, and of a ``run(until=event)``
+that returns mid-instant and is resumed by ``run()``.
 
 The trace hook is a row sink, not a per-event call: the drain loop
 appends a ``(when, priority, seq, type)`` row per popped event and hands
@@ -91,7 +90,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Timeout",
@@ -107,18 +105,6 @@ TraceHook = Callable[[list[TraceRow]], None]
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event states
@@ -223,27 +209,15 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation.
+    """An event that fires at a set simulated time.
 
-    Timeouts are pooled per environment (see
-    :meth:`Environment.timeout`); ``_gen`` counts how many times this
-    object has been handed out.  Constructing one directly always
-    allocates fresh and is fully supported -- the pool is an
-    optimization of the factory, not a change in semantics.
+    Built and scheduled only by :meth:`Environment.timeout` and
+    :meth:`Environment.timeout_at`, which hand out pooled objects (see
+    :meth:`Environment._schedule_timeout`); ``_gen`` counts how many
+    times this object has been handed out.
     """
 
     __slots__ = ("_gen",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self._value = value
-        self._state = _TRIGGERED
-        self._gen = 0
-        env._timeout_allocs += 1
-        env._seq = seq = env._seq + 1
-        _heappush(env._queue, (env._now + delay, 1, seq, self))
 
 
 class _ConditionValue(dict):
@@ -349,22 +323,21 @@ class Process(Event):
     A process that raises fails with the exception it raised.  Its
     traceback keeps the lines of the generators the exception
     propagated out of -- the raising one, and every waiter it passed
-    through, an :class:`Interrupt` included -- but those frames' locals
-    are cleared, and the kernel's own frames are dropped.  A waiter that
-    catches the failure does not add its frame to it.  An unhandled
-    failure that :meth:`Environment.run` re-raises therefore still
-    prints where it was raised, but a debugger cannot inspect the
-    finished generators' variables.
+    through -- but those frames' locals are cleared, and the kernel's
+    own frames are dropped.  A waiter that catches the failure does not
+    add its frame to it.  An unhandled failure that
+    :meth:`Environment.run` re-raises therefore still prints where it
+    was raised, but a debugger cannot inspect the finished generators'
+    variables.
     """
 
-    __slots__ = ("_generator", "_target", "_send", "_throw", "_resume_cb", "__weakref__")
+    __slots__ = ("_generator", "_send", "_throw", "_resume_cb", "__weakref__")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Event | None = None
         # Bound methods are cached once: creating them per resume/wait is
         # a measurable cost at millions of events per run.
         self._send = generator.send
@@ -380,33 +353,6 @@ class Process(Event):
         env._seq = seq = env._seq + 1
         env._ready.append((env._now, 1, seq, init))
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return self._state == _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event.
-        """
-        if self._state != _PENDING:
-            raise SimulationError("cannot interrupt a finished process")
-        env = self.env
-        if self is env._active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        interrupt_event = Event(env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event._state = _TRIGGERED
-        env._seq = seq = env._seq + 1
-        # Priority 0 beats every same-time, default-priority event, so
-        # it goes to the heap, never the priority-1 ready lane.
-        _heappush(env._queue, (env._now, 0, seq, interrupt_event))
-        interrupt_event.callbacks.append(self._resume_cb)
-
     def _release(self) -> None:
         """Drop the finished generator and the cached callables.
 
@@ -419,19 +365,7 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         if self._state != _PENDING:
-            return  # process already finished (e.g. interrupt raced finish)
-        env = self.env
-        # Detach from the previous target if we were interrupted away.
-        target = self._target
-        if target is not None and target is not event:
-            target_callbacks = target.callbacks
-            if target_callbacks is not None:
-                try:
-                    target_callbacks.remove(self._resume_cb)
-                except ValueError:
-                    pass
-        self._target = None
-        env._active_process = self
+            return  # finished: a stale resume must not touch the generator
         send = self._send
         while True:
             try:
@@ -457,12 +391,10 @@ class Process(Event):
                         raise
                     failure.__traceback__ = raised_at
             except StopIteration as stop:
-                env._active_process = None
                 self._release()
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                env._active_process = None
                 self._release()
                 self.fail(_detach_traceback(exc, _getframe()))
                 # The generator's finished frame, kept by the traceback,
@@ -477,7 +409,6 @@ class Process(Event):
             try:
                 callbacks = next_event.callbacks
             except AttributeError:
-                env._active_process = None
                 self._release()
                 self.fail(
                     SimulationError(
@@ -492,9 +423,7 @@ class Process(Event):
                 event = next_event
                 continue
             # Event still pending or triggered-not-processed: wait.
-            self._target = next_event
             callbacks.append(self._resume_cb)
-            env._active_process = None
             return
 
 
@@ -525,25 +454,20 @@ class Environment:
         env.run(until=100.0)
 
     Pending events live in a FIFO ready lane (same-instant triggers) and
-    a binary heap (timeouts and interrupts) of ``(time, priority, seq,
-    event)`` entries; see the module docstring.  ``trace`` installs an
-    optional event-trace hook (:mod:`repro.sim.trace`).
+    a binary heap (timeouts) of ``(time, priority, seq, event)``
+    entries; see the module docstring.  The clock starts at 0.
+    ``trace`` installs an optional event-trace hook
+    (:mod:`repro.sim.trace`).
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        trace: TraceHook | None = None,
-    ) -> None:
-        self._now = float(initial_time)
-        #: Pending timeouts and interrupts, as a heapq of (time,
-        #: priority, seq, event).
+    def __init__(self, trace: TraceHook | None = None) -> None:
+        self._now = 0.0
+        #: Pending timeouts, as a heapq of (time, priority, seq, event).
         self._queue: list[tuple[float, int, int, Event]] = []
         #: The ready lane: pending succeed/fail triggers and process
         #: bootstraps, all at (now, 1), in seq order.
         self._ready: deque[tuple[float, int, int, Event]] = deque()
         self._seq = 0
-        self._active_process: Process | None = None
         #: Optional event-trace hook, a row sink: the drain loop appends
         #: one ``(when, priority, seq, type(event))`` row per event it
         #: pops, *before* the event's callbacks run, and calls
@@ -551,8 +475,7 @@ class Environment:
         #: and with whatever is buffered when the drain returns (or
         #: raises).  The hook owns the list it is handed.  ``None`` (the
         #: default) costs one local ``is not None`` test per event.  See
-        #: :mod:`repro.sim.trace` for ready-made hooks (event recorders,
-        #: run digests).
+        #: :mod:`repro.sim.trace` for the run digest.
         self._trace = trace
         #: Freelist of recycled Timeout objects (see :meth:`timeout`).
         self._pool: list[Timeout] = []
@@ -560,11 +483,6 @@ class Environment:
         #: probe in benchmarks/perf/bench_engine.py reads both.
         self._timeout_allocs = 0
         self._timeout_reuses = 0
-
-    @property
-    def trace(self) -> TraceHook | None:
-        """The installed event-trace callback, if any."""
-        return self._trace
 
     @property
     def now(self) -> float:
@@ -578,11 +496,6 @@ class Environment:
         metrics hub reads the clock on every counter and latency write.
         """
         return partial(attrgetter("_now"), self)
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently executing, if any."""
-        return self._active_process
 
     def timeout_pool_stats(self) -> dict[str, int]:
         """Freelist counters: fresh allocations, reuses, pooled objects."""
@@ -646,8 +559,7 @@ class Environment:
             timeout._gen += 1
             self._timeout_reuses += 1
         else:
-            timeout = Timeout.__new__(Timeout)
-            Event.__init__(timeout, self)
+            timeout = Timeout(self)
             timeout._gen = 0
             self._timeout_allocs += 1
         timeout._value = value
@@ -665,29 +577,6 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling -------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._ready:
-            return self._now
-        return self._queue[0][0] if self._queue else _INF
-
-    def step(self) -> None:
-        """Process the next scheduled event: one iteration of :meth:`_drain`.
-
-        Raises the failure exception of any failed event that no process
-        handled (mirroring SimPy's "dead process" detection), so bugs do not
-        silently vanish.  A timeout processed here is never recycled: the
-        loop's reference to it fails the freelist's refcount guard.
-        """
-        ready = self._ready
-        queue = self._queue
-        if ready and not (queue and queue[0] < ready[0]):
-            self._drain(ready[0][3], _INF)
-        elif queue:
-            self._drain(queue[0][3], _INF)
-        else:
-            raise SimulationError("step() on an empty schedule")
-
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
 
@@ -699,8 +588,8 @@ class Environment:
         triggers (no process can fire it any more); that is reported as a
         :class:`SimulationError` rather than returning silently.
 
-        All three forms drain through :meth:`_drain`; overriding
-        :meth:`step` does not change how ``run`` drains.
+        A failed event that no process handled is raised here (mirroring
+        SimPy's "dead process" detection), so bugs do not silently vanish.
         """
         stop: Event | None = None
         horizon = _INF
@@ -726,7 +615,7 @@ class Environment:
         return None
 
     def _drain(self, stop: Event | None, horizon: float) -> None:
-        """The kernel's only event loop, behind both :meth:`run` and :meth:`step`.
+        """The kernel's only event loop, behind every form of :meth:`run`.
 
         Pops entries in ``(time, priority, seq)`` order -- the ready
         lane's head unless the heap's front sorts before it -- buffers each
@@ -751,8 +640,8 @@ class Environment:
         try:
             while True:
                 if ready:
-                    # Only a same-instant timeout with a smaller seq, or
-                    # an interrupt, sorts before the lane's head.
+                    # Only a same-instant timeout with a smaller seq
+                    # sorts before the lane's head.
                     if queue and queue[0] < ready[0]:
                         when, priority, seq, event = _heappop(queue)
                     else:

@@ -7,7 +7,7 @@ are derived from a root seed with ``numpy``'s ``SeedSequence.spawn``-style
 keying, so a (root_seed, name) pair always yields the same stream.
 
 Also provides the service-time distributions used by the microservice
-handler cost models (exponential, lognormal parameterised by mean and
+handler cost models (constant, lognormal parameterised by mean and
 coefficient of variation, and weighted mixtures of these).
 """
 
@@ -24,7 +24,6 @@ __all__ = [
     "RandomStreams",
     "Distribution",
     "Constant",
-    "Exponential",
     "LogNormal",
     "Mixture",
 ]
@@ -97,25 +96,6 @@ class Constant(Distribution):
 
     def scaled(self, factor: float) -> "Constant":
         return Constant(self.value * factor)
-
-
-@dataclass(frozen=True)
-class Exponential(Distribution):
-    """Exponential distribution with the given mean."""
-
-    mean: float
-
-    def __post_init__(self) -> None:
-        if self.mean <= 0:
-            raise ValueError(f"mean must be > 0, got {self.mean}")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        # numpy's own definition of exponential(scale): the same draw,
-        # without the scalar-argument broadcast.
-        return self.mean * rng.standard_exponential()
-
-    def scaled(self, factor: float) -> "Exponential":
-        return Exponential(self.mean * factor)
 
 
 @dataclass(frozen=True)

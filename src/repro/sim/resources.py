@@ -36,19 +36,7 @@ __all__ = ["Resource", "Store", "PriorityStore"]
 class _Request(Event):
     """Event representing a pending acquire; fires when granted."""
 
-    __slots__ = ("resource", "priority", "granted", "withdrawn")
-
-    def __init__(self, env: Environment, resource: "Resource", priority: int) -> None:
-        Event.__init__(self, env)
-        self.resource = resource
-        self.priority = priority
-        self.granted = False
-        self.withdrawn = False
-
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request (e.g. after an interrupt)."""
-        if not self.granted:
-            self.withdrawn = True
+    __slots__ = ()
 
 
 class Resource:
@@ -56,9 +44,9 @@ class Resource:
 
     ``capacity`` slots are available; an acquire beyond capacity queues the
     requesting process.  Lower ``priority`` values are granted first; equal
-    priorities are FIFO.  The queue length (:attr:`queue_len`) and the
-    number of slots in use (:attr:`in_use`) are exposed for instrumentation
-    -- the microservice model uses them to report queue depths.
+    priorities are FIFO.  The queue length (:attr:`queue_len`) is exposed
+    for instrumentation -- the microservice model uses it to report queue
+    depths.
     """
 
     __slots__ = ("env", "_capacity", "_in_use", "_seq", "_waiters")
@@ -77,20 +65,15 @@ class Resource:
         return self._capacity
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def queue_len(self) -> int:
         """Number of acquire requests currently waiting."""
-        return sum(1 for _, _, r in self._waiters if not r.withdrawn)
+        return len(self._waiters)
 
     def acquire(self, priority: int = 0) -> _Request:
         """Request one slot.  Returns an event that fires when granted."""
-        request = _Request(self.env, self, priority)
+        request = _Request(self.env)
         if self._in_use < self._capacity:
             self._in_use += 1
-            request.granted = True
             request.succeed(self)
         else:
             self._seq += 1
@@ -98,15 +81,11 @@ class Resource:
         return request
 
     def _grant_next(self) -> bool:
-        waiters = self._waiters
-        while waiters:
-            _, _, request = _heappop(waiters)
-            if request.withdrawn:
-                continue
-            request.granted = True
-            request.succeed(request.resource)
-            return True
-        return False
+        if not self._waiters:
+            return False
+        _, _, request = _heappop(self._waiters)
+        request.succeed(self)
+        return True
 
     def release(self) -> None:
         """Return one slot, waking the best-priority waiter if any."""

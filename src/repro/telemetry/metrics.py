@@ -318,15 +318,3 @@ class MetricsHub:
             if samples:
                 out.append((window * self.window_s, sum(samples) / len(samples)))
         return out
-
-    def label_sets(self, name: str) -> list[dict[str, str]]:
-        """Label sets of every series interned for ``name`` (any kind).
-
-        A series exists from the moment a handle interns it, so a label
-        set may be listed before (or without) any write.
-        """
-        seen: set[LabelSet] = set()
-        seen.update(self._latency.get(name, {}))
-        seen.update(self._counters.get(name, {}))
-        seen.update(self._gauges.get(name, {}))
-        return [dict(ls) for ls in sorted(seen)]

@@ -289,7 +289,7 @@ class SLOMonitor:
 
     Feed it completed requests via :meth:`observe` (or subscribe it to an
     :class:`~repro.apps.topology.Application` with :meth:`attach`); read
-    :attr:`alerts`, :meth:`burn_rates`, and :meth:`budget_report`.
+    :attr:`alerts` and :meth:`budget_report`.
 
     Everything the monitor computes stays on the monitor: it writes
     nothing to the :class:`~repro.telemetry.metrics.MetricsHub`, and the
@@ -436,25 +436,8 @@ class SLOMonitor:
     def classes(self) -> list[str]:
         return sorted(self._classes)
 
-    def burn_rates(self, request_class: str) -> tuple[float, float]:
-        """Current (fast, slow) burn rates for one class."""
-        state = self._classes[request_class]
-        self._advance_windows(state)
-        return state.burn(state.fast), state.burn(state.slow)
-
     def budget_consumed(self, request_class: str) -> float:
         return self._classes[request_class].budget_consumed()
-
-    def active_alerts(self) -> list[tuple[str, str]]:
-        """Currently firing ``(request_class, alert_name)`` pairs, sorted."""
-        out = []
-        for cls in sorted(self._classes):
-            state = self._classes[cls]
-            if state.burn_active:
-                out.append((cls, ALERT_BURN_RATE))
-            if state.budget_active:
-                out.append((cls, ALERT_BUDGET_EXHAUSTED))
-        return out
 
     def budget_report(self) -> dict[str, dict[str, float]]:
         """Per-class budget accounting (JSON-able, deterministic order)."""

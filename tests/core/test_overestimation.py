@@ -24,7 +24,6 @@ def test_ewma_smoothing():
     tracker.observe("req", 1.0, 1.0)  # ratio 1.0
     tracker.observe("req", 0.5, 1.0)  # ratio .5 -> ewma .75
     assert tracker.ratio("req") == pytest.approx(0.75)
-    assert tracker.observations("req") == 2
 
 
 def test_classes_tracked_separately():

@@ -18,11 +18,11 @@ import pytest
 
 import repro
 
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     RunPlan,
     default_jobs,
     partition_seeds,
-    pool_stats,
     run_many,
     shutdown_pool,
     warm_pool,
@@ -31,6 +31,11 @@ from repro.sim.random import RandomStreams
 
 APPS = ("social-network", "media-service")
 LOADS = ("constant", "dynamic")
+
+
+def pool_stats() -> dict:
+    """Is the shared pool warm, and how many workers does it have?"""
+    return {"alive": parallel._pool is not None, "workers": parallel._pool_workers}
 
 
 def cheap_cell(app: str, load: str, seed: int) -> float:

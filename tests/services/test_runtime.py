@@ -7,8 +7,9 @@ from repro.cluster import ClusterOptions
 from repro.errors import TopologyError
 from repro.net.messages import Call, CallMode
 from repro.services.spec import ServiceSpec
-from repro.sim import Constant, Exponential, RandomStreams
+from repro.sim import Constant, RandomStreams
 from repro.workload import ConstantLoad, LoadGenerator, RequestMix
+from tests.distributions import Exponential
 
 
 def two_tier_spec(mode=CallMode.RPC, work_front=0.002, work_back=0.005):
@@ -93,7 +94,8 @@ def test_sla_violation_counted():
     _, done = app.submit("req")
     app.env.run(until=done)
     app.env.run(until=60)
-    assert app.sla_violation_rate(0, 60) == 1.0
+    assert app.per_class_violation_rate(0, 60) == {"req": 1.0}
+    assert app.windowed_violation_rate(0, 60) == 1.0
 
 
 def test_unknown_class_rejected():

@@ -51,10 +51,10 @@ def test_nested_rpc_holds_thread_during_downstream_wait():
     env.run(until=10.05)  # mid-flight
     front = app.services["front"]
     replica = front._running[0]
-    assert replica.threads.in_use == 2
+    assert replica.threads._in_use == 2
     assert replica.threads.queue_len == 4
     # The front's CPU is idle while its threads block downstream.
-    assert replica.cpu.in_use == 0
+    assert replica.cpu._in_use == 0
 
 
 def test_mq_publish_releases_thread_immediately():
@@ -66,7 +66,7 @@ def test_mq_publish_releases_thread_immediately():
     front = app.services["front"]
     replica = front._running[0]
     # All six requests passed through the front already (1 ms work each).
-    assert replica.threads.in_use == 0
+    assert replica.threads._in_use == 0
     back = app.services["back"]
     assert back.queue.published == 6
     env.run(until=12)
@@ -84,9 +84,9 @@ def test_event_rpc_daemon_pool_bounds_dispatch():
     replica = front._running[0]
     # Daemon pool = 1 cpu x 8 threads x 2.0 = 16 daemons: all 10 in-flight
     # requests hold daemons (waiting on the 100 ms backend).
-    assert replica.daemons.in_use == 10
+    assert replica.daemons._in_use == 10
     env.run(until=15)
-    assert replica.daemons.in_use == 0
+    assert replica.daemons._in_use == 0
 
 
 def test_cpu_contention_serialises_processing():

@@ -15,14 +15,7 @@ import pytest
 
 from repro.apps.social_network import build_social_network_spec
 from repro.apps.topology import Application
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Interrupt,
-    RandomStreams,
-    SimulationError,
-)
+from repro.sim import AllOf, AnyOf, Environment, RandomStreams, SimulationError
 from repro.workload import ConstantLoad, LoadGenerator, RequestMix
 
 
@@ -62,7 +55,7 @@ def test_failed_process_is_freed_by_refcount(gc_disabled):
     """A waiter that catches a failed process's exception -- directly,
     through an intermediate waiter that lets it propagate, or as the
     context of another exception -- leaves no cycle through the
-    exception's traceback; nor does an uncaught interrupt."""
+    exception's traceback."""
     env = Environment()
 
     def raises(env):
@@ -85,37 +78,26 @@ def test_failed_process_is_freed_by_refcount(gc_disabled):
         except ValueError:
             raise KeyError("converted")
 
-    def interrupted(env, refs):
-        sleeper = env.process(sleeps(env))
-        refs.append(weakref.ref(sleeper))
-        yield env.timeout(0.5)
-        sleeper.interrupt("stop")
-        yield sleeper
-
-    def sleeps(env):
-        yield env.timeout(10.0)
-
     def waiter(env, refs):
         for child in (
             raises,
             yields_non_event,
             lambda env: passes_on(env, refs),
             lambda env: converts(env, refs),
-            lambda env: interrupted(env, refs),
         ):
             process = env.process(child(env))
             refs.append(weakref.ref(process))
             try:
                 yield process
-            except (ValueError, SimulationError, KeyError, Interrupt) as exc:
+            except (ValueError, SimulationError, KeyError) as exc:
                 caught.append(type(exc))
 
     caught: list[type] = []
     refs: list[weakref.ref] = []
     refs.append(weakref.ref(env.process(waiter(env, refs))))
     env.run()
-    assert caught == [ValueError, SimulationError, ValueError, KeyError, Interrupt]
-    assert len(refs) == 9
+    assert caught == [ValueError, SimulationError, ValueError, KeyError]
+    assert len(refs) == 7
     assert all(ref() is None for ref in refs)
 
 

@@ -14,7 +14,6 @@ from repro.cluster.cluster import ClusterOptions
 from repro.sim.engine import Environment, SimulationError
 from repro.sim.random import RandomStreams
 from repro.sim.resources import Resource
-from repro.sim.trace import EventTraceRecorder
 from repro.workload.defaults import social_network_mix
 from repro.workload.generator import LoadGenerator
 from repro.workload.patterns import ConstantLoad
@@ -22,13 +21,14 @@ from repro.workload.patterns import ConstantLoad
 import pytest
 
 
-def _run_social_network(seed: int, until: float = 20.0) -> bytes:
-    recorder = EventTraceRecorder()
+def _run_social_network(seed: int, until: float = 20.0) -> list[tuple]:
+    """Every trace row of the run: ``(when, priority, seq, event type)``."""
+    rows: list[tuple] = []
     app = Application(
         build_social_network_spec(),
         seed,
         initial_replicas=1,
-        trace=recorder,
+        trace=rows.extend,
         cluster_options=ClusterOptions(nodes=4),
     )
     env = app.env
@@ -41,7 +41,7 @@ def _run_social_network(seed: int, until: float = 20.0) -> bytes:
     generator.start()
     env.run(until=until)
     assert sum(generator.generated.values()) > 0, "load generator produced nothing"
-    return recorder.as_bytes()
+    return rows
 
 
 def test_same_seed_is_byte_identical():

@@ -1,15 +1,17 @@
-"""Drain equivalence: ``run()`` and a loop of ``step()`` calls agree.
+"""Drain equivalence: one ``run()`` and a run stepped one event at a time agree.
 
 :meth:`Environment.run` drains the schedule with the kernel's one loop,
-``_drain``, and :meth:`Environment.step` is one iteration of that loop.
-Driving a run by hand with ``step()`` must therefore pop the exact same
-``(time, priority, seq)`` order and hand the trace hook the same
-entries.  This file is the executable form of that promise: randomized
-workloads mixing zero-delay triggers, far-future timeouts, resource
-contention, and a bounded store's blocked puts and handoffs run through
-``run()`` and through a plain ``step()`` loop, for each ``until`` form,
-and the observation log (every process's observations, in global
-order), the final sequence number and the next pending time must match.
+``_drain``, for every ``until`` form.  A run driven one event at a time
+(:func:`tests.sim.stepping.step`, a ``run(until=<front event>)`` per
+event) returns from and re-enters that loop after every event, and must
+still pop the exact same ``(time, priority, seq)`` order and hand the
+trace hook the same entries.  This file is the executable form of that
+promise: randomized workloads mixing zero-delay triggers, far-future
+timeouts, resource contention, and a bounded store's blocked puts and
+handoffs run through ``run()`` and through a stepped loop, for each
+``until`` form, and the observation log (every process's observations,
+in global order), the final sequence number and the next pending time
+must match.
 
 The two drivers agreeing with each other does not show that they agree
 with an earlier kernel, so each ``(seed, until)`` run's
@@ -28,7 +30,8 @@ import pytest
 from repro.sim.engine import Environment, Event
 from repro.sim.random import RandomStreams
 from repro.sim.resources import Resource, Store
-from repro.sim.trace import EventTraceRecorder, RunDigest
+from repro.sim.trace import RunDigest
+from tests.sim.stepping import next_time, step
 
 #: The ``run(until=...)`` horizon of the ``"time"`` form.
 HORIZON = 20.0
@@ -154,13 +157,13 @@ def _run(env: Environment, seed: int, until: str):
         result = env.run(until=HORIZON)
     else:
         result = env.run(until=stop)
-    return log, result, env.now, env._seq, env.peek()
+    return log, result, env.now, env._seq, next_time(env)
 
 
 def _step_run(env: Environment, seed: int, until: str):
-    """:func:`_run` driven by a plain loop of ``env.step()`` calls.
+    """:func:`_run` driven by a loop of one-event :func:`step` calls.
 
-    Returns :func:`_run`'s tuple and the number of ``step()`` calls.
+    Returns :func:`_run`'s tuple and the number of ``step`` calls.
     Unlike ``run(until=HORIZON)``, the loop leaves the clock at the last
     processed event rather than at the horizon.
     """
@@ -169,16 +172,16 @@ def _step_run(env: Environment, seed: int, until: str):
     steps = 0
     if until == "event":
         while not stop.processed:
-            env.step()
+            step(env)
             steps += 1
         result = stop.value
     else:
         horizon = HORIZON if until == "time" else float("inf")
-        while env.peek() < float("inf") and env.peek() <= horizon:
-            env.step()
+        while next_time(env) < float("inf") and next_time(env) <= horizon:
+            step(env)
             steps += 1
         result = None
-    return (log, result, env.now, env._seq, env.peek()), steps
+    return (log, result, env.now, env._seq, next_time(env)), steps
 
 
 def _same_run(ran, stepped, until: str) -> None:
@@ -200,7 +203,7 @@ def test_inlined_and_step_drains_are_identical(seed, until):
     stepped, steps = _step_run(Environment(trace=step_digest), seed, until)
     assert inlined == traced
     _same_run(inlined, stepped, until)
-    # Each step() call processes exactly one event.
+    # Each step call processes exactly one event.
     assert steps == step_digest.events == digest.events
     assert digest.hexdigest() == PINNED_DIGESTS[(seed, until)]
     assert step_digest.hexdigest() == PINNED_DIGESTS[(seed, until)]
@@ -223,12 +226,13 @@ def test_inlined_and_step_drains_are_identical(seed, until):
 @pytest.mark.parametrize("until", ["none", "time", "event"])
 @pytest.mark.parametrize("seed", [0, 1234])
 def test_both_loops_feed_the_trace_hook_identically(seed, until):
-    inlined, stepped = EventTraceRecorder(), EventTraceRecorder()
-    ran = _run(Environment(trace=inlined), seed, until)
-    step_run, steps = _step_run(Environment(trace=stepped), seed, until)
+    inlined: list[tuple] = []
+    stepped: list[tuple] = []
+    ran = _run(Environment(trace=inlined.extend), seed, until)
+    step_run, steps = _step_run(Environment(trace=stepped.extend), seed, until)
     _same_run(ran, step_run, until)
     assert len(inlined) == steps > 0
-    assert inlined.entries == stepped.entries
+    assert inlined == stepped
 
 
 def test_until_processed_stop_returns_at_once():
@@ -365,7 +369,7 @@ MERGE_PINNED_DIGESTS = {
 def _merge_run(seed: int, drive: str):
     """Run :func:`_merge_workload` to exhaustion with one of three drivers.
 
-    ``"run"`` is one ``run()``; ``"step"`` a plain ``step()`` loop;
+    ``"run"`` is one ``run()``; ``"step"`` a loop of one-event steps;
     ``"stop"`` a ``run(until=stop)`` that must return with same-instant
     entries still pending, then a ``run()`` for the rest.  The last
     element is the number of events processed by the time ``stop`` was
@@ -390,10 +394,10 @@ def _merge_run(seed: int, drive: str):
         assert ("after-stop-relay", stopped_at, "relayed") in log
     else:
         steps = 0
-        while env.peek() < float("inf"):
+        while next_time(env) < float("inf"):
             before = digest.events
-            env.step()
-            # step() hands the hook its one row on return.
+            step(env)
+            # The drain hands the hook its one row on return.
             assert digest.events == before + 1
             steps += 1
         at_stop = steps

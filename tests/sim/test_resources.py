@@ -58,10 +58,10 @@ def test_resource_counts():
     env.process(holder(env))
     env.process(waiter(env))
     env.run(until=5)
-    assert res.in_use == 1
+    assert res._in_use == 1
     assert res.queue_len == 1
     env.run()
-    assert res.in_use == 0
+    assert res._in_use == 0
     assert res.queue_len == 0
 
 
@@ -113,9 +113,9 @@ def test_resize_shrink_does_not_preempt():
     env.process(worker(env))
     env.run(until=1)
     res.resize(1)
-    assert res.in_use == 2  # existing holders keep their slots
+    assert res._in_use == 2  # existing holders keep their slots
     env.run()
-    assert res.in_use == 0
+    assert res._in_use == 0
 
 
 def test_store_put_get_fifo():

@@ -102,19 +102,9 @@ def test_negative_delay_rejected_on_both_paths():
         env.timeout(-1.0)  # pool-reuse path
 
 
-def test_direct_construction_allocates_and_schedules():
-    env = Environment(initial_time=1.0)
-    with pytest.raises(SimulationError, match="negative timeout delay"):
-        Timeout(env, -1.0)
-    timeout = Timeout(env, 2.5, value="v")
-    assert timeout.triggered and not timeout.processed
-    assert env.timeout_pool_stats()["allocs"] == 1
-    assert env.run(until=timeout) == "v"
-    assert env.now == 3.5
-
-
 def test_timeout_at_in_the_past_rejected_on_both_paths():
-    env = Environment(initial_time=5.0)
+    env = Environment()
+    env.run(until=5.0)
     with pytest.raises(SimulationError, match="in the past"):
         env.timeout_at(4.0)  # fresh-allocation path
     assert env.timeout_pool_stats() == {"allocs": 0, "reuses": 0, "pooled": 0}

@@ -7,7 +7,8 @@ import pytest
 
 from repro.sim.engine import _TRACE_CHUNK, AnyOf, Environment, Event
 from repro.sim.resources import Resource
-from repro.sim.trace import EventTraceRecorder, RunDigest, combine_digests
+from repro.sim.trace import RunDigest, combine_digests
+from tests.sim.stepping import next_time, step
 
 
 def _workload(env: Environment, seed: int, drain=Environment.run) -> None:
@@ -33,27 +34,26 @@ def _workload(env: Environment, seed: int, drain=Environment.run) -> None:
     drain(env)
 
 
+def _entries(rows) -> list[tuple[float, int, int, str]]:
+    """``(when, priority, seq, type name)`` of each trace row."""
+    return [(when, priority, seq, cls.__name__) for when, priority, seq, cls in rows]
+
+
 def test_trace_hook_sees_every_processed_event():
-    recorder = EventTraceRecorder()
-    env = Environment(trace=recorder)
+    rows: list[tuple] = []
+    env = Environment(trace=rows.extend)
     _workload(env, seed=0)
-    assert len(recorder) > 0
-    times = [when for when, _p, _s, _name in recorder.entries]
+    assert len(rows) > 0
+    times = [when for when, _p, _s, _cls in rows]
     assert times == sorted(times)
-    assert all(name for _w, _p, _s, name in recorder.entries)
-
-
-def test_trace_property_and_default():
-    recorder = EventTraceRecorder()
-    assert Environment().trace is None
-    assert Environment(trace=recorder).trace is recorder
+    assert len(rows) == env._seq
 
 
 def test_traced_run_matches_untraced_timeline():
     """The hook is a pure observer: tracing must not change the schedule."""
     untraced = Environment()
     _workload(untraced, seed=3)
-    traced = Environment(trace=EventTraceRecorder())
+    traced = Environment(trace=[].extend)
     _workload(traced, seed=3)
     assert traced.now == untraced.now
     assert traced._seq == untraced._seq
@@ -62,25 +62,25 @@ def test_traced_run_matches_untraced_timeline():
 def test_recorder_is_deterministic_across_runs():
     traces = []
     for _ in range(2):
-        recorder = EventTraceRecorder()
-        env = Environment(trace=recorder)
+        rows: list[tuple] = []
+        env = Environment(trace=rows.extend)
         _workload(env, seed=1)
-        traces.append(recorder.as_bytes())
+        traces.append(_entries(rows))
     assert traces[0] == traces[1]
 
 
 def test_digest_matches_iff_traces_match():
-    def run(seed: int) -> tuple[str, bytes]:
-        recorder = EventTraceRecorder()
+    def run(seed: int) -> tuple[str, list]:
+        rows: list[tuple] = []
         digest = RunDigest()
 
-        def both(rows):
-            recorder(rows)
-            digest(rows)
+        def both(chunk):
+            rows.extend(chunk)
+            digest(chunk)
 
         env = Environment(trace=both)
         _workload(env, seed=seed)
-        return digest.hexdigest(), recorder.as_bytes()
+        return digest.hexdigest(), _entries(rows)
 
     d1, t1 = run(0)
     d2, t2 = run(0)
@@ -104,8 +104,8 @@ def test_digest_counts_events_and_does_not_finalise():
 
 @pytest.mark.parametrize("until", [5.0, None])
 def test_trace_hook_with_until(until):
-    recorder = EventTraceRecorder()
-    env = Environment(trace=recorder)
+    rows: list[tuple] = []
+    env = Environment(trace=rows.extend)
 
     def proc(env):
         for _ in range(10):
@@ -113,7 +113,7 @@ def test_trace_hook_with_until(until):
 
     env.process(proc(env))
     env.run(until=until)
-    assert len(recorder) > 0
+    assert len(rows) > 0
 
 
 def test_combine_digests_is_order_invariant():
@@ -155,19 +155,19 @@ def _reference_digest(entries) -> str:
 def test_batched_digest_hashes_the_per_event_byte_stream(n_events):
     env = Environment()
     kinds = [env.event(), env.timeout(1.0), AnyOf(env, [env.event()])]
-    recorder = EventTraceRecorder()
+    recorded: list[tuple] = []
     digest = RunDigest()
     checkpoints = {0, 1, 100, 255, 256, 300, 511, 512, 4096, n_events}
     for i in range(n_events + 1):
         if i in checkpoints:
             # hexdigest() between chunks folds a partial chunk; the stream
             # must continue exactly where it left off.
-            assert digest.events == len(recorder) == i
-            assert digest.hexdigest() == _reference_digest(recorder.entries)
+            assert digest.events == len(recorded) == i
+            assert digest.hexdigest() == _reference_digest(_entries(recorded))
         if i == n_events:
             break
         rows = [(i * 0.25, i % 2, i + 1, type(kinds[i % 3]))]
-        recorder(rows)
+        recorded.extend(rows)
         digest(rows)
     assert digest.events == n_events
 
@@ -177,46 +177,47 @@ def _no_drain(env: Environment) -> None:
 
 
 def _stepped(env: Environment) -> None:
-    """Drain ``env`` one ``step()`` at a time: one row per hook call."""
-    while env.peek() < float("inf"):
-        env.step()
+    """Drain ``env`` one event at a time: one row per hook call."""
+    while next_time(env) < float("inf"):
+        step(env)
 
 
 def test_batched_digest_matches_reference_on_a_real_run():
-    recorder = EventTraceRecorder()
+    recorded: list[tuple] = []
     digest = RunDigest()
     calls = []
 
     def both(rows):
         calls.append(len(rows))
-        recorder(rows)
+        recorded.extend(rows)
         digest(rows)
 
     env = Environment(trace=both)
     for seed in range(3):
         _workload(env, seed=seed, drain=_no_drain)
     env.run()
-    assert digest.events == len(recorder) > 256
-    assert digest.hexdigest() == _reference_digest(recorder.entries)
+    assert digest.events == len(recorded) > 256
+    assert digest.hexdigest() == _reference_digest(_entries(recorded))
     # One drain: full buffers, then the partial one when it returns.
-    assert sum(calls) == len(recorder)
+    assert sum(calls) == len(recorded)
     assert calls[:-1] == [_TRACE_CHUNK] * (len(calls) - 1)
     assert 0 < calls[-1] <= _TRACE_CHUNK
 
     # The same workloads drained one event per hook call give the same
     # rows, so the kernel's buffering is invisible in the stream.
-    per_event, per_event_digest = EventTraceRecorder(), RunDigest()
+    per_event: list[tuple] = []
+    per_event_digest = RunDigest()
 
     def one_at_a_time(rows):
         assert len(rows) == 1
-        per_event(rows)
+        per_event.extend(rows)
         per_event_digest(rows)
 
     stepped = Environment(trace=one_at_a_time)
     for seed in range(3):
         _workload(stepped, seed=seed, drain=_no_drain)
     _stepped(stepped)
-    assert per_event.entries == recorder.entries
+    assert per_event == recorded
     assert per_event_digest.hexdigest() == digest.hexdigest()
 
 

@@ -8,7 +8,8 @@ from repro.errors import ConfigurationError
 from repro.net.messages import Call
 from repro.services.spec import ServiceSpec
 from repro.services import base
-from repro.sim import Exponential, RandomStreams
+from repro.sim import RandomStreams
+from tests.distributions import Exponential
 from tests.stats.queueing_oracle import (
     erlang_c,
     mm1_response_percentile,

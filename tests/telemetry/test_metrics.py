@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TelemetryError
 from repro.telemetry.metrics import MetricsHub, labels_key
+from tests.telemetry.series import label_sets
 
 
 class FakeClock:
@@ -96,20 +97,6 @@ def test_gauge_mean_default(hub):
         hub.gauge_mean("missing", 0, 60)
 
 
-def test_label_sets(hub, clock):
-    hub.counter_handle("requests_total", {"service": "b", "request": "r"})
-    hub.counter_handle("requests_total", {"service": "a"})
-    hub.latency_handle("request_latency", {"request": "r"})
-    hub.gauge_handle("queue_depth", {"service": "a"})
-    assert hub.label_sets("requests_total") == [
-        {"request": "r", "service": "b"},
-        {"service": "a"},
-    ]
-    assert hub.label_sets("request_latency") == [{"request": "r"}]
-    assert hub.label_sets("queue_depth") == [{"service": "a"}]
-    assert hub.label_sets("cpu_allocated") == []
-
-
 def test_invalid_window(clock):
     with pytest.raises(TelemetryError):
         MetricsHub(clock, window_s=0)
@@ -170,7 +157,7 @@ def test_handle_creation_runs_registry_check(hub):
         with pytest.raises(TelemetryError, match="not declared"):
             factory("definitely_not_a_registered_metric")
     # A rejected handle creates no series.
-    assert hub.label_sets("definitely_not_a_registered_metric") == []
+    assert label_sets(hub, "definitely_not_a_registered_metric") == []
 
 
 def test_labels_accept_canonical_tuples(hub, clock):
@@ -192,7 +179,7 @@ def test_unsorted_label_tuple_names_the_dict_series(hub, clock):
         "service_latency", 0, 60, {"request": "r", "service": "post"}
     )
     assert dist.samples() == [0.5]
-    assert hub.label_sets("service_latency") == [{"request": "r", "service": "post"}]
+    assert label_sets(hub, "service_latency") == [{"request": "r", "service": "post"}]
 
 
 

@@ -19,6 +19,7 @@ from repro.telemetry.registry import (
 )
 from repro.workload.defaults import default_mix_for
 from repro.workload.patterns import ConstantLoad
+from tests.telemetry.series import label_sets
 
 
 class FakeClock:
@@ -182,26 +183,26 @@ def _series_after_short_run(observed: bool):
     )
     (app,) = apps
     hub = app.hub
-    return {name: hub.label_sets(name) for name in DEFAULT_REGISTRY.names()}, hub
+    return {name: label_sets(hub, name) for name in DEFAULT_REGISTRY.names()}, hub
 
 
 def test_real_deployment_writes_every_declared_metric():
     series, hub = _series_after_short_run(observed=False)
     for spec in DEFAULT_REGISTRY:
-        label_sets = series[spec.name]
-        assert label_sets, spec.name
+        series_labels = series[spec.name]
+        assert series_labels, spec.name
         if spec.kind == "latency":
             samples = sum(
                 hub.latency_distribution(spec.name, 0, 50, ls).count
-                for ls in label_sets
+                for ls in series_labels
             )
         elif spec.kind == "counter":
             samples = sum(
-                hub.counter_total(spec.name, 0, 50, ls) for ls in label_sets
+                hub.counter_total(spec.name, 0, 50, ls) for ls in series_labels
             )
         else:
             samples = sum(
-                len(hub.gauge_series(spec.name, 0, 50, ls)) for ls in label_sets
+                len(hub.gauge_series(spec.name, 0, 50, ls)) for ls in series_labels
             )
         assert samples > 0, spec.name
     # Tracing and SLO monitoring write nothing to the hub (and the hub

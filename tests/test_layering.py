@@ -94,3 +94,163 @@ def test_only_application_init_builds_a_deployment():
             if (module, scope) != ("repro/apps/topology.py", "Application.__init__"):
                 offenders.append(f"{module}:{line} {name}( in {scope or '<module>'}")
     assert offenders == []
+
+
+# -- public surface = called surface -----------------------------------------
+
+ROOT = SRC.parents[1]
+
+#: Decorators that wrap a definition without registering it anywhere.  Any
+#: other decorator (``@register``) makes its definition a root.
+WRAPPERS = {
+    "cached_property", "classmethod", "contextmanager", "dataclass",
+    "property", "setter", "staticmethod",
+}
+
+#: Public code kept without a production caller: ``module:qualname``, or a
+#: bare module path for a whole module, each with its reason.
+EXEMPT = {
+    "repro/solver/branch_and_bound.py:solve_exhaustive":
+        "the reference oracle that tests/solver/test_solver.py compares "
+        "solve() against",
+    "repro/core/theorem.py":
+        "the executable statement of Theorem 1 that docs/paper_mapping.md "
+        "cites",
+}
+
+
+def is_protocol(name: str) -> bool:
+    """A method Python calls by name: a dunder, or an ``ast.NodeVisitor``
+    ``visit_<node type>`` handler."""
+    if name.startswith("__") and name.endswith("__"):
+        return True
+    return name.startswith("visit_") and isinstance(getattr(ast, name[6:], None), type)
+
+
+def decorator_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "attr", None) or getattr(node, "id", "")
+
+
+def is_registered(node) -> bool:
+    return any(decorator_name(d) not in WRAPPERS for d in node.decorator_list)
+
+
+def references(nodes):
+    """Every name the code in ``nodes`` can reach a definition by."""
+    names = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                names.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    names.add(node.value)
+    return names
+
+
+def is_all(node) -> bool:
+    return isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
+        getattr(target, "id", None) == "__all__"
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+    )
+
+
+class Definition:
+    """One function, class or method of ``src/repro``."""
+
+    def __init__(self, module, node, owner=None):
+        self.module, self.node, self.owner = module, node, owner
+        self.name = node.name
+        self.qualname = f"{owner.name}.{node.name}" if owner else node.name
+        self.methods = []
+
+    @property
+    def body(self):
+        """The code that runs once this definition is live, minus methods."""
+        if isinstance(self.node, ast.ClassDef):
+            return [*self.node.bases, *self.node.keywords, *self.node.decorator_list,
+                    *(s for s in self.node.body if s not in self.method_nodes)]
+        return [self.node]
+
+    @property
+    def method_nodes(self):
+        return [m.node for m in self.methods]
+
+    @property
+    def public(self):
+        return not self.name.startswith("_")
+
+
+def definitions_and_roots():
+    """All definitions in ``src/repro``, and the code that is always live."""
+    defs, roots = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC.parent).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definition = Definition(module, stmt)
+                defs.append(definition)
+                if isinstance(stmt, ast.ClassDef):
+                    for item in stmt.body:
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                            method = Definition(module, item, definition)
+                            definition.methods.append(method)
+                            defs.append(method)
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)) and not is_all(stmt):
+                roots.append(stmt)
+    for folder in ("benchmarks", "examples"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            roots.append(ast.parse(path.read_text(), filename=str(path)))
+    return defs, roots
+
+
+def unreferenced_public_names():
+    """``module:qualname`` of every public definition no live code names.
+
+    Liveness spreads from the roots by name: a definition is live once
+    live code names it (a method only once its class is live too), and
+    its own body is live from then on.  Decorated registrations and
+    protocol methods are live with their scope.
+    """
+    defs, roots = definitions_and_roots()
+    live = set()
+    names = references(roots)
+    grew = True
+    while grew:
+        grew = False
+        for d in defs:
+            if id(d) in live:
+                continue
+            if d.owner is not None and id(d.owner) not in live:
+                continue
+            if d.name in names or is_protocol(d.name) or is_registered(d.node):
+                live.add(id(d))
+                names |= references(d.body)
+                grew = True
+    return sorted(
+        f"{d.module}:{d.qualname}" for d in defs if d.public and id(d) not in live
+    )
+
+
+def exemption(name: str):
+    """The :data:`EXEMPT` key covering ``module:qualname``, if any."""
+    module = name.partition(":")[0]
+    return next((key for key in (name, module) if key in EXEMPT), None)
+
+
+def test_every_public_name_has_a_production_reference():
+    """Every public function, class and method in ``src/repro`` is named by
+    code that runs outside the tests: the package's module-level code,
+    ``benchmarks/`` or ``examples/``, or code those reach.  Tests are
+    not roots, so code that only a test calls fails here."""
+    unreferenced = unreferenced_public_names()
+    assert [name for name in unreferenced if exemption(name) is None] == []
+    # An exemption that covers nothing is stale.
+    assert {exemption(name) for name in unreferenced} == set(EXEMPT)
