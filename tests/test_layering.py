@@ -9,6 +9,10 @@ Nothing below them may import them -- not even lazily inside a function
 ``repro.baselines`` can reach it.  Within ``repro`` only
 ``Application.__init__`` builds the environment, cluster and metrics hub
 a run deploys onto.
+
+The public surface is the called surface: every public function, class
+and method in ``src/repro`` is reached from code that runs outside the
+tests, or is exempted with its reason.
 """
 
 import ast
